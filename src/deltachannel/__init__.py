@@ -38,6 +38,7 @@ from .field import (
     SmearingSpec,
     assemble_statistics,
     commutator_closed,
+    cross_real_closed,
     norm_sq_closed,
     norm_sq_quadrature,
     thermal,
@@ -91,6 +92,7 @@ __all__ = [
     "SmearingSpec",
     "assemble_statistics",
     "commutator_closed",
+    "cross_real_closed",
     "norm_sq_closed",
     "norm_sq_quadrature",
     "thermal",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -156,10 +157,13 @@ def _run_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if report["passed"] else EXIT_SELFTEST_FAIL
 
 
+# parse_args leaves the parser unchanged, so one serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

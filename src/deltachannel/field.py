@@ -1,7 +1,7 @@
 """Field-side scalars for a pair of delta-switched Gaussian detectors.
 
 Closed forms for the massless scalar vacuum, an independent radial
-quadrature oracle, and a thermal (KMS) variant of the same oracle.
+quadrature oracle, and a thermal (KMS) variant of the same quadrature.
 Everything is dimensionless in units of the Gaussian smearing width sigma:
 couplings are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma,
 inverse temperatures beta/sigma.
@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import dawsn
 
 from .errors import QuadratureError
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+SQRT2 = math.sqrt(2.0)
 # Below this argument the next series term (x^2/6) is under 2e-17 relative,
 # so sin(x)/x = 1 holds to double precision.
 SERIES_CUTOFF = 1e-8
@@ -35,6 +38,12 @@ QUAD_REL_TOL = 1e-8
 # <= ~1e-8 from the roundoff floor alone, so the split is gapless.
 ESCALATION_RATIO = 1e-8
 MP_DPS = 50
+
+# Below this half-width the Dawson difference quotient in cross_real_closed
+# cancels; the mean of D' over the interval is taken by Gauss-Legendre
+# instead, whose 6-point error there is far below double precision.
+DAWSON_SMALL_EPS = 0.05
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 # mpmath's working precision is process-global state; concurrent sweep
 # threads must not race on it.
@@ -169,6 +178,11 @@ def thermal(beta: float) -> FieldStateSpec:
 # closed forms (vacuum)
 # ---------------------------------------------------------------------------
 
+def pair_prefactor(f_a: SmearingSpec, f_b: SmearingSpec) -> float:
+    """coupling_A * coupling_B / (4 pi^2): each smeared two-point value is this times a J."""
+    return f_a.coupling * f_b.coupling / FOUR_PI_SQ
+
+
 def norm_sq_closed(f: SmearingSpec) -> float:
     """||Ef||^2 in the vacuum: coupling^2 / (4 pi^2)."""
     return f.coupling**2 / FOUR_PI_SQ
@@ -186,7 +200,7 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     subnormal x, so small and subnormal L keep full relative accuracy.
     """
     L, dt = geom.separation, geom.delay
-    pref = f_a.coupling * f_b.coupling / FOUR_PI_SQ
+    pref = pair_prefactor(f_a, f_b)
     a = abs(dt)
     x = 2.0 * a * L
     e_near = math.exp(-0.5 * (a - L) ** 2)
@@ -194,6 +208,24 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
     # an exact or underflowed zero is +0.0 for either sign of the delay
     return math.copysign(magnitude, dt) if magnitude else 0.0
+
+
+def cross_real_closed(L: float, dtau: float) -> float:
+    """Re J(L, dtau) in the vacuum, through the Dawson function D.
+
+    Re J = [D(b + e) - D(b - e)] / (2 e) with e = L/sqrt2 and b = dtau/sqrt2,
+    which is [D((L+dtau)/sqrt2) + D((L-dtau)/sqrt2)] / (sqrt2 L) as D is odd
+    (Abramowitz & Stegun 7.1).  The quotient is the mean of
+    D'(x) = 1 - 2x D(x) over [b - e, b + e]; below DAWSON_SMALL_EPS that mean
+    is taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
+    gives D'(b), so J(0, 0) = 1, and a subnormal L gives the same bits.
+    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.
+    """
+    e, b = L / SQRT2, dtau / SQRT2
+    if e >= DAWSON_SMALL_EPS:
+        return float(dawsn(b + e) - dawsn(b - e)) / (2.0 * e)
+    x = b + e * _GL_NODES
+    return 0.5 * float(_GL_WEIGHTS @ (1.0 - 2.0 * x * dawsn(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +291,16 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     def im_kern(k: float) -> float:
         return -math.exp(-0.5 * k * k) * _geom_factor(k, L) * math.sin(k * dtau)
 
+    # quad appends a message to its result when it warns; the error
+    # estimate below decides what happens then
     re, re_err, _ = quad(re_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                         limit=400, full_output=1)
+                         limit=400, full_output=1)[:3]
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation
         im, im_err = 0.0, 0.0
     else:
         im, im_err, _ = quad(im_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                             limit=400, full_output=1)
+                             limit=400, full_output=1)[:3]
 
     re_scale = 1.0 if beta is None else 1.0 + 2.0 * SQRT_HALF_PI / beta
     tiny_re = abs(re) < ESCALATION_RATIO * re_scale
@@ -298,13 +332,18 @@ def wightman_cross_quadrature(
     """
     beta = state.beta if state.is_thermal else None
     j, _ = _radial_integral(geom.separation, geom.delay, beta)
-    return (f_a.coupling * f_b.coupling / FOUR_PI_SQ) * j
+    return pair_prefactor(f_a, f_b) * j
+
+
+def self_norm_j(state: FieldStateSpec) -> float:
+    """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta)."""
+    j, _ = _radial_integral(0.0, 0.0, state.beta if state.is_thermal else None)
+    return j.real
 
 
 def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:
     """||Ef||^2 by quadrature; the degenerate (L=0, dtau=0) cross value."""
-    w = wightman_cross_quadrature(f, f, PairGeometry(0.0, 0.0), state)
-    return w.real
+    return pair_prefactor(f, f) * self_norm_j(state)
 
 
 def assemble_statistics(
@@ -317,20 +356,22 @@ def assemble_statistics(
 
     nu_j = exp(-2 ||Ef_j||^2) and nu_ab_pm = exp(-2 ||E(f_A +- f_B)||^2)
     with the cross norm expanded through Re W(f_A, f_B).  The commutator
-    is state independent, so delta_ab always comes from the closed form;
-    a thermal state changes only the norms (computed by quadrature, there
-    being no thermal closed form).
+    is state independent, so delta_ab always comes from the closed form.
+    In the vacuum every scalar is closed form: the norms, and Re W through
+    cross_real_closed, so no integral runs.  A thermal state has no closed
+    form for the norms or Re W; they are integrated, J(0, 0, beta) once for
+    both norms.  The quadrature stays the oracle for the vacuum forms.
     """
+    pref = pair_prefactor(f_a, f_b)
     if state.is_thermal:
-        n_a = norm_sq_quadrature(f_a, state)
-        n_b = norm_sq_quadrature(f_b, state)
+        j0 = self_norm_j(state)
+        n_a = pair_prefactor(f_a, f_a) * j0
+        n_b = pair_prefactor(f_b, f_b) * j0
+        re_w = wightman_cross_quadrature(f_a, f_b, geom, state).real if pref else 0.0
     else:
         n_a = norm_sq_closed(f_a)
         n_b = norm_sq_closed(f_b)
-    if f_a.coupling == 0.0 or f_b.coupling == 0.0:
-        re_w = 0.0
-    else:
-        re_w = wightman_cross_quadrature(f_a, f_b, geom, state).real
+        re_w = pref * cross_real_closed(geom.separation, geom.delay)
     delta = commutator_closed(f_a, f_b, geom)
     return FieldStatistics(
         nu_a=math.exp(-2.0 * n_a),

@@ -55,7 +55,8 @@ def _random_bloch(rng: np.random.Generator) -> channel.QubitState:
 # ---------------------------------------------------------------------------
 
 def _check_field_oracle_grid() -> tuple[bool, dict]:
-    """Closed forms vs quadrature over the fixed coupling/geometry grid."""
+    """Closed forms vs quadrature over the fixed coupling/geometry grid: the
+    norms and the commutator relatively, Re J absolutely."""
     worst = 0.0
     points = 0
     for lam in GRID_COUPLINGS:
@@ -72,6 +73,9 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
                     closed = field.commutator_closed(f_a, f_b, geom)
                     w = field.wightman_cross_quadrature(f_a, f_b, geom)
                     worst = max(worst, _relative(closed, -2.0 * w.imag))
+                    # Re J absolutely: J(0, 0) = 1 sets its scale
+                    re_j = field.cross_real_closed(sep, delay)
+                    worst = max(worst, abs(re_j - w.real / field.pair_prefactor(f_a, f_b)))
                     points += 1
     return worst < FIELD_TOL, {"max_residual": worst, "points": points}
 

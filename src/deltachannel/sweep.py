@@ -23,8 +23,10 @@ from .field import (
     VACUUM,
     assemble_statistics,
     commutator_closed,
+    cross_real_closed,
     norm_sq_closed,
-    norm_sq_quadrature,
+    pair_prefactor,
+    self_norm_j,
     thermal,
     wightman_cross_quadrature,
 )
@@ -304,19 +306,27 @@ def evaluate_point(
 
 
 def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
-    """Largest relative disagreement between closed forms and quadrature.
+    """Largest disagreement between closed forms and quadrature.
 
-    Vacuum checks both norms and the commutator; a thermal state has no
-    closed-form norms, so only the commutator identity is checked there.
+    The commutator is checked in every state, relatively.  The vacuum adds
+    both norms, relatively, from one J(0, 0), and Re W(f_A, f_B) as the
+    absolute difference in Re J: J(0, 0) = 1 makes that
+    Delta Re W / sqrt(n_a n_b), so a zero crossing of Re J cannot inflate it.
+    A thermal state has no closed-form norms or Re W.
     """
     w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
     d_closed = commutator_closed(f_a, f_b, geom)
     residual = abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)
     if not state.is_thermal:
+        j0 = self_norm_j(state)
         for f in (f_a, f_b):
             closed = norm_sq_closed(f)
-            rel = abs(closed - norm_sq_quadrature(f, state)) / max(closed, RESIDUAL_FLOOR)
+            rel = abs(closed - pair_prefactor(f, f) * j0) / max(closed, RESIDUAL_FLOOR)
             residual = max(residual, rel)
+        pref = pair_prefactor(f_a, f_b)
+        if pref:
+            re_j = cross_real_closed(geom.separation, geom.delay)
+            residual = max(residual, abs(re_j - w_cross.real / pref))
     return residual
 
 

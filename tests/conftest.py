@@ -1,8 +1,9 @@
-"""Shared test helpers: random draws and an independent channel oracle."""
+"""Shared test helpers: random draws, an independent channel oracle, a Re J reference."""
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +18,21 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+
+
+def re_j_reference(L, dtau):
+    """Vacuum Re J from erfi at 50 digits, plus the digits lost to the
+    difference quotient below L = 1."""
+    dps = 50 + (math.ceil(-math.log10(L)) if 0.0 < L < 1.0 else 0)
+    with mpmath.workdps(dps):
+        Lm, dt, s2 = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.sqrt(2)
+
+        def dawson(x):
+            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+        if L == 0.0:
+            return float(1 - s2 * dt * dawson(dt / s2))
+        return float((dawson((Lm + dt) / s2) + dawson((Lm - dt) / s2)) / (s2 * Lm))
 
 
 def draw_statistics(rng: np.random.Generator) -> FieldStatistics:

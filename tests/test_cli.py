@@ -4,11 +4,13 @@ from __future__ import annotations
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import deltachannel.field as field
 import deltachannel.weyl as weyl
+from conftest import re_j_reference
 from deltachannel.cli import main
 from deltachannel.errors import ConfigError
 from deltachannel.sweep import (
@@ -214,8 +216,9 @@ def test_sweep_survives_quadrature_failure(monkeypatch):
 
     monkeypatch.setattr(field, "quad", bad_quad)
     monkeypatch.setattr(field, "_mpmath_integral", bad_escalation)
+    # thermal, since vacuum rows integrate nothing
     cfg = parse_config_text(
-        "schema_version = 1\naxis.lambda_a = 1, 2, 2, linear\n"
+        "schema_version = 1\nbeta = 2\naxis.lambda_a = 1, 2, 2, linear\n"
     )
     rows = run_sweep(cfg)
     assert len(rows) == 2
@@ -224,6 +227,42 @@ def test_sweep_survives_quadrature_failure(monkeypatch):
         assert math.isnan(row["c_closed"])
         assert math.isnan(row["nu_b"])
         assert row["lambda_a"] in (1.0, 2.0)
+
+
+def test_vacuum_sweep_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vacuum sweep without --oracle must not integrate")
+
+    monkeypatch.setattr(field, "quad", refuse)
+    monkeypatch.setattr(field, "_mpmath_integral", refuse)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    rows = run_sweep(parse_config_text(BASE_CONFIG))
+    assert len(rows) == 6
+    assert all(row["status"] == "ok" for row in rows)
+
+
+def test_thermal_row_at_large_separation_is_typed():
+    # quad warns at L = 1000; the row once raised ValueError and ended the sweep
+    row = evaluate_point(1.0, 1.0, 1000.0, 0.0, beta=2.0)
+    assert row["status"] in ("ok", "quadrature_error")
+    assert row["L"] == 1000.0
+
+
+def test_vacuum_row_once_lost_to_quadrature_is_ok():
+    # the radial quadrature of Re J fails its error target here; the closed
+    # form does not need it
+    sep, delay = 214.20875074641043, -0.11863217375195079
+    row = evaluate_point(1.0, 1.0, sep, delay)
+    assert row["status"] == "ok"
+    re_j = re_j_reference(sep, delay)
+    with mpmath.workdps(50):
+        n = 1 / (4 * mpmath.pi**2)
+        plus = float(mpmath.exp(-2 * (2 * n + 2 * n * re_j)))
+        minus = float(mpmath.exp(-2 * (2 * n - 2 * n * re_j)))
+        nu = float(mpmath.exp(-2 * n))
+    assert np.isclose(row["nu_ab_plus"], plus, rtol=1e-14, atol=0.0)
+    assert np.isclose(row["nu_ab_minus"], minus, rtol=1e-14, atol=0.0)
+    assert np.isclose(row["nu_b"], nu, rtol=1e-15, atol=0.0)
 
 
 def test_zero_coupling_row_has_zero_capacity():

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import deltachannel.field as field
+from conftest import re_j_reference
 from deltachannel.errors import QuadratureError
 from deltachannel.field import (
     FOUR_PI_SQ,
@@ -19,8 +23,10 @@ from deltachannel.field import (
     VACUUM,
     assemble_statistics,
     commutator_closed,
+    cross_real_closed,
     norm_sq_closed,
     norm_sq_quadrature,
+    pair_prefactor,
     thermal,
     wightman_cross_quadrature,
 )
@@ -47,10 +53,21 @@ def test_norm_sq_closed_unit_coupling():
 
 
 @given(lam=couplings, scale=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+@example(lam=6.0, scale=1.4296025095714231e-158)
 def test_norm_sq_quadratic_coupling_scaling(lam, scale):
+    # Relative agreement to 1e-12 wherever the expected value is a normal
+    # float.  Below that, doubles are math.ulp(0.0) apart and relative
+    # agreement is lost (both sides of the example are about 1.9e-316), so
+    # the promise is the rounding of the steps in that spacing: base's
+    # rounding grows by scale**2, that of scale**2 by base, and the other
+    # roundings add a few spacings more.
     base = norm_sq_closed(SmearingSpec(coupling=lam))
     scaled = norm_sq_closed(SmearingSpec(coupling=scale * lam))
-    assert np.isclose(scaled, scale**2 * base, rtol=1e-12, atol=0.0)
+    expected = scale**2 * base
+    if expected >= sys.float_info.min:
+        assert np.isclose(scaled, expected, rtol=1e-12, atol=0.0)
+    else:
+        assert abs(scaled - expected) <= (scale**2 + base + 4.0) * math.ulp(0.0)
 
 
 def test_commutator_closed_reference_value():
@@ -116,6 +133,36 @@ def test_commutator_small_separation_keeps_its_limit(sep, delay):
     assert np.isclose(delta, limit, rtol=1e-14, atol=0.0)
 
 
+def _re_j_cases():
+    delays = (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3)
+    cases = [(L, dt) for L in (0.0, 5e-324, 1e-20, 1e-8, 0.0707, 1e3) for dt in delays]
+    draw = random.Random(20261018)
+    for _ in range(300):
+        L = 10.0 ** draw.uniform(-8.0, 3.0)
+        dtau = draw.choice((-1.0, 1.0)) * 10.0 ** draw.uniform(-3.0, 3.0)
+        cases.append((L, dtau))
+    return cases
+
+
+def test_cross_real_closed_matches_erfi_reference():
+    worst = max(abs(cross_real_closed(L, dt) - re_j_reference(L, dt)) for L, dt in _re_j_cases())
+    assert worst <= 1e-14
+
+
+def test_cross_real_closed_limits():
+    assert cross_real_closed(0.0, 0.0) == 1.0
+    for dtau in (0.0, 0.3, -2.0, 1e3):
+        assert cross_real_closed(5e-324, dtau) == cross_real_closed(0.0, dtau)
+        # even in the delay
+        assert cross_real_closed(2.5, dtau) == cross_real_closed(2.5, -dtau)
+
+
+def test_cross_real_closed_agrees_with_quadrature():
+    for sep, delay in ((0.0, 0.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (0.01, 2.0), (3.0, -12.0)):
+        j, _ = field._radial_integral(sep, delay, None)
+        assert abs(cross_real_closed(sep, delay) - j.real) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -162,6 +209,14 @@ def test_radial_integral_subnormal_separation_is_coincident_limit(beta):
     at_zero, _ = field._radial_integral(0.0, 1.0, beta)
     subnormal, _ = field._radial_integral(5e-324, 1.0, beta)
     assert subnormal == at_zero
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_radial_integral_quad_warning_is_a_typed_error(beta):
+    # quad returns a fourth value, its message, when it warns; at L = 1000
+    # that once escaped as "too many values to unpack"
+    with pytest.raises(QuadratureError):
+        field._radial_integral(1000.0, 0.0, beta)
 
 
 def test_quadrature_error_carries_estimate(monkeypatch):
@@ -213,6 +268,41 @@ def test_assemble_statistics_zero_coupling_short_circuit():
     assert stats.delta_ab == 0.0
     assert stats.nu_ab_plus == stats.nu_b
     assert stats.nu_ab_minus == stats.nu_b
+
+
+def test_assemble_statistics_vacuum_runs_no_integral(monkeypatch):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("vacuum statistics must not integrate")
+
+    f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
+    geom = PairGeometry(6.0, 6.0)
+    j, _ = field._radial_integral(6.0, 6.0, None)
+    monkeypatch.setattr(field, "quad", no_integral)
+    monkeypatch.setattr(mpmath, "quad", no_integral)
+    stats = assemble_statistics(f_a, f_b, geom)
+    n = norm_sq_closed(f_a) + norm_sq_closed(f_b)
+    re_w = pair_prefactor(f_a, f_b) * j.real
+    assert np.isclose(stats.nu_ab_plus, math.exp(-2.0 * (n + 2.0 * re_w)), rtol=1e-14, atol=0.0)
+    assert np.isclose(stats.nu_ab_minus, math.exp(-2.0 * (n - 2.0 * re_w)), rtol=1e-14, atol=0.0)
+
+
+def test_assemble_statistics_thermal_integrates_self_norm_once(monkeypatch):
+    state = thermal(2.0)
+    f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
+    geom = PairGeometry(4.0, 4.0)
+    calls = []
+    integral = field._radial_integral
+
+    def counted(L, dtau, beta):
+        calls.append((L, dtau, beta))
+        return integral(L, dtau, beta)
+
+    monkeypatch.setattr(field, "_radial_integral", counted)
+    stats = assemble_statistics(f_a, f_b, geom, state)
+    assert calls == [(0.0, 0.0, 2.0), (4.0, 4.0, 2.0)]
+    # scaling one J(0, 0, beta) gives the per-detector quadrature's bits
+    assert stats.nu_a == math.exp(-2.0 * norm_sq_quadrature(f_a, state))
+    assert stats.nu_b == math.exp(-2.0 * norm_sq_quadrature(f_b, state))
 
 
 def test_assemble_statistics_thermal_lowers_nu_keeps_delta():
