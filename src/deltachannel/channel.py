@@ -1,22 +1,24 @@
 """The qubit-to-qubit channel induced by one delta-switched detector pair.
 
-The channel output is assembled from the explicit closed-form matrix
-elements (the keep/flip/commutator reduction of the detector dynamics);
-eigenvalues come from an independent closed form and are cross-checked
-against direct diagonalization on demand.  The operator-composition route
-lives in the test suite as an oracle.
+The field reaches the channel only through a = nu_b cos(2 delta_ab) and
+b = nu_b sin(2 delta_ab), and Alice's input only through the signal
+amplitude theta.  ChannelParams builds the channel's affine Bloch map,
+v(theta) = base + theta * slope, once from those; the output state, its
+eigenvalues 0.5 +- |v| / 2 and the Choi matrix all derive from it.  The
+correlator route (weyl) and operator composition (the tests) are
+independent oracles for the map; direct diagonalization checks the
+eigenvalues on demand.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError
 from .field import FieldStatistics
-from .weyl import GammaSet, gammas_from_statistics
 
 BLOCH_TOL = 1e-12
 EIGEN_MATCH_TOL = 1e-12
@@ -71,16 +73,40 @@ class QubitState:
 @dataclass(frozen=True)
 class ChannelParams:
     """Everything the channel depends on: field statistics, the two switch
-    phases Omega_j * tau_j0, and Bob's prepared state."""
+    phases Omega_j * tau_j0, and Bob's prepared state.
+
+    Construction derives the affine Bloch map: an input with signal
+    amplitude theta leaves Bob at base + theta * slope.  Bob's flip operator
+    cos(phase_b) X - sin(phase_b) Y has axis n = (cos, -sin, 0): the
+    component of Bob's Bloch vector v along n passes unchanged, the rest
+    contracts by a, and the signal adds theta * b * (n x v).
+    """
 
     stats: FieldStatistics
     phase_a: float
     phase_b: float
     bob_initial: QubitState
+    a: float = field(init=False, repr=False, compare=False)
+    b: float = field(init=False, repr=False, compare=False)
+    base: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    slope: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ValueError("phases must be finite")
+        two_delta = 2.0 * self.stats.delta_ab
+        a = self.stats.nu_b * math.cos(two_delta)
+        b = self.stats.nu_b * math.sin(two_delta)
+        c, s = math.cos(self.phase_b), math.sin(self.phase_b)
+        x, y, z = self.bob_initial.bloch
+        kept = (1.0 - a) * (x * c - y * s)
+        for name, value in (
+            ("a", a),
+            ("b", b),
+            ("base", (a * x + kept * c, a * y - kept * s, a * z)),
+            ("slope", (-b * s * z, -b * c * z, b * (x * s + y * c))),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -126,43 +152,22 @@ def theta(state: QubitState, phase_a: float) -> float:
     return state.x * math.cos(phase_a) + state.y * math.sin(phase_a)
 
 
-def _output_from_theta(params: ChannelParams, gammas: GammaSet, th: float) -> ChannelOutput:
-    """Matrix elements and eigenvalues for a given signal amplitude theta.
-
-    keep_minus_flip = nu_b cos(2 delta) and comm_strength = nu_b sin(2 delta)
-    are read off the combined coefficients, so this consumes the GammaSet
-    rather than re-deriving trigonometry from the raw statistics.
-    """
-    a = gammas.c_keep - gammas.c_flip
-    b = -2.0 * gammas.c_comm.imag
-    xb, yb, zb = params.bob_initial.bloch
-    pb = params.phase_b
-    cos_pb, sin_pb = math.cos(pb), math.sin(pb)
-    g = yb * cos_pb + xb * sin_pb
-
-    r11 = 0.5 * (1.0 + zb * a + th * b * g)
-    r22 = 0.5 * (1.0 - zb * a - th * b * g)
-    r12 = 0.25 * (
-        cmath.exp(2j * pb) * complex(xb, yb) * (1.0 - a)
-        + complex(xb, -yb) * (1.0 + a)
-        + 2j * cmath.exp(1j * pb) * zb * th * b
-    )
-
-    # closed-form eigenvalues: the invariant component P passes through the
-    # channel unchanged, the orthogonal (g, z) block contracts by nu_b
-    p_inv = xb * cos_pb - yb * sin_pb
-    r_sq = params.bob_initial.norm_sq
-    radius_sq = p_inv * p_inv + (a * a + th * th * b * b) * max(r_sq - p_inv * p_inv, 0.0)
-    half_gap = 0.5 * math.sqrt(min(radius_sq, 1.0))
+def _output(v) -> ChannelOutput:
+    """The state with Bloch vector v; its eigenvalues are 0.5 +- |v| / 2."""
+    x, y, z = v
+    half_gap = 0.5 * min(math.sqrt(x * x + y * y + z * z), 1.0)
     return ChannelOutput(
-        r11=r11, r12=r12, r22=r22, eigenvalues=(0.5 + half_gap, 0.5 - half_gap)
+        r11=0.5 * (1.0 + z),
+        r12=0.5 * complex(x, -y),
+        r22=0.5 * (1.0 - z),
+        eigenvalues=(0.5 + half_gap, 0.5 - half_gap),
     )
 
 
 def apply(params: ChannelParams, alice_in: QubitState) -> ChannelOutput:
     """Send alice_in through the channel defined by params."""
-    gammas = gammas_from_statistics(params.stats)
-    return _output_from_theta(params, gammas, theta(alice_in, params.phase_a))
+    th = theta(alice_in, params.phase_a)
+    return _output([b + th * s for b, s in zip(params.base, params.slope)])
 
 
 def eigenvalues_analytic(params: ChannelParams, alice_in: QubitState) -> tuple[float, float]:
@@ -187,22 +192,20 @@ def output_bloch_affine(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     This is what makes ensemble searches cheap: members only matter
     through their theta values.
     """
-    gammas = gammas_from_statistics(params.stats)
-    base = np.array(_output_from_theta(params, gammas, 0.0).bloch)
-    at_one = np.array(_output_from_theta(params, gammas, 1.0).bloch)
-    return base, at_one - base
+    return np.array(params.base), np.array(params.slope)
 
 
 def choi_matrix(params: ChannelParams) -> np.ndarray:
     """Choi matrix of the channel on the canonical maximally entangled state.
 
     The channel is affine in theta, so its action on a general operator X
-    is tr(X) T0 + theta(X) T1 with T0 the theta = 0 output and T1 the
-    theta-slope; theta extends complex-linearly to off-diagonal units.
+    is tr(X) T0 + theta(X) T1 with T0 the theta = 0 output and
+    T1 = slope . sigma / 2; theta extends complex-linearly to off-diagonal
+    units.
     """
-    gammas = gammas_from_statistics(params.stats)
-    t0 = _output_from_theta(params, gammas, 0.0).matrix
-    t1 = _output_from_theta(params, gammas, 1.0).matrix - t0
+    t0 = _output(params.base).matrix
+    sx, sy, sz = params.slope
+    t1 = 0.5 * np.array([[sz, complex(sx, -sy)], [complex(sx, sy), -sz]])
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     e10 = e01.T.copy()
     phase = cmath.exp(1j * params.phase_a)

@@ -9,13 +9,12 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
 from .errors import ConfigError
 from .selftest import selftest
-from .sweep import format_csv, format_json, parse_config, point_query, run_sweep
+from .sweep import format_csv, format_json, json_ready, parse_config, point_query, run_sweep
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -43,17 +42,6 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def _jsonify(value):
-    """NaN-free copy for strict JSON emission."""
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
-
-
 def _emit(payload: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(payload)
@@ -76,14 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), help="result format (overrides the config)")
     sweep.add_argument("--oracle", action="store_true", help="add quadrature cross-check residuals")
     sweep.add_argument("--optimize", action="store_true", help="run the brute-force optimizer per point")
-    sweep.add_argument("--threads", type=int, default=1, help="concurrent point evaluations (default 1)")
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="no effect: rows are evaluated in order; kept for compatibility (N >= 1)")
 
     point = sub.add_parser("point", help="print one parameter point as JSON")
     point.add_argument("--lambda-a", type=float, default=1.0, help="Alice coupling (default 1)")
     point.add_argument("--lambda-b", type=float, default=1.0, help="Bob coupling (default 1)")
     point.add_argument("--L", type=float, default=6.0, help="detector separation (default 6)")
     point.add_argument("--dtau", type=float, default=6.0, help="switching delay (default 6)")
-    point.add_argument("--eta", type=float, default=1.0, help="coupling scale eta/sigma (default 1)")
+    point.add_argument("--eta", type=float, default=1.0, help="coupling scale eta/sigma, multiplies both couplings (default 1)")
     point.add_argument("--beta", type=float, default=None, help="inverse temperature; omit for the vacuum")
     point.add_argument("--phase-a", type=float, default=0.0, help="Alice switch phase (default 0)")
     point.add_argument("--phase-b", type=float, default=0.0, help="Bob switch phase (default 0)")
@@ -120,7 +109,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _check_output_dir(cfg.output)
-    rows = run_sweep(cfg, threads=args.threads)
+    rows = run_sweep(cfg)
     if cfg.output is None:
         payload = format_csv(rows) if cfg.format == "csv" else format_json(rows)
         sys.stdout.write(payload)
@@ -143,14 +132,14 @@ def _run_point(args: argparse.Namespace) -> int:
         oracle=args.oracle,
         optimizer=args.optimize,
     )
-    _emit(json.dumps(_jsonify(record), indent=2, allow_nan=False) + "\n", args.output)
+    _emit(json.dumps(json_ready(record), indent=2, allow_nan=False) + "\n", args.output)
     return EXIT_OK
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
     report = selftest(only=args.only)
-    payload = json.dumps(_jsonify(report), indent=2, allow_nan=False) + "\n"
+    payload = json.dumps(json_ready(report), indent=2, allow_nan=False) + "\n"
     sys.stdout.write(payload)
     if args.output is not None:
         _emit(payload, args.output)

@@ -198,14 +198,18 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     over L is 2 a e_near * (-expm1(-x) / x) without cancellation.  The
     ratio is 1 at x = 0 (its L -> 0 limit) and expm1 returns -x exactly for
     subnormal x, so small and subnormal L keep full relative accuracy.
+    Where x overflows (a ~ L ~ 1e154) the bracket over L is e_near / L.
     """
     L, dt = geom.separation, geom.delay
     pref = pair_prefactor(f_a, f_b)
     a = abs(dt)
     x = 2.0 * a * L
     e_near = math.exp(-0.5 * (a - L) ** 2)
-    ratio = -math.expm1(-x) / x if x else 1.0
-    magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
+    if x == math.inf:
+        magnitude = pref * SQRT_HALF_PI * e_near * (-math.expm1(-x) / L)
+    else:
+        ratio = -math.expm1(-x) / x if x else 1.0
+        magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
     # an exact or underflowed zero is +0.0 for either sign of the delay
     return math.copysign(magnitude, dt) if magnitude else 0.0
 

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import capacity_bruteforce, capacity_closed_form
-from .channel import ChannelParams, QubitState
-from .errors import ConfigError, QuadratureError
+from .channel import ChannelParams, QubitState, apply
+from .errors import ConfigError, ConsistencyError, QuadratureError
 from .field import (
+    FieldStatistics,
     PairGeometry,
     SmearingSpec,
     VACUUM,
@@ -269,40 +269,50 @@ def evaluate_point(
 ) -> dict:
     """One sweep row as a column -> value mapping.
 
-    Quadrature failures never raise: the field-dependent columns go NaN and
-    status records the failure.
+    Failures past input validation never raise.  A failed quadrature sets
+    status quadrature_error: the field-dependent columns go NaN, unless
+    only the --oracle integral failed, which blanks just oracle_residual.
+    An overflow or an out-of-domain value sets status domain_error with
+    every computed column NaN.
     """
+    return _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
+                     phase_a, phase_b, oracle, optimizer)[0]
+
+
+def _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
+              phase_a, phase_b, oracle, optimizer) -> tuple[dict, FieldStatistics | None]:
+    """evaluate_point's row, with the statistics it was computed from (None
+    where they failed)."""
     row = dict.fromkeys(COLUMNS, math.nan)
-    row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay)
+    row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
     f_a = SmearingSpec(coupling=lambda_a * eta_over_sigma)
     f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
     geom = PairGeometry(separation, delay)
     state = VACUUM if beta is None else thermal(beta)
+    stats = None
+    computed: dict = {}
     try:
         stats = assemble_statistics(f_a, f_b, geom, state)
+        computed.update(
+            nu_a=stats.nu_a,
+            nu_b=stats.nu_b,
+            nu_ab_plus=stats.nu_ab_plus,
+            nu_ab_minus=stats.nu_ab_minus,
+            delta_ab=stats.delta_ab,
+            c_closed=capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab),
+        )
+        if optimizer:
+            result = capacity_bruteforce(ChannelParams(stats, phase_a, phase_b, bob))
+            computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
+        if oracle:
+            computed["oracle_residual"] = _oracle_residual(f_a, f_b, geom, state, stats)
     except QuadratureError:
         row["status"] = "quadrature_error"
-        return row
-    row.update(
-        nu_a=stats.nu_a,
-        nu_b=stats.nu_b,
-        nu_ab_plus=stats.nu_ab_plus,
-        nu_ab_minus=stats.nu_ab_minus,
-        delta_ab=stats.delta_ab,
-    )
-    row["c_closed"] = capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab)
-    if optimizer:
-        result = capacity_bruteforce(ChannelParams(stats, phase_a, phase_b, bob))
-        row["c_bruteforce"] = result.c_bruteforce
-        row["gap"] = result.gap
-    if oracle:
-        try:
-            row["oracle_residual"] = _oracle_residual(f_a, f_b, geom, state, stats)
-        except QuadratureError:
-            row["status"] = "quadrature_error"
-            return row
-    row["status"] = "ok"
-    return row
+    except (OverflowError, ValueError, ConsistencyError):
+        row["status"] = "domain_error"
+        return row, None
+    row.update(computed)
+    return row, stats
 
 
 def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
@@ -346,15 +356,10 @@ def grid_overrides(cfg: SweepConfig) -> list[dict]:
     return overrides
 
 
-def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[dict]:
-    """Evaluate the whole grid and write the result file if cfg.output is set.
-
-    Rows come back in grid order regardless of thread count: points are
-    pure functions and the assembly follows the grid index, not completion.
-    """
-
-    def one(overrides: dict) -> dict:
-        return evaluate_point(
+def run_sweep(cfg: SweepConfig) -> list[dict]:
+    """Evaluate the whole grid in order and write the result file if cfg.output is set."""
+    rows = [
+        evaluate_point(
             lambda_a=overrides.get("lambda_a", cfg.lambda_a),
             lambda_b=overrides.get("lambda_b", cfg.lambda_b),
             separation=overrides.get("L", cfg.separation),
@@ -367,14 +372,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[dict]:
             oracle=cfg.oracle,
             optimizer=cfg.optimizer,
         )
-
-    points = grid_overrides(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
-
+        for overrides in grid_overrides(cfg)
+    ]
     if cfg.output is not None:
         payload = format_csv(rows) if cfg.format == "csv" else format_json(rows)
         with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
@@ -399,18 +398,20 @@ def format_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_json(rows: list[dict]) -> str:
-    def clean(row: dict) -> dict:
-        out = {}
-        for c in COLUMNS:
-            v = row[c]
-            if isinstance(v, float) and math.isnan(v):
-                v = None
-            out[c] = v
-        return out
+def json_ready(value):
+    """A copy of value for strict JSON: every float NaN becomes None (null)."""
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
-    doc = {"schema_version": SCHEMA_VERSION, "rows": [clean(r) for r in rows]}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+def format_json(rows: list[dict]) -> str:
+    doc = {"schema_version": SCHEMA_VERSION, "rows": [{c: r[c] for c in COLUMNS} for r in rows]}
+    return json.dumps(json_ready(doc), indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +438,10 @@ def point_query(
     exactly; on top of those come the combined channel coefficients, the
     output eigenvalues for the given Alice input, and capacity details.
     """
-    from .capacity import capacity_bruteforce as _bruteforce  # late bind for tests
-    from .channel import apply as _apply
-    from .weyl import gammas_from_statistics as _gammas
-    from .field import FieldStatistics
-
     bob_state = QubitState(*bob)
     alice_state = QubitState(*alice)
-    row = evaluate_point(
-        lambda_a=lambda_a,
-        lambda_b=lambda_b,
-        separation=separation,
-        delay=delay,
-        eta_over_sigma=eta_over_sigma,
-        beta=beta,
-        bob=bob_state,
-        phase_a=phase_a,
-        phase_b=phase_b,
-        oracle=oracle,
-        optimizer=False,
-    )
+    row, stats = _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
+                           bob_state, phase_a, phase_b, oracle, False)
     record: dict = {"schema_version": SCHEMA_VERSION, "status": row["status"]}
     record["inputs"] = {
         "lambda_a": lambda_a,
@@ -472,13 +457,6 @@ def point_query(
     }
     if row["status"] != "ok":
         return record
-    stats = FieldStatistics(
-        nu_a=row["nu_a"],
-        nu_b=row["nu_b"],
-        nu_ab_plus=row["nu_ab_plus"],
-        nu_ab_minus=row["nu_ab_minus"],
-        delta_ab=row["delta_ab"],
-    )
     record["field_statistics"] = {
         "nu_a": stats.nu_a,
         "nu_b": stats.nu_b,
@@ -486,14 +464,13 @@ def point_query(
         "nu_ab_minus": stats.nu_ab_minus,
         "delta_ab": stats.delta_ab,
     }
-    gammas = _gammas(stats)
-    record["combined_coefficients"] = {
-        "c_keep": gammas.c_keep,
-        "c_flip": gammas.c_flip,
-        "c_comm_imag": gammas.c_comm.imag,
-    }
     params = ChannelParams(stats, phase_a, phase_b, bob_state)
-    out = _apply(params, alice_state)
+    record["combined_coefficients"] = {
+        "c_keep": 0.5 + 0.5 * params.a,
+        "c_flip": 0.5 - 0.5 * params.a,
+        "c_comm_imag": -0.5 * params.b,
+    }
+    out = apply(params, alice_state)
     record["eigenvalues"] = {"p_plus": out.eigenvalues[0], "p_minus": out.eigenvalues[1]}
     capacity_block = {
         "c_closed": row["c_closed"],
@@ -501,7 +478,7 @@ def point_query(
         "nu_eff": stats.nu_b * bob_state.r,
     }
     if optimizer:
-        result = _bruteforce(params)
+        result = capacity_bruteforce(params)
         capacity_block["c_bruteforce"] = result.c_bruteforce
         capacity_block["gap"] = result.gap
     record["capacity"] = capacity_block

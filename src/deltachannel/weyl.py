@@ -5,6 +5,9 @@ expectations fixed entirely by FieldStatistics.  Only three combinations
 reach the channel: a keep weight, a flip weight, and an imaginary
 commutator weight.  Both routes to the combinations (summing gammas and
 the direct closed forms) are evaluated and cross-checked on every call.
+This route is for verification only: the channel builds its map from
+nu_b and delta_ab directly, and selftest and the tests check that map
+against the gamma sums.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: random draws, an independent channel oracle, a Re J reference."""
+"""Shared test helpers: random draws, independent channel oracles, a Re J reference."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 from deltachannel.channel import QubitState
-from deltachannel.field import FieldStatistics
+from deltachannel.selftest import random_bloch as draw_ball
+from deltachannel.selftest import random_statistics as draw_statistics
 
 settings.register_profile("package", deadline=None)
 settings.load_profile("package")
@@ -33,23 +34,6 @@ def re_j_reference(L, dtau):
         if L == 0.0:
             return float(1 - s2 * dt * dawson(dt / s2))
         return float((dawson((Lm + dt) / s2) + dawson((Lm - dt) / s2)) / (s2 * Lm))
-
-
-def draw_statistics(rng: np.random.Generator) -> FieldStatistics:
-    nu = rng.uniform(0.0, 1.0, size=4)
-    return FieldStatistics(
-        nu_a=float(nu[0]),
-        nu_b=float(nu[1]),
-        nu_ab_plus=float(nu[2]),
-        nu_ab_minus=float(nu[3]),
-        delta_ab=float(rng.uniform(-3.0, 3.0)),
-    )
-
-
-def draw_ball(rng: np.random.Generator) -> QubitState:
-    v = rng.normal(size=3)
-    v *= rng.uniform() ** (1.0 / 3.0) / float(np.linalg.norm(v))
-    return QubitState(float(v[0]), float(v[1]), float(v[2]))
 
 
 def density_matrix(state: QubitState) -> np.ndarray:
@@ -86,6 +70,21 @@ def oracle_apply(stats, phase_a, phase_b, bob, alice) -> np.ndarray:
     flip = 0.5 - 0.5 * stats.nu_b * cos2d
     comm = -0.5j * stats.nu_b * sin2d
     return keep * rho_b + flip * (mu_b @ rho_b @ mu_b) + th * comm * (mu_b @ rho_b - rho_b @ mu_b)
+
+
+def bloch_radius_oracle(stats, phase_b, bob, th) -> float:
+    """Length of the output Bloch vector, from the channel's invariant component.
+
+    P = x cos(phase_b) - y sin(phase_b) commutes with Bob's flip operator and
+    passes unchanged; the orthogonal part, of length sqrt(r^2 - P^2),
+    contracts by sqrt(a^2 + theta^2 b^2) with a = nu_b cos(2 delta) and
+    b = nu_b sin(2 delta).
+    """
+    a = stats.nu_b * math.cos(2.0 * stats.delta_ab)
+    b = stats.nu_b * math.sin(2.0 * stats.delta_ab)
+    p_inv = bob.x * math.cos(phase_b) - bob.y * math.sin(phase_b)
+    rest_sq = max(bob.norm_sq - p_inv * p_inv, 0.0)
+    return math.sqrt(p_inv * p_inv + (a * a + th * th * b * b) * rest_sq)
 
 
 @pytest.fixture

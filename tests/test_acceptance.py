@@ -11,26 +11,27 @@ import time
 
 import numpy as np
 
+import deltachannel.field as field
 from deltachannel.capacity import capacity_bruteforce, capacity_closed_form
-from deltachannel.channel import ChannelParams, QubitState, apply, choi_matrix, eigenvalues_analytic
+from deltachannel.channel import ChannelParams, QubitState
 from deltachannel.cli import main
 from deltachannel.field import (
-    FieldStatistics,
     PairGeometry,
     SmearingSpec,
     assemble_statistics,
     commutator_closed,
     norm_sq_closed,
-    norm_sq_quadrature,
-    wightman_cross_quadrature,
 )
-from deltachannel.weyl import gammas_from_statistics
+from deltachannel.selftest import (
+    FIELD_TOL,
+    IDENTITY_TOL,
+    PPT_TOL,
+    PSD_TOL,
+    SAMPLES,
+    optimizer_gate,
+    selftest,
+)
 
-from conftest import draw_ball, draw_statistics
-
-GRID_COUPLINGS = (0.1, 1.0, 10.0)
-GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
-GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
 LAMBDA_A_STAR = 494.788589023863  # solves 2 * delta_ab = pi/2 at lambda_b = 0.3
 C_CLOSED_STAR = 0.976751352600931  # frozen independent evaluation at that point
 
@@ -46,8 +47,11 @@ format = csv
 """
 
 
-def _relative(closed: float, other: float) -> float:
-    return abs(closed - other) / max(abs(closed), 1e-12)
+def _registry_detail(name: str) -> dict:
+    """Run one check of the selftest registry and return its detail."""
+    (check,) = selftest(only=[name])["checks"]
+    assert check["passed"], check["detail"]
+    return check["detail"]
 
 
 def _star_params() -> ChannelParams:
@@ -60,26 +64,25 @@ def _star_params() -> ChannelParams:
                          bob_initial=QubitState(0.0, 0.0, 1.0))
 
 
-def test_criterion_01_closed_form_vs_quadrature_grid():
+def test_criterion_01_closed_form_vs_quadrature_grid(monkeypatch):
+    calls = []
+    integral = field._radial_integral
+
+    def counted(L, dtau, beta):
+        calls.append((L, dtau, beta))
+        return integral(L, dtau, beta)
+
+    monkeypatch.setattr(field, "_radial_integral", counted)
     started = time.perf_counter()
-    worst = 0.0
-    for lam in GRID_COUPLINGS:
-        f = SmearingSpec(coupling=lam)
-        worst = max(worst, _relative(norm_sq_closed(f), norm_sq_quadrature(f)))
-    for lam_a in GRID_COUPLINGS:
-        for lam_b in GRID_COUPLINGS:
-            f_a = SmearingSpec(coupling=lam_a)
-            f_b = SmearingSpec(coupling=lam_b)
-            for sep in GRID_SEPARATIONS:
-                for delay in GRID_DELAYS:
-                    geom = PairGeometry(sep, delay)
-                    closed = commutator_closed(f_a, f_b, geom)
-                    quad_value = -2.0 * wightman_cross_quadrature(f_a, f_b, geom).imag
-                    worst = max(worst, _relative(closed, quad_value))
+    detail = _registry_detail("field_oracle_grid")
     elapsed = time.perf_counter() - started
-    assert worst < 1e-6
+    assert detail["points"] == 147
+    # J(0, 0) once for the three norms, then each of the 16 geometries once
+    assert calls[0] == (0.0, 0.0, None)
+    assert len(calls) == 17 == len(set(calls))
+    assert detail["max_residual"] < FIELD_TOL
     assert elapsed < 60.0
-    print(f"criterion 01 PASS: max relative residual {worst:.3e} in {elapsed:.1f} s")
+    print(f"criterion 01 PASS: max residual {detail['max_residual']:.3e} in {elapsed:.1f} s")
 
 
 def test_criterion_02_unit_coupling_values():
@@ -93,75 +96,32 @@ def test_criterion_02_unit_coupling_values():
 
 
 def test_criterion_03_gamma_identities_1000_random():
-    rng = np.random.default_rng(31003)
-    worst = 0.0
-    for _ in range(1000):
-        stats = draw_statistics(rng)
-        g = gammas_from_statistics(stats)
-        worst = max(
-            worst,
-            abs(g.g_cccc + g.g_ssss + g.g_cssc + g.g_sccs - 1.0),
-            abs(g.c_keep + g.c_flip - 1.0),
-            abs(g.c_keep - (g.g_cccc + g.g_cssc)),
-            abs(g.c_flip - (g.g_ssss + g.g_sccs)),
-            abs(g.c_comm - (g.g_scsc - g.g_sscc)),
-        )
-        altered = FieldStatistics(
-            nu_a=float(rng.uniform()),
-            nu_b=stats.nu_b,
-            nu_ab_plus=float(rng.uniform()),
-            nu_ab_minus=float(rng.uniform()),
-            delta_ab=stats.delta_ab,
-        )
-        h = gammas_from_statistics(altered)
-        assert (h.c_keep, h.c_flip, h.c_comm) == (g.c_keep, g.c_flip, g.c_comm)
-    assert worst <= 1e-12
-    print(f"criterion 03 PASS: max identity violation {worst:.3e}")
+    detail = _registry_detail("gamma_identities")
+    assert detail["samples"] == SAMPLES == 1000
+    assert detail["max_violation"] <= IDENTITY_TOL
+    print(f"criterion 03 PASS: max identity violation {detail['max_violation']:.3e}")
 
 
 def test_criterion_04_channel_soundness_1000_random():
-    rng = np.random.default_rng(31004)
-    worst_trace = 0.0
-    worst_eigen = 0.0
-    min_output = math.inf
-    min_ppt = math.inf
-    for _ in range(1000):
-        params = ChannelParams(
-            stats=draw_statistics(rng),
-            phase_a=float(rng.uniform(0.0, 2.0 * math.pi)),
-            phase_b=float(rng.uniform(0.0, 2.0 * math.pi)),
-            bob_initial=draw_ball(rng),
-        )
-        alice = draw_ball(rng)
-        out = apply(params, alice)
-        numeric = np.linalg.eigvalsh(out.matrix)
-        analytic = eigenvalues_analytic(params, alice)
-        worst_trace = max(worst_trace, abs(out.r11 + out.r22 - 1.0))
-        worst_eigen = max(
-            worst_eigen,
-            abs(analytic[0] - float(numeric[1])),
-            abs(analytic[1] - float(numeric[0])),
-        )
-        min_output = min(min_output, float(numeric[0]))
-        choi = choi_matrix(params)
-        transposed = choi.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        min_ppt = min(min_ppt, float(np.linalg.eigvalsh(transposed)[0]))
-    assert worst_trace <= 1e-12
-    assert min_output >= -1e-12
-    assert worst_eigen <= 1e-12
-    assert min_ppt >= -1e-10
+    detail = _registry_detail("channel_soundness")
+    assert detail["samples"] == SAMPLES == 1000
+    assert detail["max_trace_defect"] <= PSD_TOL
+    assert detail["min_output_eigenvalue"] >= -PSD_TOL
+    assert detail["max_eigen_mismatch"] <= PSD_TOL
+    assert detail["min_choi_eigenvalue"] >= -PSD_TOL
+    assert detail["min_partial_transpose_eigenvalue"] >= -PPT_TOL
     print(
         "criterion 04 PASS: trace defect "
-        f"{worst_trace:.3e}, eigen mismatch {worst_eigen:.3e}, "
-        f"min output eigenvalue {min_output:.3e}, min PPT eigenvalue {min_ppt:.3e}"
+        f"{detail['max_trace_defect']:.3e}, eigen mismatch {detail['max_eigen_mismatch']:.3e}, "
+        f"min output eigenvalue {detail['min_output_eigenvalue']:.3e}, "
+        f"min PPT eigenvalue {detail['min_partial_transpose_eigenvalue']:.3e}"
     )
 
 
 def test_criterion_05_capacity_optimality_grid():
     started = time.perf_counter()
     couplings = [float(v) for v in np.geomspace(0.1, 1000.0, 5)]
-    worst_gap = 0.0
-    worst_excess = -math.inf
+    results = []
     for lam_a in couplings:
         for lam_b in couplings:
             stats = assemble_statistics(
@@ -171,13 +131,12 @@ def test_criterion_05_capacity_optimality_grid():
             )
             params = ChannelParams(stats=stats, phase_a=0.3, phase_b=0.7,
                                    bob_initial=QubitState(0.0, 0.0, 1.0))
-            result = capacity_bruteforce(params)
-            worst_gap = max(worst_gap, abs(result.c_bruteforce - result.c_closed))
-            worst_excess = max(worst_excess, result.c_bruteforce - result.c_closed)
+            results.append(capacity_bruteforce(params))
     elapsed = time.perf_counter() - started
-    assert worst_gap <= 2e-3
-    assert worst_excess <= 1e-9
+    assert all(optimizer_gate(result) for result in results)
     assert elapsed < 600.0
+    worst_gap = max(result.gap for result in results)
+    worst_excess = max(result.c_bruteforce - result.c_closed for result in results)
     print(
         f"criterion 05 PASS: max |gap| {worst_gap:.3e}, max excess "
         f"{worst_excess:.3e}, {elapsed:.1f} s for 25 points"

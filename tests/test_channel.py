@@ -25,7 +25,7 @@ from deltachannel.field import (
     assemble_statistics,
 )
 
-from conftest import density_matrix, draw_ball, draw_statistics, oracle_apply
+from conftest import bloch_radius_oracle, density_matrix, draw_ball, draw_statistics, oracle_apply
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 
@@ -99,6 +99,17 @@ def test_analytic_eigenvalues_match_diagonalization(rng):
         assert abs(p_plus - numeric[1]) <= 1e-12
         assert abs(p_minus - numeric[0]) <= 1e-12
         assert p_plus >= p_minus
+
+
+def test_output_radius_matches_invariant_component_oracle(rng):
+    for _ in range(300):
+        params = random_params(rng)
+        alice = draw_ball(rng)
+        th = theta(alice, params.phase_a)
+        out = apply(params, alice)
+        radius = bloch_radius_oracle(params.stats, params.phase_b, params.bob_initial, th)
+        assert abs(math.hypot(*out.bloch) - radius) <= 1e-15
+        assert abs(out.eigenvalues[0] - (0.5 + 0.5 * min(radius, 1.0))) <= 1e-15
 
 
 def test_output_pure_dephasing_limit():

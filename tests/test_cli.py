@@ -11,8 +11,11 @@ import pytest
 import deltachannel.field as field
 import deltachannel.weyl as weyl
 from conftest import re_j_reference
+from deltachannel.capacity import Ensemble, holevo_chi
+from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
 from deltachannel.errors import ConfigError
+from deltachannel.field import PairGeometry, SmearingSpec, assemble_statistics
 from deltachannel.sweep import (
     AxisSpec,
     COLUMNS,
@@ -200,13 +203,6 @@ def test_json_format_nan_becomes_null():
     assert doc["rows"][0]["lambda_a"] == 0.1
 
 
-def test_thread_count_does_not_change_bytes():
-    cfg = parse_config_text(BASE_CONFIG)
-    serial = format_csv(run_sweep(cfg, threads=1))
-    threaded = format_csv(run_sweep(cfg, threads=4))
-    assert serial == threaded
-
-
 def test_sweep_survives_quadrature_failure(monkeypatch):
     def bad_quad(func, a, b, **kwargs):
         return 0.5, 1.0, {}
@@ -263,6 +259,60 @@ def test_vacuum_row_once_lost_to_quadrature_is_ok():
     assert np.isclose(row["nu_ab_plus"], plus, rtol=1e-14, atol=0.0)
     assert np.isclose(row["nu_ab_minus"], minus, rtol=1e-14, atol=0.0)
     assert np.isclose(row["nu_b"], nu, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("lambda_b", [1.0, 1e160])
+def test_overflowing_row_is_a_domain_error(lambda_b):
+    # coupling**2 overflows in norm_sq_closed; the row once raised
+    # OverflowError and ended the sweep
+    row = evaluate_point(1e160, lambda_b, 6.0, 6.0)
+    assert row["status"] == "domain_error"
+    assert (row["lambda_a"], row["lambda_b"], row["L"], row["dtau"]) == (1e160, lambda_b, 6.0, 6.0)
+    assert all(math.isnan(row[c]) for c in COLUMNS[4:-1])
+
+
+def test_sweep_keeps_its_other_rows_past_a_domain_error(tmp_path):
+    rows_with = tmp_path / "with.csv"
+    rows_without = tmp_path / "without.csv"
+    with_bad = write_config(tmp_path, "schema_version = 1\naxis.lambda_a = 1, 1e160, 3, log\n")
+    assert main(["sweep", "--config", with_bad, "--output", str(rows_with)]) == 0
+    without_bad = write_config(tmp_path, "schema_version = 1\naxis.lambda_a = 1, 1e80, 2, log\n")
+    assert main(["sweep", "--config", without_bad, "--output", str(rows_without)]) == 0
+    lines = rows_with.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == rows_without.read_text(encoding="utf-8").splitlines()
+    assert lines[3].startswith("1e+160,") and lines[3].endswith(",domain_error")
+
+
+def test_failed_oracle_keeps_the_row_statistics():
+    # quad and its mpmath escalation miss the error target at L = 1000;
+    # the closed-form statistics and capacity stand, only the residual is lost
+    row = evaluate_point(1.0, 1.0, 1000.0, 0.0, oracle=True)
+    plain = evaluate_point(1.0, 1.0, 1000.0, 0.0)
+    assert row["status"] == "quadrature_error"
+    for column in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed"):
+        assert math.isfinite(row[column])
+        assert row[column] == plain[column]
+    assert math.isnan(row["oracle_residual"])
+
+
+def test_library_paths_do_not_need_the_gamma_route(monkeypatch, tmp_path, capsys):
+    def refuse(stats):
+        raise AssertionError("the correlator route is for verification only")
+
+    # _raw_gammas too, so that a copy of the function bound elsewhere refuses
+    monkeypatch.setattr(weyl, "gammas_from_statistics", refuse)
+    monkeypatch.setattr(weyl, "_raw_gammas", refuse)
+    cfg = write_config(tmp_path, "schema_version = 1\nlambda_a = 10\n")
+    assert main(["sweep", "--config", cfg, "--optimize"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",ok")
+    assert main(["point", "--lambda-a", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    stats = assemble_statistics(SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0),
+                                PairGeometry(6.0, 6.0))
+    params = ChannelParams(stats, 0.3, 0.7, QubitState(0.0, 0.0, 1.0))
+    plus, minus = QubitState(1.0, 0.0, 0.0), QubitState(-1.0, 0.0, 0.0)
+    assert holevo_chi(params, Ensemble(((0.5, plus), (0.5, minus)))) > 0.0
+    assert choi_matrix(params).shape == (4, 4)
 
 
 def test_zero_coupling_row_has_zero_capacity():

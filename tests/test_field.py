@@ -133,6 +133,21 @@ def test_commutator_small_separation_keeps_its_limit(sep, delay):
     assert np.isclose(delta, limit, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("sep", [1e154, 1e200])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_commutator_on_the_light_cone_where_2aL_overflows(sep, sign):
+    # 2 a L overflows to inf at a = L = 1e154; the commutator once came out 0.0
+    f = SmearingSpec(coupling=1.3)
+    delta = commutator_closed(f, f, PairGeometry(sep, sign * sep))
+    with mpmath.workdps(50):
+        a = L = mpmath.mpf(sep)
+        pref = mpmath.mpf(1.3) ** 2 / (4 * mpmath.pi**2)
+        # 2 exp(-(a^2 + L^2)/2) sinh(aL) / L
+        bracket = (1 - mpmath.exp(-2 * a * L)) * mpmath.exp(-(a - L) ** 2 / 2) / L
+        reference = float(sign * pref * mpmath.sqrt(mpmath.pi / 2) * bracket)
+    assert np.isclose(delta, reference, rtol=1e-13, atol=0.0)
+
+
 def _re_j_cases():
     delays = (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3)
     cases = [(L, dt) for L in (0.0, 5e-324, 1e-20, 1e-8, 0.0707, 1e3) for dt in delays]

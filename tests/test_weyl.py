@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import deltachannel.channel as channel
 import deltachannel.weyl as weyl
 from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
@@ -15,9 +16,8 @@ from deltachannel.field import (
     SmearingSpec,
     assemble_statistics,
 )
+from deltachannel.selftest import selftest
 from deltachannel.weyl import gammas_from_statistics
-
-from conftest import draw_statistics
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 deltas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -36,37 +36,6 @@ def test_identities_hold_for_all_valid_statistics(nu_a, nu_b, nu_p, nu_m, delta)
     assert abs(g.c_comm - (g.g_scsc - g.g_sscc)) <= 1e-12
     assert g.c_comm.real == 0.0
     assert 0.0 <= g.c_keep <= 1.0
-
-
-def test_identities_random_sample(rng):
-    worst = 0.0
-    for _ in range(1000):
-        g = gammas_from_statistics(draw_statistics(rng))
-        worst = max(
-            worst,
-            abs(g.g_cccc + g.g_ssss + g.g_cssc + g.g_sccs - 1.0),
-            abs(g.c_keep - (g.g_cccc + g.g_cssc)),
-            abs(g.c_flip - (g.g_ssss + g.g_sccs)),
-            abs(g.c_comm - (g.g_scsc - g.g_sscc)),
-        )
-    assert worst <= 1e-12
-
-
-def test_combined_coefficients_depend_only_on_nu_b_and_delta(rng):
-    for _ in range(300):
-        stats = draw_statistics(rng)
-        altered = FieldStatistics(
-            nu_a=float(rng.uniform()),
-            nu_b=stats.nu_b,
-            nu_ab_plus=float(rng.uniform()),
-            nu_ab_minus=float(rng.uniform()),
-            delta_ab=stats.delta_ab,
-        )
-        g = gammas_from_statistics(stats)
-        h = gammas_from_statistics(altered)
-        assert g.c_keep == h.c_keep
-        assert g.c_flip == h.c_flip
-        assert g.c_comm == h.c_comm
 
 
 def test_combined_coefficients_closed_values():
@@ -97,6 +66,21 @@ def test_gammas_are_probabilities_for_physical_statistics():
         g = gammas_from_statistics(stats)
         for value in (g.g_cccc, g.g_ssss, g.g_cssc, g.g_sccs):
             assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def test_selftest_catches_a_channel_map_off_the_gamma_sums(monkeypatch):
+    # negative control: a channel map whose a strays from c_keep - c_flip
+    # fails the registry's gamma check, though every gamma identity holds
+    original = channel.ChannelParams.__post_init__
+
+    def skewed(self):
+        original(self)
+        object.__setattr__(self, "a", self.a + 1e-9)
+
+    monkeypatch.setattr(channel.ChannelParams, "__post_init__", skewed)
+    (check,) = selftest(only=["gamma_identities"])["checks"]
+    assert check["passed"] is False
+    assert "channel map" in check["detail"]["failure"]
 
 
 def test_corrupted_formula_is_caught(monkeypatch):
