@@ -1,13 +1,15 @@
 """Field-side scalars for a pair of delta-switched Gaussian detectors.
 
-Closed forms for the massless scalar vacuum, an independent radial
-quadrature oracle, and a thermal (KMS) variant of the same quadrature.
-Everything is dimensionless in units of the Gaussian smearing width sigma:
-couplings are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma,
-inverse temperatures beta/sigma.
+Closed forms for the massless scalar field in the vacuum and in a thermal
+(KMS) state, and an independent radial quadrature oracle for both: the
+statistics never integrate, and scipy's quad and mpmath run only in the
+oracle.  Everything is dimensionless in units of the Gaussian smearing
+width sigma: couplings are lambda_tilde/sigma, distances L/sigma, delays
+dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from enum import Enum
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import dawsn
+from scipy.special import dawsn, erf, erfcx, wofz, zeta
 
 from .errors import QuadratureError
 
@@ -45,8 +47,24 @@ MP_DPS = 50
 DAWSON_SMALL_EPS = 0.05
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
-# mpmath's working precision is process-global state; concurrent sweep
-# threads must not race on it.
+# Thermal Re J (see kms_sine_transform).  Both series end in a tail
+# expanded in inverse even powers up to the 16th (TAIL_POWERS), so each
+# needs its terms to reach past the Gaussian width of the integrand:
+# - Matsubara: a_M = 2 pi M / beta >= MATSUBARA_CUT keeps the tail's
+#   remainder, about max|He_17(x) exp(-x^2/2)| / (17 a_M^17), under 3e-17;
+# - far from the light cone, |x| >= FAR_X, the Gaussian moments of the tail
+#   vanish in doubles and only the terms exp(-a_m (|x| - a_m / 2)) with
+#   a_m < |x| are left: a_M |x| >= FAR_DECAY puts their sum under 1e-17;
+# - images: c_N = N beta >= IMAGE_CUT (|x| + 2) keeps the remainder,
+#   about Im He_17(i x) / (17 c_N^18 / N), under 1e-20.
+MATSUBARA_CUT = 20.0
+FAR_X = 12.0
+FAR_DECAY = 80.0
+IMAGE_CUT = 12.0
+TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
+
+# mpmath's working precision is process-global state; concurrent callers
+# of the oracle must not race on it.
 _MP_LOCK = threading.Lock()
 
 
@@ -175,7 +193,7 @@ def thermal(beta: float) -> FieldStateSpec:
 
 
 # ---------------------------------------------------------------------------
-# closed forms (vacuum)
+# closed forms
 # ---------------------------------------------------------------------------
 
 def pair_prefactor(f_a: SmearingSpec, f_b: SmearingSpec) -> float:
@@ -184,8 +202,15 @@ def pair_prefactor(f_a: SmearingSpec, f_b: SmearingSpec) -> float:
 
 
 def norm_sq_closed(f: SmearingSpec) -> float:
-    """||Ef||^2 in the vacuum: coupling^2 / (4 pi^2)."""
-    return f.coupling**2 / FOUR_PI_SQ
+    """||Ef||^2 in the vacuum: coupling^2 / (4 pi^2).
+
+    Past coupling ~1.3e154 the square overflows; the norm is then inf, its
+    limit, and the nu = exp(-2 ||Ef||^2) built on it is 0.0.
+    """
+    try:
+        return f.coupling**2 / FOUR_PI_SQ
+    except OverflowError:
+        return math.inf
 
 
 def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) -> float:
@@ -214,26 +239,140 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     return math.copysign(magnitude, dt) if magnitude else 0.0
 
 
-def cross_real_closed(L: float, dtau: float) -> float:
-    """Re J(L, dtau) in the vacuum, through the Dawson function D.
+def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float:
+    """Re J(L, dtau, beta) in closed form: the vacuum (beta None) or a KMS state.
 
-    Re J = [D(b + e) - D(b - e)] / (2 e) with e = L/sqrt2 and b = dtau/sqrt2,
-    which is [D((L+dtau)/sqrt2) + D((L-dtau)/sqrt2)] / (sqrt2 L) as D is odd
-    (Abramowitz & Stegun 7.1).  The quotient is the mean of
-    D'(x) = 1 - 2x D(x) over [b - e, b + e]; below DAWSON_SMALL_EPS that mean
-    is taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
-    gives D'(b), so J(0, 0) = 1, and a subnormal L gives the same bits.
+    Re J = [F(dtau + L) - F(dtau - L)] / (2 L) with F the odd function of
+    kms_sine_transform.  In the vacuum F(x) = sqrt2 D(x / sqrt2) with D the
+    Dawson function, so Re J = [D(b + e) - D(b - e)] / (2 e), e = L/sqrt2
+    and b = dtau/sqrt2 (Abramowitz & Stegun 7.1).  The quotient is the mean
+    of F' over [dtau - L, dtau + L]; below DAWSON_SMALL_EPS that mean is
+    taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
+    gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
+    cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
     Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.
     """
-    e, b = L / SQRT2, dtau / SQRT2
+    e = L / SQRT2
+    if beta is None:
+        b = dtau / SQRT2
+        if e >= DAWSON_SMALL_EPS:
+            return float(dawsn(b + e) - dawsn(b - e)) / (2.0 * e)
+        x = b + e * _GL_NODES
+        return 0.5 * float(_GL_WEIGHTS @ (1.0 - 2.0 * x * dawsn(x)))
     if e >= DAWSON_SMALL_EPS:
-        return float(dawsn(b + e) - dawsn(b - e)) / (2.0 * e)
-    x = b + e * _GL_NODES
-    return 0.5 * float(_GL_WEIGHTS @ (1.0 - 2.0 * x * dawsn(x)))
+        f_plus, f_minus = kms_sine_transform(np.array([dtau + L, dtau - L]), beta)
+        return float(f_plus - f_minus) / (2.0 * L)
+    x = dtau + L * _GL_NODES
+    return 0.5 * float(_GL_WEIGHTS @ kms_sine_transform(x, beta, derivative=True))
+
+
+@functools.lru_cache(maxsize=64)
+def self_norm_closed(state: FieldStateSpec) -> float:
+    """J(0, 0, beta) = cross_real_closed(0, 0, beta), 1 in the vacuum, so that
+    ||Ef||^2 = norm_sq_closed(f) * self_norm_closed(state).  Cached: a sweep
+    has one state, and every row's norms need this one value."""
+    return cross_real_closed(0.0, 0.0, state.beta if state.is_thermal else None)
+
+
+def kms_sine_transform(
+    x: np.ndarray, beta: float, derivative: bool = False, route: str | None = None
+) -> np.ndarray:
+    """F(x) = int_0^inf exp(-k^2/2) coth(beta k/2) sin(k x) dk, or F'(x), on a 1-D array.
+
+    Two series give F without quadrature:
+    - Matsubara ("matsubara"): the partial fractions
+      coth(z) = 1/z + sum_m 2z / (z^2 + pi^2 m^2) (Abramowitz & Stegun 4.5)
+      give F = (pi/beta) erf(x/sqrt2) + (4/beta) sum_m P(x, a_m) with
+      a_m = 2 pi m / beta and
+      P(x, a) = (pi/4) exp(-x^2/2) [erfcx((a - x)/sqrt2) - erfcx((a + x)/sqrt2)],
+      through erfcx(-u) = 2 exp(u^2) - erfcx(u) where x > a (A&S 7.1);
+      past m = M, P is expanded in 1/a^2 (Gaussian Hermite moments times
+      Hurwitz zeta(2j, M + 1)).  Fast where beta is small.
+    - images ("images"): coth = 1 + 2 sum_n exp(-n beta k) gives
+      F = sqrt2 D(x/sqrt2) + 2 sum_n h(x, n beta) with
+      h(x, c) = sqrt(pi/2) Im w((x + i c)/sqrt2), w the Faddeeva function
+      (A&S 7.1); past n = N, h is expanded in 1/c^2 (Laplace moments times
+      zeta(2j, N + 1) / beta^2j).  Fast where beta is large.
+    Each route takes as many terms as its tail needs for all of x; route
+    None takes the one with fewer, and both agree to rounding where both run.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    mags = ax.tolist()
+    near, far = min(mags), max(mags)
+    reach = MATSUBARA_CUT if near < FAR_X else FAR_DECAY / near
+    # term counts as floats first: at extreme beta the unused one is inf
+    m = reach / (2.0 * math.pi) * beta
+    n = IMAGE_CUT * (far + 2.0) / beta
+    if route is None:
+        route = "matsubara" if m <= n else "images"
+    if route == "matsubara":
+        return _matsubara(x, ax, far, beta, math.ceil(m), derivative)
+    if route == "images":
+        return _images(x, beta, math.ceil(n), derivative)
+    raise ValueError(f"unknown route {route!r}; choose matsubara or images")
+
+
+def _tail_coefficients(scale: float, start: int, shift: int) -> list[float]:
+    # scale^p zeta(p, start) at degree p - 1 + shift, for p in TAIL_POWERS
+    coef = [0.0] * (TAIL_POWERS[-1] + shift)
+    for p, z in zip(TAIL_POWERS, zeta(np.array(TAIL_POWERS, dtype=float), start).tolist()):
+        coef[p - 1 + shift] = scale**p * z
+    return coef
+
+
+def _hermite_e(x, coef: list) -> np.ndarray:
+    # sum_k coef[k] He_k(v) for each v in x, by Clenshaw's recurrence on
+    # He_{k+1} = v He_k - k He_{k-1}; v may be complex.  x has 2 or 6
+    # elements, where numpy's hermeval costs more than the whole series.
+    out = []
+    for v in x.tolist():
+        b1 = b2 = 0.0
+        for k in range(len(coef) - 1, 0, -1):
+            b1, b2 = coef[k] + v * b1 - (k + 1) * b2, b1
+        out.append(coef[0] + v * b1 - b2)
+    return np.array(out)
+
+
+def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.ndarray:
+    col = ax[:, None]
+    step = 2.0 * math.pi / beta
+    a = step * np.arange(1, m + 1)
+    gauss = np.exp(-0.5 * ax * ax)
+    g = gauss[:, None]
+    lower = g * erfcx(np.abs(a - col) / SQRT2)
+    if step < far:
+        # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative
+        below = 2.0 * np.exp(np.minimum(a * (0.5 * a - col), 0.0)) - lower
+        lower = np.where(a < col, below, lower)
+    upper = g * erfcx((a + col) / SQRT2)
+    tail = _tail_coefficients(beta / (2.0 * math.pi), m + 1, int(derivative))
+    moments = SQRT_HALF_PI * _hermite_e(ax, tail)
+    if derivative:
+        # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
+        terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
+        return (terms - 4.0 * gauss * moments) / beta
+    terms = math.pi * (erf(ax / SQRT2) + (lower - upper).sum(axis=1))
+    return np.sign(x) * (terms + 4.0 * gauss * moments) / beta
+
+
+def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
+    z = (x[:, None] + 1j * beta * np.arange(1, n + 1)) / SQRT2
+    w = wofz(z)
+    tail = _tail_coefficients(1.0 / beta, n + 1, 0)
+    if derivative:
+        terms = (1.0 - math.sqrt(math.pi) * (z * w).imag).sum(axis=1)
+        # d/dx Im p(ix) = Re p'(ix), and He_k' = k He_{k-1}
+        moments = _hermite_e(1j * x, [k * c for k, c in enumerate(tail)][1:]).real
+        return 1.0 - SQRT2 * x * dawsn(x / SQRT2) + 2.0 * (terms + moments)
+    terms = SQRT_HALF_PI * w.imag.sum(axis=1)
+    moments = _hermite_e(1j * x, tail).imag
+    return SQRT2 * dawsn(x / SQRT2) + 2.0 * (terms + moments)
 
 
 # ---------------------------------------------------------------------------
-# radial quadrature oracle
+# radial quadrature oracle: --oracle, selftest and the tests call it; no
+# statistics path does
 # ---------------------------------------------------------------------------
 
 def _geom_factor(k: float, L: float) -> float:
@@ -359,23 +498,20 @@ def assemble_statistics(
     """All five channel-determining scalars for one detector pair.
 
     nu_j = exp(-2 ||Ef_j||^2) and nu_ab_pm = exp(-2 ||E(f_A +- f_B)||^2)
-    with the cross norm expanded through Re W(f_A, f_B).  The commutator
-    is state independent, so delta_ab always comes from the closed form.
-    In the vacuum every scalar is closed form: the norms, and Re W through
-    cross_real_closed, so no integral runs.  A thermal state has no closed
-    form for the norms or Re W; they are integrated, J(0, 0, beta) once for
-    both norms.  The quadrature stays the oracle for the vacuum forms.
+    with the cross norm expanded through Re W(f_A, f_B).  Every scalar is
+    closed form, so no integral runs: Re W through cross_real_closed, the
+    vacuum norms through norm_sq_closed, and a thermal norm as the vacuum
+    one times J(0, 0, beta) = self_norm_closed(state).  The commutator is
+    state independent, so delta_ab always comes from commutator_closed.
+    The quadrature is the oracle for all of them.
     """
-    pref = pair_prefactor(f_a, f_b)
-    if state.is_thermal:
-        j0 = self_norm_j(state)
-        n_a = pair_prefactor(f_a, f_a) * j0
-        n_b = pair_prefactor(f_b, f_b) * j0
-        re_w = wightman_cross_quadrature(f_a, f_b, geom, state).real if pref else 0.0
-    else:
-        n_a = norm_sq_closed(f_a)
-        n_b = norm_sq_closed(f_b)
-        re_w = pref * cross_real_closed(geom.separation, geom.delay)
+    beta = state.beta if state.is_thermal else None
+    n_a = norm_sq_closed(f_a)
+    n_b = norm_sq_closed(f_b)
+    if beta is not None:
+        j0 = self_norm_closed(state)
+        n_a, n_b = n_a * j0, n_b * j0
+    re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, beta)
     delta = commutator_closed(f_a, f_b, geom)
     return FieldStatistics(
         nu_a=math.exp(-2.0 * n_a),

@@ -21,7 +21,12 @@ from . import capacity, channel, field, weyl
 GRID_COUPLINGS = (0.1, 1.0, 10.0)
 GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
 GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
+THERMAL_BETAS = (0.5, 2.0, 20.0)
+THERMAL_GEOMETRIES = ((0.05, 2.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0))
+# F and F' arguments where both thermal series converge in a few hundred terms
+ROUTE_ARGUMENTS = (0.0, 0.5, 3.0, 8.0)
 FIELD_TOL = 1e-6
+ROUTE_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 PSD_TOL = 1e-12
 PPT_TOL = 1e-10
@@ -63,7 +68,9 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     norms and the commutator relatively, Re J absolutely.  J depends on the
     geometry alone, so each geometry is integrated once and scaled by
     pair_prefactor for every coupling pair, as wightman_cross_quadrature
-    scales it."""
+    scales it.  A few thermal geometries per beta add J(0, 0, beta)
+    relatively and Re J absolutely over J(0, 0, beta), one integral each,
+    and the Matsubara and image series must agree where both converge."""
     specs = [field.SmearingSpec(coupling=lam) for lam in GRID_COUPLINGS]
     j0 = field.self_norm_j(field.VACUUM)
     worst = max(_relative(field.norm_sq_closed(f), field.pair_prefactor(f, f) * j0) for f in specs)
@@ -81,7 +88,32 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
                     closed = field.commutator_closed(f_a, f_b, geom)
                     worst = max(worst, _relative(closed, -2.0 * w.imag), abs(re_j - w.real / pref))
                     points += 1
-    return worst < FIELD_TOL, {"max_residual": worst, "points": points}
+    unit = specs[1]
+    pref = field.pair_prefactor(unit, unit)
+    thermal_points = 0
+    routes = 0.0
+    for beta in THERMAL_BETAS:
+        j0_closed = field.cross_real_closed(0.0, 0.0, beta)
+        worst = max(worst, _relative(j0_closed, field.self_norm_j(field.thermal(beta))))
+        for sep, delay in THERMAL_GEOMETRIES:
+            j, _ = field._radial_integral(sep, delay, beta)
+            re_j = field.cross_real_closed(sep, delay, beta)
+            closed = field.commutator_closed(unit, unit, field.PairGeometry(sep, delay))
+            worst = max(worst, _relative(closed, -2.0 * pref * j.imag),
+                        abs(re_j - j.real) / j0_closed)
+            thermal_points += 1
+        x = np.array(ROUTE_ARGUMENTS)
+        for derivative in (False, True):
+            matsubara, images = (field.kms_sine_transform(x, beta, derivative, route)
+                                 for route in ("matsubara", "images"))
+            routes = max(routes, float(np.max(np.abs(matsubara - images))) / j0_closed)
+    detail = {
+        "max_residual": worst,
+        "points": points,
+        "thermal_points": thermal_points,
+        "route_max_difference": routes,
+    }
+    return worst < FIELD_TOL and routes <= ROUTE_TOL, detail
 
 
 def _check_gamma_identities() -> tuple[bool, dict]:

@@ -26,6 +26,7 @@ from .field import (
     cross_real_closed,
     norm_sq_closed,
     pair_prefactor,
+    self_norm_closed,
     self_norm_j,
     thermal,
     wightman_cross_quadrature,
@@ -285,13 +286,18 @@ def _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
     where they failed)."""
     row = dict.fromkeys(COLUMNS, math.nan)
     row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
-    f_a = SmearingSpec(coupling=lambda_a * eta_over_sigma)
-    f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
+    factors = (("lambda_a", lambda_a), ("lambda_b", lambda_b), ("eta_over_sigma", eta_over_sigma))
+    for name, value in factors:
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     geom = PairGeometry(separation, delay)
     state = VACUUM if beta is None else thermal(beta)
     stats = None
     computed: dict = {}
     try:
+        # a product of valid factors can still overflow: that is the row's failure
+        f_a = SmearingSpec(coupling=lambda_a * eta_over_sigma)
+        f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
         stats = assemble_statistics(f_a, f_b, geom, state)
         computed.update(
             nu_a=stats.nu_a,
@@ -316,27 +322,28 @@ def _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
 
 
 def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
-    """Largest disagreement between closed forms and quadrature.
+    """Largest disagreement between the closed forms and the quadrature.
 
-    The commutator is checked in every state, relatively.  The vacuum adds
-    both norms, relatively, from one J(0, 0), and Re W(f_A, f_B) as the
-    absolute difference in Re J: J(0, 0) = 1 makes that
-    Delta Re W / sqrt(n_a n_b), so a zero crossing of Re J cannot inflate it.
-    A thermal state has no closed-form norms or Re W.
+    One cross integral and one J(0, 0, beta) integral, in every state: the
+    commutator, relatively; both norms, relatively, from the one J(0, 0,
+    beta); and Re W(f_A, f_B) as the absolute difference in Re J over
+    J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b), so a zero crossing
+    of Re J cannot inflate it.  In the vacuum J(0, 0) = 1.
     """
+    beta = state.beta if state.is_thermal else None
     w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
     d_closed = commutator_closed(f_a, f_b, geom)
     residual = abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)
-    if not state.is_thermal:
-        j0 = self_norm_j(state)
-        for f in (f_a, f_b):
-            closed = norm_sq_closed(f)
-            rel = abs(closed - pair_prefactor(f, f) * j0) / max(closed, RESIDUAL_FLOOR)
-            residual = max(residual, rel)
-        pref = pair_prefactor(f_a, f_b)
-        if pref:
-            re_j = cross_real_closed(geom.separation, geom.delay)
-            residual = max(residual, abs(re_j - w_cross.real / pref))
+    j0 = self_norm_j(state)
+    j0_closed = self_norm_closed(state)
+    for f in (f_a, f_b):
+        closed = norm_sq_closed(f) * j0_closed
+        rel = abs(closed - pair_prefactor(f, f) * j0) / max(closed, RESIDUAL_FLOOR)
+        residual = max(residual, rel)
+    pref = pair_prefactor(f_a, f_b)
+    if pref:
+        re_j = cross_real_closed(geom.separation, geom.delay, beta)
+        residual = max(residual, abs(re_j - w_cross.real / pref) / j0_closed)
     return residual
 
 

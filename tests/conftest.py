@@ -36,6 +36,28 @@ def re_j_reference(L, dtau):
         return float((dawson((Lm + dt) / s2) + dawson((Lm - dt) / s2)) / (s2 * Lm))
 
 
+def thermal_re_j_reference(L, dtau, beta):
+    """Thermal Re J(L, dtau, beta) by 50-digit quadrature of its defining integral,
+
+        int_0^16 exp(-k^2/2) sin(kL)/L coth(beta k/2) cos(k dtau) dk,
+
+    with sin(kL)/L -> k at L = 0; exp(-k^2/2) is below 1e-55 past k = 16.
+    Gauss-Legendre on panels of two periods of the fastest oscillation,
+    refined near k = 0, where coth(beta k/2) turns over at k ~ 1/beta.
+    """
+    with mpmath.workdps(50):
+        Lm, dt, b = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.mpf(beta)
+
+        def kernel(k):  # Gauss-Legendre nodes avoid k = 0
+            g = k if L == 0.0 else mpmath.sin(k * Lm) / Lm
+            return mpmath.exp(-k * k / 2) * g * mpmath.coth(b * k / 2) * mpmath.cos(k * dt)
+
+        panels = max(8, math.ceil(16 * (L + abs(dtau)) / (4 * math.pi)))
+        cuts = set(mpmath.linspace(0, 16, panels + 1))
+        cuts.update(mpmath.mpf(c) / b for c in (0.5, 2, 8, 32, 128) if c / beta < 16)
+        return float(mpmath.quad(kernel, sorted(cuts), method="gauss-legendre"))
+
+
 def density_matrix(state: QubitState) -> np.ndarray:
     return 0.5 * (ID2 + state.x * SX + state.y * SY + state.z * SZ)
 

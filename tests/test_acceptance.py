@@ -27,7 +27,10 @@ from deltachannel.selftest import (
     IDENTITY_TOL,
     PPT_TOL,
     PSD_TOL,
+    ROUTE_TOL,
     SAMPLES,
+    THERMAL_BETAS,
+    THERMAL_GEOMETRIES,
     optimizer_gate,
     selftest,
 )
@@ -79,8 +82,13 @@ def test_criterion_01_closed_form_vs_quadrature_grid(monkeypatch):
     assert detail["points"] == 147
     # J(0, 0) once for the three norms, then each of the 16 geometries once
     assert calls[0] == (0.0, 0.0, None)
-    assert len(calls) == 17 == len(set(calls))
+    assert len(set(calls[:17])) == 17 and all(beta is None for *_, beta in calls[:17])
+    # then per beta J(0, 0, beta) and each thermal geometry once
+    thermal = len(THERMAL_BETAS) * (1 + len(THERMAL_GEOMETRIES))
+    assert len(calls) == 17 + thermal == len(set(calls))
+    assert detail["thermal_points"] == len(THERMAL_BETAS) * len(THERMAL_GEOMETRIES)
     assert detail["max_residual"] < FIELD_TOL
+    assert detail["route_max_difference"] <= ROUTE_TOL
     assert elapsed < 60.0
     print(f"criterion 01 PASS: max residual {detail['max_residual']:.3e} in {elapsed:.1f} s")
 

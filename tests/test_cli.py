@@ -1,6 +1,7 @@
 """Config parsing, sweep output formats, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -210,19 +211,24 @@ def test_sweep_survives_quadrature_failure(monkeypatch):
     def bad_escalation(sep, delay, beta):
         return complex(0.5, 0.5), 1.0
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.quad runs only inside _mpmath_integral")
+
     monkeypatch.setattr(field, "quad", bad_quad)
     monkeypatch.setattr(field, "_mpmath_integral", bad_escalation)
-    # thermal, since vacuum rows integrate nothing
-    cfg = parse_config_text(
-        "schema_version = 1\nbeta = 2\naxis.lambda_a = 1, 2, 2, linear\n"
-    )
-    rows = run_sweep(cfg)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    # statistics never integrate, so only the --oracle integral can fail
+    text = "schema_version = 1\nbeta = 2\naxis.lambda_a = 1, 2, 2, linear\n"
+    rows = run_sweep(dataclasses.replace(parse_config_text(text), oracle=True))
+    plain = run_sweep(parse_config_text(text))
     assert len(rows) == 2
-    for row in rows:
+    for row, expected in zip(rows, plain):
         assert row["status"] == "quadrature_error"
-        assert math.isnan(row["c_closed"])
-        assert math.isnan(row["nu_b"])
+        assert math.isnan(row["oracle_residual"])
         assert row["lambda_a"] in (1.0, 2.0)
+        for column in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed"):
+            assert math.isfinite(row[column])
+            assert row[column] == expected[column]
 
 
 def test_vacuum_sweep_needs_no_quadrature(monkeypatch):
@@ -237,11 +243,58 @@ def test_vacuum_sweep_needs_no_quadrature(monkeypatch):
     assert all(row["status"] == "ok" for row in rows)
 
 
+def test_thermal_sweep_needs_no_quadrature(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thermal sweep without --oracle must not integrate")
+
+    monkeypatch.setattr(field, "quad", refuse)
+    monkeypatch.setattr(field, "_mpmath_integral", refuse)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    # (0, 8) is the geometry whose quadrature escalated to mpmath
+    text = BASE_CONFIG.replace("L = 6.0", "L = 0.0").replace("dtau = 6.0", "dtau = 8.0")
+    rows = run_sweep(parse_config_text(text + "beta = 2\n"))
+    assert len(rows) == 6
+    assert all(row["status"] == "ok" for row in rows)
+    assert main(["point", "--beta", "2", "--L", "0", "--dtau", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
+    calls = []
+    integral = field._radial_integral
+    escalation = field._mpmath_integral
+    escalations = []
+
+    def counted(L, dtau, beta):
+        calls.append((L, dtau, beta))
+        return integral(L, dtau, beta)
+
+    def counted_escalation(L, dtau, beta):
+        escalations.append((L, dtau, beta))
+        return escalation(L, dtau, beta)
+
+    monkeypatch.setattr(field, "_radial_integral", counted)
+    monkeypatch.setattr(field, "_mpmath_integral", counted_escalation)
+    # Re J and Im J are both tiny at (0, 8): the cross integral escalates to mpmath
+    row = evaluate_point(10.0, 1.0, 0.0, 8.0, beta=2.0, oracle=True)
+    assert row["status"] == "ok"
+    assert row["oracle_residual"] < 1e-6
+    assert calls == [(0.0, 8.0, 2.0), (0.0, 0.0, 2.0)]
+    assert escalations == [(0.0, 8.0, 2.0)]
+
+
 def test_thermal_row_at_large_separation_is_typed():
-    # quad warns at L = 1000; the row once raised ValueError and ended the sweep
-    row = evaluate_point(1.0, 1.0, 1000.0, 0.0, beta=2.0)
-    assert row["status"] in ("ok", "quadrature_error")
-    assert row["L"] == 1000.0
+    # quad warns at L = 1000; the row once raised ValueError and ended the
+    # sweep, then was quadrature_error; the closed form needs no quadrature
+    for delay in (0.0, 1.0):
+        row = evaluate_point(1.0, 1.0, 1000.0, delay, beta=2.0)
+        assert row["status"] == "ok"
+        assert row["L"] == 1000.0
+        # far from the light cone Re J is pi / (2 beta L) (1 + sign(L - |dtau|))
+        n = 1.0 / (4.0 * math.pi**2)
+        j0 = field.cross_real_closed(0.0, 0.0, 2.0)
+        re_w = n * math.pi / 2000.0
+        assert np.isclose(row["nu_ab_plus"], math.exp(-2.0 * (2.0 * n * j0 + 2.0 * re_w)), rtol=1e-14)
 
 
 def test_vacuum_row_once_lost_to_quadrature_is_ok():
@@ -261,26 +314,57 @@ def test_vacuum_row_once_lost_to_quadrature_is_ok():
     assert np.isclose(row["nu_b"], nu, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("lambda_b", [1.0, 1e160])
+@pytest.mark.parametrize("lambda_b", [1e160])
 def test_overflowing_row_is_a_domain_error(lambda_b):
-    # coupling**2 overflows in norm_sq_closed; the row once raised
-    # OverflowError and ended the sweep
+    # the prefactor lambda_a lambda_b / (4 pi^2) overflows, and with it
+    # delta_ab: no limit is clean, and the row is typed instead of raising
     row = evaluate_point(1e160, lambda_b, 6.0, 6.0)
     assert row["status"] == "domain_error"
     assert (row["lambda_a"], row["lambda_b"], row["L"], row["dtau"]) == (1e160, lambda_b, 6.0, 6.0)
     assert all(math.isnan(row[c]) for c in COLUMNS[4:-1])
 
 
+@pytest.mark.parametrize("lambda_a", [1e155, 1e160, 1e300])
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_coupling_past_overflow_takes_its_limit(lambda_a, beta):
+    # coupling**2 overflows in norm_sq_closed past ~1.3e154; the norm is
+    # then inf and nu_a is 0.0, as it already was at 1.3e154
+    row = evaluate_point(lambda_a, 1.0, 6.0, 6.0, beta=beta)
+    below = evaluate_point(1.3e154, 1.0, 6.0, 6.0, beta=beta)
+    assert row["status"] == below["status"] == "ok"
+    assert row["nu_a"] == row["nu_ab_plus"] == row["nu_ab_minus"] == 0.0
+    assert below["nu_a"] == below["nu_ab_plus"] == below["nu_ab_minus"] == 0.0
+    assert row["nu_b"] == below["nu_b"]
+    assert math.isfinite(row["delta_ab"]) and math.isfinite(row["c_closed"])
+
+
 def test_sweep_keeps_its_other_rows_past_a_domain_error(tmp_path):
     rows_with = tmp_path / "with.csv"
     rows_without = tmp_path / "without.csv"
-    with_bad = write_config(tmp_path, "schema_version = 1\naxis.lambda_a = 1, 1e160, 3, log\n")
+    with_bad = write_config(tmp_path, "schema_version = 1\nlambda_b = 1e160\naxis.lambda_a = 1, 1e160, 3, log\n")
     assert main(["sweep", "--config", with_bad, "--output", str(rows_with)]) == 0
-    without_bad = write_config(tmp_path, "schema_version = 1\naxis.lambda_a = 1, 1e80, 2, log\n")
+    without_bad = write_config(tmp_path, "schema_version = 1\nlambda_b = 1e160\naxis.lambda_a = 1, 1e80, 2, log\n")
     assert main(["sweep", "--config", without_bad, "--output", str(rows_without)]) == 0
     lines = rows_with.read_text(encoding="utf-8").splitlines()
     assert lines[:3] == rows_without.read_text(encoding="utf-8").splitlines()
     assert lines[3].startswith("1e+160,") and lines[3].endswith(",domain_error")
+
+
+def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
+    # eta_over_sigma * lambda_a overflows to inf in one row; the sweep once
+    # stopped with exit code 2 before writing any row
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, "schema_version = 1\neta_over_sigma = 1e10\naxis.lambda_a = 1, 1e300, 2, log\n")
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    header, first, second = out.read_text(encoding="utf-8").splitlines()
+    assert first.startswith("1.0,") and first.endswith(",ok")
+    assert second.startswith("1e+300,") and second.endswith(",domain_error")
+    # a point whose inputs are invalid on their own is still a usage error
+    for argv in (["--lambda-a", "-1"], ["--lambda-b", "inf"], ["--eta", "-1", "--lambda-a", "0"]):
+        assert main(["point", *argv]) == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+    assert main(["point", "--eta", "1e10", "--lambda-a", "1e300"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "domain_error"
 
 
 def test_failed_oracle_keeps_the_row_statistics():

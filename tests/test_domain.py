@@ -1,0 +1,50 @@
+"""Every row across the accepted input domain is typed and never raises."""
+from __future__ import annotations
+
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+from deltachannel.sweep import evaluate_point
+
+STATISTICS = ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed")
+
+rows = given(
+    lambda_a=st.floats(min_value=0.0, max_value=1e4),
+    lambda_b=st.floats(min_value=0.0, max_value=1e4),
+    separation=st.floats(min_value=0.0, max_value=1e3),
+    delay=st.floats(min_value=-1e3, max_value=1e3),
+    beta=st.none() | st.floats(min_value=1e-3, max_value=1e3),
+)
+
+
+@settings(max_examples=200)
+@rows
+# thermal rows at L >= 100 were quadrature_error
+@example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=1.0, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=100.0, delay=1.0, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=5e-324, delay=1.0, beta=2.0)
+@example(lambda_a=1e4, lambda_b=1e4, separation=0.0, delay=0.0, beta=1e-3)
+@example(lambda_a=0.0, lambda_b=1e4, separation=1e3, delay=-1e3, beta=1e3)
+def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
+    row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
+    assert row["status"] == "ok"
+    assert all(math.isfinite(row[c]) for c in STATISTICS)
+
+
+# an --oracle row that fails spends about 0.5 s in its mpmath escalation
+@settings(max_examples=4)
+@rows
+@example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=1.0, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=0.0, beta=None)
+@example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=6.0, beta=2.0)
+def test_oracle_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
+    row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
+    checked = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta, oracle=True)
+    # the oracle can only lose its own residual
+    assert checked["status"] in ("ok", "quadrature_error")
+    assert all(checked[c] == row[c] for c in STATISTICS)
+    if checked["status"] == "ok":
+        assert math.isfinite(checked["oracle_residual"])
+    else:
+        assert math.isnan(checked["oracle_residual"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import deltachannel.field as field
-from conftest import re_j_reference
+from conftest import re_j_reference, thermal_re_j_reference
 from deltachannel.errors import QuadratureError
 from deltachannel.field import (
     FOUR_PI_SQ,
@@ -178,6 +178,67 @@ def test_cross_real_closed_agrees_with_quadrature():
         assert abs(cross_real_closed(sep, delay) - j.real) <= 1e-12
 
 
+# Thermal Re J against the 50-digit quadrature: separations at and near 0
+# (through the Gauss-Legendre mean), at the quotient's threshold 0.0707 and
+# past it, delays up to 12, and beta from 1e-3 (J(0, 0) ~ 2500) to 1e3.
+THERMAL_GEOMETRIES = (
+    (0.0, 0.0), (0.0, 8.0), (5e-324, 1.0), (1e-20, -3.0), (1e-8, 0.5),
+    (0.0707, 1.0), (0.08, -0.3), (1.0, 3.0), (6.0, 6.0), (3.0, -12.0),
+)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0, 20.0, 1e3])
+def test_thermal_cross_real_closed_matches_50_digit_reference(beta):
+    worst = max(
+        abs(cross_real_closed(L, dt, beta) - thermal_re_j_reference(L, dt, beta))
+        for L, dt in THERMAL_GEOMETRIES
+    )
+    assert worst <= 1e-12
+
+
+def test_thermal_cross_real_closed_limits():
+    for beta in (1e-3, 2.0, 1e3):
+        for dtau in (0.0, 0.3, -2.0, 1e3):
+            assert cross_real_closed(5e-324, dtau, beta) == cross_real_closed(0.0, dtau, beta)
+            assert cross_real_closed(2.5, dtau, beta) == cross_real_closed(2.5, -dtau, beta)
+    # coth >= 1 warms every norm; a cold enough state is the vacuum
+    assert cross_real_closed(0.0, 0.0, 50.0) > cross_real_closed(0.0, 0.0, 100.0) > 1.0
+    for L, dtau in ((0.0, 0.0), (1.0, 3.0), (40.0, 41.0)):
+        assert abs(cross_real_closed(L, dtau, 1e9) - cross_real_closed(L, dtau)) <= 1e-15
+    # far from the light cone only the 1/k pole of coth survives: pi/(2 beta L) (1 + 1)
+    assert np.isclose(cross_real_closed(1000.0, 1.0, 2.0), math.pi / 2000.0, rtol=1e-13, atol=0.0)
+
+
+def _route_cases():
+    draw = random.Random(20261019)
+    for _ in range(200):
+        beta = 10.0 ** draw.uniform(-3.0, 3.0)
+        x = draw.choice((-1.0, 1.0)) * 10.0 ** draw.uniform(-3.0, math.log10(2e3))
+        yield beta, x
+
+
+def test_thermal_series_agree_where_both_run():
+    # the partial fractions of coth and its geometric series are independent
+    # expansions; where each needs at most 1000 terms both are compared
+    compared = 0
+    for beta, x in _route_cases():
+        m = math.ceil(beta * field.MATSUBARA_CUT / (2.0 * math.pi))
+        n = math.ceil(field.IMAGE_CUT * (abs(x) + 2.0) / beta)
+        if max(m, n) > 1000:
+            continue
+        for derivative in (False, True):
+            pair = [field.kms_sine_transform(np.array([x]), beta, derivative, route)[0]
+                    for route in ("matsubara", "images")]
+            assert abs(pair[0] - pair[1]) <= 1e-12, (beta, x, derivative, pair)
+        compared += 1
+    assert compared >= 50
+
+
+def test_kms_sine_transform_rejects_unknown_route():
+    with pytest.raises(ValueError):
+        field.kms_sine_transform(np.array([1.0]), 2.0, route="quad")
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -301,23 +362,25 @@ def test_assemble_statistics_vacuum_runs_no_integral(monkeypatch):
     assert np.isclose(stats.nu_ab_minus, math.exp(-2.0 * (n - 2.0 * re_w)), rtol=1e-14, atol=0.0)
 
 
-def test_assemble_statistics_thermal_integrates_self_norm_once(monkeypatch):
+def test_assemble_statistics_thermal_integrates_nothing(monkeypatch):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("thermal statistics must not integrate")
+
     state = thermal(2.0)
     f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
     geom = PairGeometry(4.0, 4.0)
-    calls = []
-    integral = field._radial_integral
-
-    def counted(L, dtau, beta):
-        calls.append((L, dtau, beta))
-        return integral(L, dtau, beta)
-
-    monkeypatch.setattr(field, "_radial_integral", counted)
+    j0, _ = field._radial_integral(0.0, 0.0, 2.0)
+    j, _ = field._radial_integral(4.0, 4.0, 2.0)
+    for name in ("quad", "_radial_integral", "_mpmath_integral"):
+        monkeypatch.setattr(field, name, no_integral)
+    monkeypatch.setattr(mpmath, "quad", no_integral)
     stats = assemble_statistics(f_a, f_b, geom, state)
-    assert calls == [(0.0, 0.0, 2.0), (4.0, 4.0, 2.0)]
-    # scaling one J(0, 0, beta) gives the per-detector quadrature's bits
-    assert stats.nu_a == math.exp(-2.0 * norm_sq_quadrature(f_a, state))
-    assert stats.nu_b == math.exp(-2.0 * norm_sq_quadrature(f_b, state))
+    # the closed form agrees with the quadrature it replaced
+    n = (norm_sq_closed(f_a) + norm_sq_closed(f_b)) * j0.real
+    re_w = pair_prefactor(f_a, f_b) * j.real
+    assert np.isclose(stats.nu_a, math.exp(-2.0 * norm_sq_closed(f_a) * j0.real), rtol=1e-12, atol=0.0)
+    assert np.isclose(stats.nu_ab_plus, math.exp(-2.0 * (n + 2.0 * re_w)), rtol=1e-12, atol=0.0)
+    assert np.isclose(stats.nu_ab_minus, math.exp(-2.0 * (n - 2.0 * re_w)), rtol=1e-12, atol=0.0)
 
 
 def test_assemble_statistics_thermal_lowers_nu_keeps_delta():

@@ -1,0 +1,32 @@
+"""The benchmark's tracer wraps library functions by name; each must exist.
+
+perfbench/tracing.py reports a target it cannot find only as `missing` in a
+traced run, so a rename in the library would silently drop its per-layer
+metrics.  The tracer module is imported as it stands and not modified.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import pathlib
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing imports its sibling reference.py
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_exists(monkeypatch):
+    tracing = _load("tracing", monkeypatch)
+    assert tracing.TARGETS
+    missing = [
+        f"{module_name}.{attr}"
+        for module_name, attr, _ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(module_name), attr, None))
+    ]
+    assert missing == []
