@@ -10,7 +10,6 @@ from .capacity import (
     UNASSISTED_QUANTUM_CAPACITY,
     CapacityResult,
     Ensemble,
-    OptimizerConfig,
     binary_entropy,
     capacity_bruteforce,
     capacity_closed_form,
@@ -66,7 +65,6 @@ __all__ = [
     "UNASSISTED_QUANTUM_CAPACITY",
     "CapacityResult",
     "Ensemble",
-    "OptimizerConfig",
     "binary_entropy",
     "capacity_bruteforce",
     "capacity_closed_form",

@@ -1,9 +1,16 @@
 """Entropies, Holevo information, and the classical capacity.
 
-The closed-form capacity is exact for this channel family (it is
-entanglement breaking, so the one-shot Holevo maximum is the capacity).
-A deterministic brute-force ensemble optimizer serves as an independent
-oracle: it must approach the closed form from below, never exceed it.
+The closed-form capacity is exact for this channel family: it is
+entanglement breaking, so the one-shot Holevo maximum is the capacity
+(Shor 2002; Horodecki, Shor & Ruskai 2003).  A deterministic brute-force
+ensemble optimizer serves as an independent oracle: it must approach the
+closed form from below, never exceed it.
+
+The optimizer searches on the signal amplitude theta in [-1, 1], not on
+the Bloch sphere.  The channel is affine in theta: every input with
+amplitude theta leaves Bob at base + theta * slope.  So an ensemble's
+Holevo information depends on its members only through their theta values
+and probabilities, and a pure member per theta covers every ensemble.
 """
 from __future__ import annotations
 
@@ -80,26 +87,6 @@ class Ensemble:
         y = sum(p * s.y for p, s in self.members)
         z = sum(p * s.z for p, s in self.members)
         return QubitState(x, y, z)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Deterministic search budget for the brute-force oracle."""
-
-    m_max: int = M_MAX
-    n_polar: int = 24
-    n_azimuth: int = 48
-    prob_denominator: int = 16
-    refine_rounds: int = 3
-
-    def __post_init__(self):
-        if not 1 <= self.m_max <= M_MAX:
-            raise ValueError(f"m_max must be in [1, {M_MAX}]")
-        for name in ("n_polar", "n_azimuth", "prob_denominator"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,152 +175,99 @@ def tune_bob_phase(bob: QubitState) -> float:
 # brute-force ensemble search
 # ---------------------------------------------------------------------------
 
-def _entropy_arg(base: np.ndarray, slope: np.ndarray, th: float) -> float:
-    v = base + th * slope
-    r = math.sqrt(float(v @ v))
-    return 0.5 + 0.5 * min(r, 1.0)
+#: Fixed search sizes: points of the coarse theta grid on [-1, 1], the
+#: denominator of the probability grid, and rounds of halved local steps.
+THETA_POINTS = 65
+PROB_DENOMINATOR = 16
+REFINE_ROUNDS = 3
 
 
-def _chi_fast(base, slope, probs, thetas) -> float:
-    """Holevo information via the affine theta decomposition; equals
-    holevo_chi on pure-member ensembles up to roundoff."""
-    avg_theta = 0.0
-    mean_entropy = 0.0
-    for p, th in zip(probs, thetas):
-        if p == 0.0:
-            continue
-        mean_entropy += p * binary_entropy(_entropy_arg(base, slope, th))
-        avg_theta += p * th
-    return binary_entropy(_entropy_arg(base, slope, avg_theta)) - mean_entropy
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Rows of `parts` nonnegative integers summing to `total`, lexicographically."""
+    heads = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, -1).T
+    heads = heads[heads.sum(axis=1) <= total]
+    return np.column_stack([heads, total - heads.sum(axis=1)])
 
 
-def _compositions(total: int, parts: int):
-    """Ordered compositions of `total` into `parts` nonnegative integers,
-    lexicographically.  Fixed order makes first-found tie-breaking stable."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+_THETA_GRID = np.linspace(-1.0, 1.0, THETA_POINTS)
+_PROB_GRID = _compositions(PROB_DENOMINATOR, M_MAX) / PROB_DENOMINATOR
+# local moves: one member's theta up or down; weight from one member to another
+_THETA_MOVES = np.vstack([np.eye(M_MAX), -np.eye(M_MAX)])
+_PROB_MOVES = (np.eye(M_MAX)[:, None] - np.eye(M_MAX)[None, :])[~np.eye(M_MAX, dtype=bool)]
 
 
-def capacity_bruteforce(
-    params: ChannelParams, budget: OptimizerConfig = OptimizerConfig()
-) -> CapacityResult:
-    """Maximize Holevo information over small pure-state ensembles.
+def _chi(base: np.ndarray, slope: np.ndarray, probs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Holevo information in bits of each row's ensemble of pure inputs.
 
-    Coordinate descent over pinned coarse grids (polar x azimuth angles per
-    member, probability compositions), then refine_rounds rounds of local
-    steps with halved step sizes.  Improvements must be strict and ties keep
-    the incumbent, so the result is deterministic for a given budget
-    regardless of evaluation order.
+    Row k has probabilities probs[k] and signal amplitudes thetas[k].  An
+    input with amplitude theta leaves Bob at v = base + theta * slope, of
+    entropy H(1/2 + |v| / 2), and the average input at the average theta.
     """
-    m = budget.m_max
+    def entropy(theta):
+        v = base + theta[..., None] * slope
+        half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=-1)), 1.0)
+        hi, lo = 0.5 + half, 0.5 - half
+        return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
+
+    return entropy(np.sum(probs * thetas, axis=-1)) - np.sum(probs * entropy(thetas), axis=-1)
+
+
+def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
+    """Maximize Holevo information over ensembles of M_MAX pure inputs.
+
+    Coordinate descent on the members' theta values and probabilities from
+    a start fixed independently of the channel (all theta = 0, equal
+    weights): each member's theta over a fixed grid, then the probabilities
+    over the compositions of PROB_DENOMINATOR, until neither improves; then
+    REFINE_ROUNDS rounds of local steps, halved each round.  Each step
+    scores all its candidates in one call and moves only on a strict
+    improvement, the first best candidate winning, so the result is
+    deterministic.
+    """
     base, slope = _channel.output_bloch_affine(params)
-    phase_a = params.phase_a
-
-    def theta_of(polar: float, azimuth: float) -> float:
-        return math.sin(polar) * math.cos(azimuth - phase_a)
-
-    # symmetric neutral start: equatorial members at the cardinal azimuths
-    polars = [0.5 * math.pi] * m
-    azimuths = [i * 2.0 * math.pi / max(m, 1) for i in range(m)]
-    probs = tuple(1.0 / m for _ in range(m))
-    thetas = [theta_of(p, a) for p, a in zip(polars, azimuths)]
-
-    best = _chi_fast(base, slope, probs, thetas)
+    probs = np.full(M_MAX, 1.0 / M_MAX)
+    thetas = np.zeros(M_MAX)
+    best = _chi(base, slope, probs, thetas)
     evaluations = 1
 
-    prob_grid = [
-        tuple(c / budget.prob_denominator for c in comp)
-        for comp in _compositions(budget.prob_denominator, m)
-    ]
+    def climb(cand_probs, cand_thetas) -> bool:
+        """Move to the best candidate row if it beats the incumbent."""
+        nonlocal probs, thetas, best, evaluations
+        cand_probs, cand_thetas = np.broadcast_arrays(cand_probs, cand_thetas)
+        values = _chi(base, slope, cand_probs, cand_thetas)
+        evaluations += len(values)
+        k = int(np.argmax(values))
+        if not values[k] > best:
+            return False
+        best, probs, thetas = values[k], cand_probs[k].copy(), cand_thetas[k].copy()
+        return True
 
-    # coarse phase: full grid scans, one coordinate at a time
     improved = True
     while improved:
         improved = False
-        for i in range(m):
-            best_angle = None
-            for ip in range(budget.n_polar):
-                polar = ip * math.pi / budget.n_polar
-                sin_polar = math.sin(polar)
-                for ia in range(budget.n_azimuth):
-                    azimuth = ia * 2.0 * math.pi / budget.n_azimuth
-                    trial = thetas.copy()
-                    trial[i] = sin_polar * math.cos(azimuth - phase_a)
-                    val = _chi_fast(base, slope, probs, trial)
-                    evaluations += 1
-                    if val > best:
-                        best = val
-                        best_angle = (polar, azimuth)
-            if best_angle is not None:
-                polars[i], azimuths[i] = best_angle
-                thetas[i] = theta_of(polars[i], azimuths[i])
-                improved = True
-        best_probs = None
-        for cand in prob_grid:
-            val = _chi_fast(base, slope, cand, thetas)
-            evaluations += 1
-            if val > best:
-                best = val
-                best_probs = cand
-        if best_probs is not None:
-            probs = best_probs
-            improved = True
+        for i in range(M_MAX):
+            trial = np.tile(thetas, (THETA_POINTS, 1))
+            trial[:, i] = _THETA_GRID
+            improved |= climb(probs, trial)
+        improved |= climb(_PROB_GRID, thetas)
 
-    # refinement phase: halved local steps around the incumbent
-    polar_step = math.pi / budget.n_polar
-    azimuth_step = 2.0 * math.pi / budget.n_azimuth
-    prob_step = 1.0 / budget.prob_denominator
-    for _ in range(budget.refine_rounds):
-        polar_step *= 0.5
-        azimuth_step *= 0.5
+    theta_step = 2.0 / (THETA_POINTS - 1)
+    prob_step = 1.0 / PROB_DENOMINATOR
+    for _ in range(REFINE_ROUNDS):
+        theta_step *= 0.5
         prob_step *= 0.5
         improved = True
         while improved:
-            improved = False
-            for i in range(m):
-                for d_polar, d_azimuth in (
-                    (polar_step, 0.0),
-                    (-polar_step, 0.0),
-                    (0.0, azimuth_step),
-                    (0.0, -azimuth_step),
-                ):
-                    polar = min(max(polars[i] + d_polar, 0.0), math.pi)
-                    azimuth = azimuths[i] + d_azimuth
-                    trial = thetas.copy()
-                    trial[i] = theta_of(polar, azimuth)
-                    val = _chi_fast(base, slope, probs, trial)
-                    evaluations += 1
-                    if val > best:
-                        best = val
-                        polars[i], azimuths[i] = polar, azimuth
-                        thetas[i] = trial[i]
-                        improved = True
-            for i in range(m):
-                if probs[i] < prob_step - 1e-15:
-                    continue
-                for j in range(m):
-                    if j == i:
-                        continue
-                    cand = list(probs)
-                    cand[i] -= prob_step
-                    cand[j] += prob_step
-                    val = _chi_fast(base, slope, tuple(cand), thetas)
-                    evaluations += 1
-                    if val > best:
-                        best = val
-                        probs = tuple(cand)
-                        improved = True
+            improved = climb(probs, np.clip(thetas + theta_step * _THETA_MOVES, -1.0, 1.0))
+            moved = probs + prob_step * _PROB_MOVES
+            improved |= climb(moved[(moved >= 0.0).all(axis=1)], thetas)
 
-    members = tuple(
-        (p, QubitState.pure(polar, azimuth))
-        for p, polar, azimuth in zip(probs, polars, azimuths)
-    )
-    ensemble = Ensemble(members)
-    # report the honest route through channel.apply, not the fast path
+    cos_a, sin_a = math.cos(params.phase_a), math.sin(params.phase_a)
+    ensemble = Ensemble(tuple(
+        (p, QubitState(t * cos_a, t * sin_a, math.sqrt(1.0 - t * t)))
+        for p, t in zip(probs.tolist(), thetas.tolist())
+    ))
+    # report the honest route through channel.apply, not the search's arithmetic
     c_bruteforce = holevo_chi(params, ensemble)
     evaluations += 1
 

@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deltachannel.capacity import (
     UNASSISTED_QUANTUM_CAPACITY,
     CapacityResult,
     Ensemble,
-    OptimizerConfig,
     binary_entropy,
     capacity_bruteforce,
     capacity_closed_form,
@@ -27,6 +26,7 @@ from deltachannel.field import (
     SmearingSpec,
     assemble_statistics,
 )
+from deltachannel.selftest import random_bloch, random_statistics
 
 H_09 = 0.4689955935892811  # binary_entropy(0.9), frozen from direct evaluation
 
@@ -228,13 +228,20 @@ def test_bruteforce_deterministic():
     assert first.iterations == second.iterations
 
 
-def test_bruteforce_respects_budget():
-    small = OptimizerConfig(m_max=2, n_polar=6, n_azimuth=8,
-                            prob_denominator=4, refine_rounds=1)
-    result = capacity_bruteforce(moderate_params(), budget=small)
-    assert len(result.best_ensemble.members) <= 2
-    # a coarse budget still cannot overshoot the proven optimum
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       phase_a=st.floats(min_value=-7.0, max_value=7.0),
+       phase_b=st.floats(min_value=-7.0, max_value=7.0))
+def test_bruteforce_stays_under_the_closed_form_on_random_channels(seed, phase_a, phase_b):
+    # mixed Bob, phase_b untuned: the closed form is still an upper bound
+    rng = np.random.default_rng(seed)
+    params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
+                           phase_b=phase_b, bob_initial=random_bloch(rng))
+    result = capacity_bruteforce(params)  # raises ConsistencyError on an overshoot
     assert result.c_bruteforce <= result.c_closed + 1e-9
+    assert abs(holevo_chi(params, result.best_ensemble) - result.c_bruteforce) <= 1e-12
+    for _, member in result.best_ensemble.members:
+        assert abs(member.norm_sq - 1.0) <= 1e-12
 
 
 def test_capacity_result_guards():

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import deltachannel.field as field
+import deltachannel.sweep as sweep
 import deltachannel.weyl as weyl
 from conftest import re_j_reference
-from deltachannel.capacity import Ensemble, holevo_chi
+from deltachannel.capacity import Ensemble, capacity_bruteforce, holevo_chi
 from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
-from deltachannel.errors import ConfigError
+from deltachannel.errors import ConfigError, ConsistencyError
 from deltachannel.field import PairGeometry, SmearingSpec, assemble_statistics
 from deltachannel.sweep import (
     AxisSpec,
@@ -180,6 +181,31 @@ def test_point_query_reproduces_sweep_row():
     assert record["field_statistics"]["delta_ab"] == row["delta_ab"]
 
 
+def test_point_query_runs_the_optimizer_once_inside_the_row(monkeypatch):
+    cfg = dataclasses.replace(parse_config_text(BASE_CONFIG), optimizer=True)
+    row = run_sweep(cfg)[4]
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return capacity_bruteforce(params)
+
+    monkeypatch.setattr(sweep, "capacity_bruteforce", counted)
+    record = point_query(lambda_a=2.0, lambda_b=0.1, separation=6.0, delay=6.0,
+                         phase_a=0.3, phase_b=0.7, optimizer=True)
+    assert len(calls) == 1
+    assert record["capacity"]["c_bruteforce"] == row["c_bruteforce"]
+    assert record["capacity"]["gap"] == row["gap"]
+
+    # a failing optimizer is the row's failure, as in a sweep, not an exception
+    def failing(params):
+        raise ConsistencyError("brute force exceeds the closed form")
+
+    monkeypatch.setattr(sweep, "capacity_bruteforce", failing)
+    record = point_query(lambda_a=2.0, lambda_b=0.1, separation=6.0, delay=6.0, optimizer=True)
+    assert record["status"] == "domain_error"
+
+
 def test_csv_format_exact():
     rows = [dict.fromkeys(COLUMNS, math.nan)]
     rows[0].update(lambda_a=0.1, lambda_b=1.0, L=6.0, dtau=0.5, status="ok")
@@ -336,6 +362,10 @@ def test_coupling_past_overflow_takes_its_limit(lambda_a, beta):
     assert below["nu_a"] == below["nu_ab_plus"] == below["nu_ab_minus"] == 0.0
     assert row["nu_b"] == below["nu_b"]
     assert math.isfinite(row["delta_ab"]) and math.isfinite(row["c_closed"])
+    # both norm routes overflow to inf there, which the oracle counts as agreement
+    checked = evaluate_point(lambda_a, 1.0, 6.0, 6.0, beta=beta, oracle=True)
+    assert checked["status"] == "ok"
+    assert 0.0 <= checked["oracle_residual"] < 1e-12
 
 
 def test_sweep_keeps_its_other_rows_past_a_domain_error(tmp_path):
@@ -415,6 +445,14 @@ def test_oracle_residual_column():
     assert thermal_row["oracle_residual"] < 1e-6
     off = evaluate_point(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=6.0)
     assert math.isnan(off["oracle_residual"])
+
+
+def test_undefined_oracle_term_makes_the_residual_nan(monkeypatch):
+    # the builtin max once dropped a NaN term and reported the others
+    monkeypatch.setattr(sweep, "self_norm_j", lambda state: math.nan)
+    for beta in (None, 2.0):
+        row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=beta, oracle=True)
+        assert math.isnan(row["oracle_residual"])
 
 
 @pytest.mark.parametrize("separation", [5e-324, 1e-20])

@@ -6,9 +6,12 @@ metrics.  The tracer module is imported as it stands and not modified.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
+
+from deltachannel.capacity import CapacityResult
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,3 +33,9 @@ def test_every_tracer_target_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+def test_traced_result_field_exists():
+    # the tracer reads CapacityResult.iterations as capacity.holevo_evals;
+    # a rename would crash a traced run rather than report `missing`
+    assert "iterations" in {f.name for f in dataclasses.fields(CapacityResult)}
