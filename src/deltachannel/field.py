@@ -3,7 +3,9 @@
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
 statistics never integrate, and scipy's quad and mpmath run only in the
-oracle.  Everything is dimensionless in units of the Gaussian smearing
+oracle.  The oracle escalates only Im J, the commutator part, which is
+compared relatively; Re J is compared absolutely and stays with quad (see
+_radial_integral and _commutator_trapezoid).  Everything is dimensionless in units of the Gaussian smearing
 width sigma: couplings are lambda_tilde/sigma, distances L/sigma, delays
 dtau/sigma, inverse temperatures beta/sigma.
 """
@@ -34,12 +36,21 @@ SERIES_CUTOFF = 1e-8
 K_MAX = 40.0
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
-# A component this small relative to the integrand scale is dominated by
-# float64 cancellation noise (~1e-16 of scale) and is recomputed in high
-# precision.  Components at or above the threshold carry relative error
-# <= ~1e-8 from the roundoff floor alone, so the split is gapless.
+# An Im J this small relative to the integrand scale is dominated by
+# float64 cancellation noise (~1e-16 of scale), which the relative
+# commutator check cannot absorb, and is recomputed at MP_DPS digits by the
+# trapezoid rule.  Values at or above the threshold carry relative error
+# <= ~1e-8 from the roundoff floor alone, so the split is gapless.  Re J
+# is compared absolutely, so its float64 noise is harmless: never escalated.
 ESCALATION_RATIO = 1e-8
 MP_DPS = 50
+# The trapezoid rule runs on [0, K] with exp(-K^2/2) = 10^-(MP_DPS + 5), at
+# step h = 2 pi / (L + |dtau| + K), so it takes K (L + |dtau| + K) / pi
+# nodes at step h/2.  The cap admits L + |dtau| <= 2e3, the corner of the
+# accepted domain (L <= 1e3, |dtau| <= 1e3): about 1e4 nodes, under a
+# second.  Past it the rule raises QuadratureError without integrating.
+TRAPEZOID_K = math.sqrt(2.0 * math.log(10.0) * (MP_DPS + 5))
+TRAPEZOID_MAX_NODES = math.ceil(TRAPEZOID_K * (2e3 + TRAPEZOID_K) / math.pi)
 
 # Below this half-width the Dawson difference quotient in cross_real_closed
 # cancels; the mean of D' over the interval is taken by Gauss-Legendre
@@ -390,28 +401,48 @@ def _coth_half(k: float, beta: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _mpmath_integral(L: float, dtau: float, beta: float | None) -> tuple[complex, float]:
-    """High-precision evaluation of the radial integral, for the cancellation regime."""
+def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
+    """Im J by the trapezoid rule at MP_DPS digits, for the cancellation regime.
+
+    Im J = -int_0^inf exp(-k^2/2) sin(kL)/L sin(k dtau) dk has an even,
+    entire integrand, so the trapezoid rule converges exponentially on it
+    (Trefethen & Weideman, SIAM Review 56 (2014) 385): its error is the
+    integrand's Fourier transform at multiples of 2 pi / h.  That transform
+    is a sum of unit-width Gaussians centred at +-(dtau +- L), so the step
+    h = 2 pi / (L + |dtau| + TRAPEZOID_K) leaves the nearest alias
+    TRAPEZOID_K away, below 10^-(MP_DPS + 5), and the window
+    [0, TRAPEZOID_K] drops a tail of the same size.  The sum is taken at
+    step h and at h/2 on nested nodes; the estimate is |T(h) - T(h/2)|, or
+    the sum's rounding, 10^-MP_DPS h sum |f|, if that is larger.  Raises
+    QuadratureError without integrating past TRAPEZOID_MAX_NODES.
+    """
+    reach = L + abs(dtau) + TRAPEZOID_K
+    # nodes at step h/2 on [0, K]; a float, which may be inf at extreme reach
+    nodes = TRAPEZOID_K * reach / math.pi
+    if nodes > TRAPEZOID_MAX_NODES:
+        raise QuadratureError(
+            f"commutator trapezoid needs {nodes:.3g} nodes, past its cap of "
+            f"{TRAPEZOID_MAX_NODES} (L={L}, dtau={dtau})",
+            estimate=math.inf,
+        )
+    # h is a double, so each node j h/2 and its products with L and dtau are
+    # exact at MP_DPS digits: a term carries only its functions' rounding
+    h = 2.0 * math.pi / reach
     with _MP_LOCK, mpmath.workdps(MP_DPS):
-        Lm, dt = mpmath.mpf(L), mpmath.mpf(dtau)
+        Lm, dt, step = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.mpf(h) / 2
 
-        def envelope(k):
+        def f(k):
             g = k if L == 0.0 else mpmath.sin(k * Lm) / Lm
-            return mpmath.e ** (-k * k / 2) * g
+            return -mpmath.exp(-k * k / 2) * g * mpmath.sin(k * dt)
 
-        def re_kern(k):
-            th = mpmath.coth(beta * k / 2) if beta is not None else 1
-            return envelope(k) * th * mpmath.cos(k * dt)
-
-        def im_kern(k):
-            return -envelope(k) * mpmath.sin(k * dt)
-
-        re, re_err = mpmath.quad(re_kern, [0, K_MAX], error=True)
-        if dtau == 0.0:
-            im, im_err = mpmath.mpf(0), mpmath.mpf(0)
-        else:
-            im, im_err = mpmath.quad(im_kern, [0, K_MAX], error=True)
-        return complex(re, im), float(max(re_err, im_err))
+        # the integrand vanishes at k = 0; nodes j h/2 with j even are T(h)'s
+        values = [f(j * step) for j in range(1, math.floor(nodes) + 1)]
+        even = mpmath.fsum(values[1::2])
+        odd = mpmath.fsum(values[0::2])
+        coarse = 2 * step * even
+        fine = step * (even + odd)
+        rounding = mpmath.mpf(10) ** -MP_DPS * step * mpmath.fsum(abs(v) for v in values)
+        return float(fine), float(max(abs(fine - coarse), rounding))
 
 
 def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex, float]:
@@ -421,8 +452,14 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
 
     The thermal coth kernel multiplies the real (symmetric) component only;
     the imaginary component is the commutator part and is temperature
-    independent.  Returns (J, error_estimate); raises QuadratureError when
-    the estimate misses both the absolute and relative targets.
+    independent.  Both components run through quad.  Every consumer compares
+    Re J absolutely, so it is never escalated: missing its target raises at
+    once, before Im J is integrated.  Im J carries the commutator, compared
+    relatively, so below ESCALATION_RATIO or off its target it is recomputed
+    by _commutator_trapezoid, at MP_DPS digits on [0, TRAPEZOID_K] at step
+    2 pi / (L + |dtau| + TRAPEZOID_K), for L + |dtau| up to 2e3.  Returns
+    (J, error_estimate); raises QuadratureError when a component's estimate
+    misses both the absolute and the relative target.
     """
 
     def re_kern(k: float) -> float:
@@ -434,32 +471,31 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     def im_kern(k: float) -> float:
         return -math.exp(-0.5 * k * k) * _geom_factor(k, L) * math.sin(k * dtau)
 
+    def misses(value: float, err: float) -> bool:
+        return err > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))
+
+    def check(part: str, value: float, err: float) -> None:
+        if misses(value, err):
+            raise QuadratureError(
+                f"radial quadrature did not converge: error estimate {err:.3e} "
+                f"for {part} J = {value!r} (L={L}, dtau={dtau}, beta={beta})",
+                estimate=err,
+            )
+
     # quad appends a message to its result when it warns; the error
-    # estimate below decides what happens then
+    # estimate decides what happens then
     re, re_err, _ = quad(re_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
                          limit=400, full_output=1)[:3]
+    check("Re", re, re_err)
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation
-        im, im_err = 0.0, 0.0
-    else:
-        im, im_err, _ = quad(im_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                             limit=400, full_output=1)[:3]
-
-    re_scale = 1.0 if beta is None else 1.0 + 2.0 * SQRT_HALF_PI / beta
-    tiny_re = abs(re) < ESCALATION_RATIO * re_scale
-    tiny_im = dtau != 0.0 and abs(im) < ESCALATION_RATIO
-    err = max(re_err, im_err)
-    if tiny_re or tiny_im or err > max(QUAD_ABS_TOL, QUAD_REL_TOL * max(abs(re), abs(im))):
-        val, err = _mpmath_integral(L, dtau, beta)
-        re, im = val.real, val.imag
-
-    if err > max(QUAD_ABS_TOL, QUAD_REL_TOL * max(abs(re), abs(im))):
-        raise QuadratureError(
-            f"radial quadrature did not converge: error estimate {err:.3e} "
-            f"for value {complex(re, im)!r} (L={L}, dtau={dtau}, beta={beta})",
-            estimate=err,
-        )
-    return complex(re, im), err
+        return complex(re, 0.0), re_err
+    im, im_err, _ = quad(im_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
+                         limit=400, full_output=1)[:3]
+    if abs(im) < ESCALATION_RATIO or misses(im, im_err):
+        im, im_err = _commutator_trapezoid(L, dtau)
+    check("Im", im, im_err)
+    return complex(re, im), max(re_err, im_err)
 
 
 def wightman_cross_quadrature(
@@ -513,10 +549,12 @@ def assemble_statistics(
         n_a, n_b = n_a * j0, n_b * j0
     re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, beta)
     delta = commutator_closed(f_a, f_b, geom)
+    # ||E(f_A +- f_B)||^2 >= 0 since |Re J| <= J(0, 0, beta); at equal
+    # couplings near L = 0 rounding can leave it an ulp below zero
     return FieldStatistics(
         nu_a=math.exp(-2.0 * n_a),
         nu_b=math.exp(-2.0 * n_b),
-        nu_ab_plus=math.exp(-2.0 * (n_a + n_b + 2.0 * re_w)),
-        nu_ab_minus=math.exp(-2.0 * (n_a + n_b - 2.0 * re_w)),
+        nu_ab_plus=math.exp(-2.0 * max(n_a + n_b + 2.0 * re_w, 0.0)),
+        nu_ab_minus=math.exp(-2.0 * max(n_a + n_b - 2.0 * re_w, 0.0)),
         delta_ab=delta,
     )

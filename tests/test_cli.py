@@ -234,14 +234,14 @@ def test_sweep_survives_quadrature_failure(monkeypatch):
     def bad_quad(func, a, b, **kwargs):
         return 0.5, 1.0, {}
 
-    def bad_escalation(sep, delay, beta):
-        return complex(0.5, 0.5), 1.0
+    def bad_escalation(sep, delay):
+        return 0.5, 1.0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("mpmath.quad runs only inside _mpmath_integral")
+        raise AssertionError("the oracle calls no mpmath.quad")
 
     monkeypatch.setattr(field, "quad", bad_quad)
-    monkeypatch.setattr(field, "_mpmath_integral", bad_escalation)
+    monkeypatch.setattr(field, "_commutator_trapezoid", bad_escalation)
     monkeypatch.setattr(mpmath, "quad", refuse)
     # statistics never integrate, so only the --oracle integral can fail
     text = "schema_version = 1\nbeta = 2\naxis.lambda_a = 1, 2, 2, linear\n"
@@ -262,7 +262,7 @@ def test_vacuum_sweep_needs_no_quadrature(monkeypatch):
         raise AssertionError("a vacuum sweep without --oracle must not integrate")
 
     monkeypatch.setattr(field, "quad", refuse)
-    monkeypatch.setattr(field, "_mpmath_integral", refuse)
+    monkeypatch.setattr(field, "_commutator_trapezoid", refuse)
     monkeypatch.setattr(mpmath, "quad", refuse)
     rows = run_sweep(parse_config_text(BASE_CONFIG))
     assert len(rows) == 6
@@ -274,9 +274,9 @@ def test_thermal_sweep_needs_no_quadrature(monkeypatch, capsys):
         raise AssertionError("a thermal sweep without --oracle must not integrate")
 
     monkeypatch.setattr(field, "quad", refuse)
-    monkeypatch.setattr(field, "_mpmath_integral", refuse)
+    monkeypatch.setattr(field, "_commutator_trapezoid", refuse)
     monkeypatch.setattr(mpmath, "quad", refuse)
-    # (0, 8) is the geometry whose quadrature escalated to mpmath
+    # (0, 8) is the geometry whose oracle escalates to the trapezoid rule
     text = BASE_CONFIG.replace("L = 6.0", "L = 0.0").replace("dtau = 6.0", "dtau = 8.0")
     rows = run_sweep(parse_config_text(text + "beta = 2\n"))
     assert len(rows) == 6
@@ -288,25 +288,30 @@ def test_thermal_sweep_needs_no_quadrature(monkeypatch, capsys):
 def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
     calls = []
     integral = field._radial_integral
-    escalation = field._mpmath_integral
+    escalation = field._commutator_trapezoid
     escalations = []
 
     def counted(L, dtau, beta):
         calls.append((L, dtau, beta))
         return integral(L, dtau, beta)
 
-    def counted_escalation(L, dtau, beta):
-        escalations.append((L, dtau, beta))
-        return escalation(L, dtau, beta)
+    def counted_escalation(L, dtau):
+        escalations.append((L, dtau))
+        return escalation(L, dtau)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle escalates by the trapezoid rule, not mpmath.quad")
 
     monkeypatch.setattr(field, "_radial_integral", counted)
-    monkeypatch.setattr(field, "_mpmath_integral", counted_escalation)
-    # Re J and Im J are both tiny at (0, 8): the cross integral escalates to mpmath
+    monkeypatch.setattr(field, "_commutator_trapezoid", counted_escalation)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    # Im J is tiny at (0, 8): the cross integral escalates its commutator part,
+    # which is state independent, so the escalation takes no beta
     row = evaluate_point(10.0, 1.0, 0.0, 8.0, beta=2.0, oracle=True)
     assert row["status"] == "ok"
     assert row["oracle_residual"] < 1e-6
     assert calls == [(0.0, 8.0, 2.0), (0.0, 0.0, 2.0)]
-    assert escalations == [(0.0, 8.0, 2.0)]
+    assert escalations == [(0.0, 8.0)]
 
 
 def test_thermal_row_at_large_separation_is_typed():
@@ -398,8 +403,9 @@ def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
 
 
 def test_failed_oracle_keeps_the_row_statistics():
-    # quad and its mpmath escalation miss the error target at L = 1000;
-    # the closed-form statistics and capacity stand, only the residual is lost
+    # quad misses Re J's error target at L = 1000, and Re J is never
+    # escalated; the closed-form statistics and capacity stand, only the
+    # residual is lost
     row = evaluate_point(1.0, 1.0, 1000.0, 0.0, oracle=True)
     plain = evaluate_point(1.0, 1.0, 1000.0, 0.0)
     assert row["status"] == "quadrature_error"
@@ -407,6 +413,33 @@ def test_failed_oracle_keeps_the_row_statistics():
         assert math.isfinite(row[column])
         assert row[column] == plain[column]
     assert math.isnan(row["oracle_residual"])
+
+
+@pytest.mark.parametrize("delay", [1.0, 8.0, 12.0])
+def test_oracle_past_the_node_cap_is_a_quadrature_error(monkeypatch, delay):
+    # at L = 1e9 the commutator's trapezoid rule would need about 5e9 nodes,
+    # so it refuses without integrating; a coarser rule once returned an
+    # aliased Im J with a small error estimate, and the row was ok with
+    # oracle_residual 0.03 to 24
+    def refuse(*args, **kwargs):
+        raise AssertionError("past the node cap the rule must not integrate")
+
+    monkeypatch.setattr(mpmath, "exp", refuse)
+    row = evaluate_point(10.0, 1.0, 1e9, delay, oracle=True)
+    plain = evaluate_point(10.0, 1.0, 1e9, delay)
+    assert row["status"] == "quadrature_error"
+    assert math.isnan(row["oracle_residual"])
+    assert all(row[c] == plain[c] for c in ("nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed"))
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+@pytest.mark.parametrize("sep, delay", [(60.0, 1.0), (100.0, 1.0), (300.0, 50.0), (700.0, 8.0)])
+def test_oracle_is_ok_at_large_separation(sep, delay, beta):
+    # these rows were quadrature_error: quad meets Re J's target, and Im J,
+    # far below ESCALATION_RATIO, now escalates to the trapezoid rule
+    row = evaluate_point(10.0, 1.0, sep, delay, beta=beta, oracle=True)
+    assert row["status"] == "ok"
+    assert row["oracle_residual"] < 1e-6
 
 
 def test_library_paths_do_not_need_the_gamma_route(monkeypatch, tmp_path, capsys):

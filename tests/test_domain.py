@@ -26,18 +26,24 @@ rows = given(
 @example(lambda_a=1.0, lambda_b=1.0, separation=5e-324, delay=1.0, beta=2.0)
 @example(lambda_a=1e4, lambda_b=1e4, separation=0.0, delay=0.0, beta=1e-3)
 @example(lambda_a=0.0, lambda_b=1e4, separation=1e3, delay=-1e3, beta=1e3)
+# Re J rounded an ulp above J(0, 0, beta): nu_ab_minus was 1 + 4e-15
+@example(lambda_a=1.0, lambda_b=1.0, separation=1e-8, delay=0.0, beta=0.015625)
 def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     assert row["status"] == "ok"
     assert all(math.isfinite(row[c]) for c in STATISTICS)
 
 
-# an --oracle row that fails spends about 0.5 s in its mpmath escalation
-@settings(max_examples=4)
+# an --oracle row costs up to about 0.5 s where its Im J escalates to the
+# trapezoid rule at L + |dtau| near 1e3; most rows here fail or pass sooner
+@settings(max_examples=30)
 @rows
 @example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=1.0, beta=2.0)
 @example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=0.0, beta=None)
 @example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=6.0, beta=2.0)
+# a subnormal coupling product once read as a Re J residual of 0.1 to 0.3
+@example(lambda_a=20.0, lambda_b=5e-324, separation=0.0, delay=1.0, beta=None)
+@example(lambda_a=20.0, lambda_b=5e-324, separation=0.0, delay=0.0, beta=1.0)
 def test_oracle_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     checked = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta, oracle=True)
@@ -45,6 +51,7 @@ def test_oracle_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation,
     assert checked["status"] in ("ok", "quadrature_error")
     assert all(checked[c] == row[c] for c in STATISTICS)
     if checked["status"] == "ok":
-        assert math.isfinite(checked["oracle_residual"])
+        # finite is not enough: an aliased Im J once read as a residual of 24
+        assert checked["oracle_residual"] < 1e-6
     else:
         assert math.isnan(checked["oracle_residual"])

@@ -296,18 +296,45 @@ def test_radial_integral_quad_warning_is_a_typed_error(beta):
 
 
 def test_quadrature_error_carries_estimate(monkeypatch):
-    def bad_quad(func, a, b, **kwargs):
-        return 0.5, 1.0, {}
+    # Re J meeting its target lets Im J miss its own and escalate, and the
+    # failure carries the escalation's estimate; Re J missing its target
+    # fails at once with Re J's estimate
+    def bad_escalation(sep, delay):
+        return 0.5, 0.25
 
-    def bad_escalation(sep, delay, beta):
-        return complex(0.5, 0.5), 1.0
-
-    monkeypatch.setattr(field, "quad", bad_quad)
-    monkeypatch.setattr(field, "_mpmath_integral", bad_escalation)
+    monkeypatch.setattr(field, "_commutator_trapezoid", bad_escalation)
     f = SmearingSpec(coupling=1.0)
-    with pytest.raises(QuadratureError) as excinfo:
-        wightman_cross_quadrature(f, f, PairGeometry(6.0, 6.0))
-    assert excinfo.value.estimate == 1.0
+    for re_err, estimate in ((1e-12, 0.25), (1.0, 1.0)):
+        def bad_quad(func, a, b, **kwargs):
+            return (1.0, re_err, {}) if func.__name__ == "re_kern" else (0.5, 1.0, {})
+
+        monkeypatch.setattr(field, "quad", bad_quad)
+        with pytest.raises(QuadratureError) as excinfo:
+            wightman_cross_quadrature(f, f, PairGeometry(6.0, 6.0))
+        assert excinfo.value.estimate == estimate
+
+
+# Geometries whose Im J cancels in float64: from 1.3e-13 at (0, 8) down to
+# 6.6e-31 at (1e-20, 12), and at (60, 1) an Im J of about 1e-758, which the
+# 50-digit rule resolves only to its rounding.
+TRAPEZOID_GEOMETRIES = ((0.0, 8.0), (1e-20, 12.0), (1.0, 12.0), (3.0, 12.0),
+                        (6.0, 12.0), (10.0, 3.0), (60.0, 1.0))
+
+
+@pytest.mark.parametrize("sep, delay", TRAPEZOID_GEOMETRIES)
+def test_commutator_trapezoid_matches_closed_form(sep, delay):
+    with mpmath.workdps(50):
+        L, dt = mpmath.mpf(sep), mpmath.mpf(delay)
+        if sep == 0.0:
+            reference = -mpmath.sqrt(mpmath.pi / 2) * dt * mpmath.exp(-dt**2 / 2)
+        else:
+            reference = -mpmath.sqrt(mpmath.pi / 2) * (
+                mpmath.exp(-(dt - L) ** 2 / 2) - mpmath.exp(-(dt + L) ** 2 / 2)
+            ) / (2 * L)
+        expected = float(reference)
+    im, estimate = field._commutator_trapezoid(sep, delay)
+    assert math.isclose(im, expected, rel_tol=1e-12, abs_tol=10.0**-field.MP_DPS)
+    assert abs(im - expected) <= estimate
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +398,7 @@ def test_assemble_statistics_thermal_integrates_nothing(monkeypatch):
     geom = PairGeometry(4.0, 4.0)
     j0, _ = field._radial_integral(0.0, 0.0, 2.0)
     j, _ = field._radial_integral(4.0, 4.0, 2.0)
-    for name in ("quad", "_radial_integral", "_mpmath_integral"):
+    for name in ("quad", "_radial_integral", "_commutator_trapezoid"):
         monkeypatch.setattr(field, name, no_integral)
     monkeypatch.setattr(mpmath, "quad", no_integral)
     stats = assemble_statistics(f_a, f_b, geom, state)
