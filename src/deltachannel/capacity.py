@@ -3,17 +3,20 @@
 The closed-form capacity is exact for this channel family: it is
 entanglement breaking, so the one-shot Holevo maximum is the capacity
 (Shor 2002; Horodecki, Shor & Ruskai 2003).  A deterministic brute-force
-ensemble optimizer serves as an independent oracle: it must approach the
-closed form from below, never exceed it.
+search serves as an independent oracle: it must approach the closed form
+from below, never exceed it.
 
-The optimizer searches on the signal amplitude theta in [-1, 1], not on
-the Bloch sphere.  The channel is affine in theta: every input with
-amplitude theta leaves Bob at base + theta * slope.  So an ensemble's
-Holevo information depends on its members only through their theta values
-and probabilities, and a pure member per theta covers every ensemble.
+The search runs on the signal amplitude theta in [-1, 1], not on the
+Bloch sphere.  The channel is affine in theta: every input with amplitude
+theta leaves Bob at base + theta * slope.  So an ensemble's Holevo
+information depends on its members only through their theta values and
+probabilities, and a pure member per theta covers every ensemble.  On a
+line two members suffice, and one scan of the lower convex envelope of
+the output entropy over a theta grid finds the best pair on that grid.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -94,7 +97,8 @@ class CapacityResult:
     """Closed-form capacity next to its brute-force estimate.
 
     q_ea_lower is the entanglement-assisted lower bound, exactly half the
-    closed form.  iterations counts Holevo evaluations spent by the search.
+    closed form.  iterations counts the search's entropy evaluations: one
+    per theta grid point, and one Holevo evaluation of the ensemble found.
     """
 
     c_closed: float
@@ -175,101 +179,66 @@ def tune_bob_phase(bob: QubitState) -> float:
 # brute-force ensemble search
 # ---------------------------------------------------------------------------
 
-#: Fixed search sizes: points of the coarse theta grid on [-1, 1], the
-#: denominator of the probability grid, and rounds of halved local steps.
-THETA_POINTS = 65
-PROB_DENOMINATOR = 16
-REFINE_ROUNDS = 3
+#: Points of the theta grid on [-1, 1], the search's only size: spacing
+#: 2^-8, odd so that theta = -1, 0 and +1 lie on it.
+THETA_POINTS = 513
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Rows of `parts` nonnegative integers summing to `total`, lexicographically."""
-    heads = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, -1).T
-    heads = heads[heads.sum(axis=1) <= total]
-    return np.column_stack([heads, total - heads.sum(axis=1)])
+def _output_entropy(base: np.ndarray, slope: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Bits of entropy of Bob's output H(1/2 + |v| / 2), v = base + theta * slope, per theta."""
+    v = base + thetas[:, None] * slope
+    half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=1)), 1.0)
+    hi, lo = 0.5 + half, 0.5 - half
+    return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
 
 
-_THETA_GRID = np.linspace(-1.0, 1.0, THETA_POINTS)
-_PROB_GRID = _compositions(PROB_DENOMINATOR, M_MAX) / PROB_DENOMINATOR
-# local moves: one member's theta up or down; weight from one member to another
-_THETA_MOVES = np.vstack([np.eye(M_MAX), -np.eye(M_MAX)])
-_PROB_MOVES = (np.eye(M_MAX)[:, None] - np.eye(M_MAX)[None, :])[~np.eye(M_MAX, dtype=bool)]
-
-
-def _chi(base: np.ndarray, slope: np.ndarray, probs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Holevo information in bits of each row's ensemble of pure inputs.
-
-    Row k has probabilities probs[k] and signal amplitudes thetas[k].  An
-    input with amplitude theta leaves Bob at v = base + theta * slope, of
-    entropy H(1/2 + |v| / 2), and the average input at the average theta.
-    """
-    def entropy(theta):
-        v = base + theta[..., None] * slope
-        half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=-1)), 1.0)
-        hi, lo = 0.5 + half, 0.5 - half
-        return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
-
-    return entropy(np.sum(probs * thetas, axis=-1)) - np.sum(probs * entropy(thetas), axis=-1)
+def _lower_hull(xs: list[float], ys: list[float]) -> list[int]:
+    """Indices of the lower convex hull of points sorted by x, left to right,
+    by Andrew's monotone chain (IPL 9 (1979) 216); collinear points drop."""
+    hull: list[int] = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (xs[j] - xs[i]) * (y - ys[i]) - (ys[j] - ys[i]) * (x - xs[i]) > 0.0:
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
 
 
 def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
-    """Maximize Holevo information over ensembles of M_MAX pure inputs.
+    """Maximize Holevo information over ensembles of pure inputs on a theta grid.
 
-    Coordinate descent on the members' theta values and probabilities from
-    a start fixed independently of the channel (all theta = 0, equal
-    weights): each member's theta over a fixed grid, then the probabilities
-    over the compositions of PROB_DENOMINATOR, until neither improves; then
-    REFINE_ROUNDS rounds of local steps, halved each round.  Each step
-    scores all its candidates in one call and moves only on a strict
-    improvement, the first best candidate winning, so the result is
-    deterministic.
+    With g(theta) the entropy of Bob's output at amplitude theta, an
+    ensemble's Holevo information is g(mean theta) - sum p g(theta_m).  At a
+    given mean the least sum p g is the lower convex envelope of g there,
+    reached by two members (Caratheodory in one dimension).  So the search
+    evaluates g on THETA_POINTS grid amplitudes, builds the envelope, and
+    takes the grid point where g stands highest above it, with the two
+    envelope vertices around that point as members, weighted so that their
+    mean is the point's theta (one member if the point is a vertex).  It
+    assumes nothing about g, so the result is the global maximum on the grid.
     """
     base, slope = _channel.output_bloch_affine(params)
-    probs = np.full(M_MAX, 1.0 / M_MAX)
-    thetas = np.zeros(M_MAX)
-    best = _chi(base, slope, probs, thetas)
-    evaluations = 1
-
-    def climb(cand_probs, cand_thetas) -> bool:
-        """Move to the best candidate row if it beats the incumbent."""
-        nonlocal probs, thetas, best, evaluations
-        cand_probs, cand_thetas = np.broadcast_arrays(cand_probs, cand_thetas)
-        values = _chi(base, slope, cand_probs, cand_thetas)
-        evaluations += len(values)
-        k = int(np.argmax(values))
-        if not values[k] > best:
-            return False
-        best, probs, thetas = values[k], cand_probs[k].copy(), cand_thetas[k].copy()
-        return True
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(M_MAX):
-            trial = np.tile(thetas, (THETA_POINTS, 1))
-            trial[:, i] = _THETA_GRID
-            improved |= climb(probs, trial)
-        improved |= climb(_PROB_GRID, thetas)
-
-    theta_step = 2.0 / (THETA_POINTS - 1)
-    prob_step = 1.0 / PROB_DENOMINATOR
-    for _ in range(REFINE_ROUNDS):
-        theta_step *= 0.5
-        prob_step *= 0.5
-        improved = True
-        while improved:
-            improved = climb(probs, np.clip(thetas + theta_step * _THETA_MOVES, -1.0, 1.0))
-            moved = probs + prob_step * _PROB_MOVES
-            improved |= climb(moved[(moved >= 0.0).all(axis=1)], thetas)
+    grid = np.linspace(-1.0, 1.0, THETA_POINTS)
+    g = _output_entropy(base, slope, grid)
+    thetas = grid.tolist()
+    hull = _lower_hull(thetas, g.tolist())
+    k = int(np.argmax(g - np.interp(grid, grid[hull], g[hull])))
+    pos = bisect.bisect_left(hull, k)
+    if hull[pos] == k:
+        members = ((1.0, thetas[k]),)
+    else:
+        i, j = hull[pos - 1], hull[pos]
+        p_i = (thetas[j] - thetas[k]) / (thetas[j] - thetas[i])
+        members = ((p_i, thetas[i]), (1.0 - p_i, thetas[j]))
 
     cos_a, sin_a = math.cos(params.phase_a), math.sin(params.phase_a)
     ensemble = Ensemble(tuple(
-        (p, QubitState(t * cos_a, t * sin_a, math.sqrt(1.0 - t * t)))
-        for p, t in zip(probs.tolist(), thetas.tolist())
+        (p, QubitState(t * cos_a, t * sin_a, math.sqrt(1.0 - t * t))) for p, t in members
     ))
     # report the honest route through channel.apply, not the search's arithmetic
     c_bruteforce = holevo_chi(params, ensemble)
-    evaluations += 1
 
     stats = params.stats
     c_closed = capacity_closed_form(stats.nu_b, params.bob_initial.r, stats.delta_ab)
@@ -279,6 +248,6 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
         best_ensemble=ensemble,
         q_ea_lower=c_closed / 2.0,
         nu_eff=stats.nu_b * params.bob_initial.r,
-        iterations=evaluations,
+        iterations=THETA_POINTS + 1,
         gap=abs(c_closed - c_bruteforce),
     )

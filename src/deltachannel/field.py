@@ -5,9 +5,10 @@ Closed forms for the massless scalar field in the vacuum and in a thermal
 statistics never integrate, and scipy's quad and mpmath run only in the
 oracle.  The oracle escalates only Im J, the commutator part, which is
 compared relatively; Re J is compared absolutely and stays with quad (see
-_radial_integral and _commutator_trapezoid).  Everything is dimensionless in units of the Gaussian smearing
-width sigma: couplings are lambda_tilde/sigma, distances L/sigma, delays
-dtau/sigma, inverse temperatures beta/sigma.
+_radial_integral and _commutator_trapezoid).  Everything is dimensionless
+in units of the Gaussian smearing width sigma: couplings are
+lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
+temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -235,12 +236,19 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     ratio is 1 at x = 0 (its L -> 0 limit) and expm1 returns -x exactly for
     subnormal x, so small and subnormal L keep full relative accuracy.
     Where x overflows (a ~ L ~ 1e154) the bracket over L is e_near / L.
+    Where e_near underflows to 0.0, or (a - L)^2 overflows (|a - L| past
+    ~1.3e154), Delta is its limit +0.0, also where 2 a is inf.
     """
     L, dt = geom.separation, geom.delay
     pref = pair_prefactor(f_a, f_b)
     a = abs(dt)
     x = 2.0 * a * L
-    e_near = math.exp(-0.5 * (a - L) ** 2)
+    try:
+        e_near = math.exp(-0.5 * (a - L) ** 2)
+    except OverflowError:
+        e_near = 0.0
+    if not e_near:
+        return 0.0
     if x == math.inf:
         magnitude = pref * SQRT_HALF_PI * e_near * (-math.expm1(-x) / L)
     else:
@@ -349,16 +357,22 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
     col = ax[:, None]
     step = 2.0 * math.pi / beta
     a = step * np.arange(1, m + 1)
-    gauss = np.exp(-0.5 * ax * ax)
+    # past |x| = K_MAX the Gaussian is 0.0 in doubles; clipping there keeps
+    # x^2 and the tail's Hermite moments finite, so the tail is 0, not 0 * inf
+    ax_clip = np.minimum(ax, K_MAX)
+    gauss = np.exp(-0.5 * ax_clip * ax_clip)
     g = gauss[:, None]
     lower = g * erfcx(np.abs(a - col) / SQRT2)
     if step < far:
-        # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative
-        below = 2.0 * np.exp(np.minimum(a * (0.5 * a - col), 0.0)) - lower
+        # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative;
+        # far off the light cone the exponent may overflow to -inf, whose exp,
+        # 0, is the limit
+        with np.errstate(over="ignore"):
+            below = 2.0 * np.exp(np.minimum(a * (0.5 * a - col), 0.0)) - lower
         lower = np.where(a < col, below, lower)
     upper = g * erfcx((a + col) / SQRT2)
     tail = _tail_coefficients(beta / (2.0 * math.pi), m + 1, int(derivative))
-    moments = SQRT_HALF_PI * _hermite_e(ax, tail)
+    moments = SQRT_HALF_PI * _hermite_e(ax_clip, tail)
     if derivative:
         # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
         terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
@@ -459,7 +473,8 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     by _commutator_trapezoid, at MP_DPS digits on [0, TRAPEZOID_K] at step
     2 pi / (L + |dtau| + TRAPEZOID_K), for L + |dtau| up to 2e3.  Returns
     (J, error_estimate); raises QuadratureError when a component's estimate
-    misses both the absolute and the relative target.
+    misses both the absolute and the relative target, and, with estimate
+    inf, where k L or k dtau overflows on the window.
     """
 
     def re_kern(k: float) -> float:
@@ -481,6 +496,11 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
                 f"for {part} J = {value!r} (L={L}, dtau={dtau}, beta={beta})",
                 estimate=err,
             )
+
+    if not math.isfinite(K_MAX * max(L, abs(dtau))):
+        # sin(k L) or cos(k dtau) of an overflowed product is undefined
+        raise QuadratureError(f"k L or k dtau overflows on [0, {K_MAX}] (L={L}, dtau={dtau})",
+                              estimate=math.inf)
 
     # quad appends a message to its result when it warns; the error
     # estimate decides what happens then

@@ -32,6 +32,8 @@ PSD_TOL = 1e-12
 PPT_TOL = 1e-10
 OPTIMIZER_TOL = 2e-3
 ZERO_TOL = 1e-6
+# denominator floor of every relative closed-form check, here and in a
+# sweep row's oracle_residual
 RESIDUAL_FLOOR = 1e-12
 SAMPLES = 1000
 

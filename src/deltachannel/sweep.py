@@ -32,6 +32,7 @@ from .field import (
     thermal,
     wightman_cross_quadrature,
 )
+from .selftest import RESIDUAL_FLOOR
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +54,6 @@ COLUMNS = (
 )
 
 AXIS_NAMES = ("lambda_a", "lambda_b", "L", "dtau", "r_b")
-RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

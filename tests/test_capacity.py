@@ -244,6 +244,36 @@ def test_bruteforce_stays_under_the_closed_form_on_random_channels(seed, phase_a
         assert abs(member.norm_sq - 1.0) <= 1e-12
 
 
+def _pure(theta: float, phase_a: float) -> QubitState:
+    """The pure input with signal amplitude theta, in the x-y direction of phase_a."""
+    return QubitState(theta * math.cos(phase_a), theta * math.sin(phase_a),
+                      math.sqrt(1.0 - theta * theta))
+
+
+def test_bruteforce_is_global_on_its_grid(rng):
+    # every two-member ensemble on a 17-point theta grid, by enumeration:
+    # members at theta_i <= theta_k <= theta_j weighted to the mean theta_k,
+    # whose output equals that of the pure input at theta_k (the channel is
+    # affine in theta); the scan must reach the best of them
+    grid = np.linspace(-1.0, 1.0, 17)
+    i, k, j = (a.ravel() for a in np.meshgrid(*(np.arange(17),) * 3, indexing="ij"))
+    keep = (i <= k) & (k <= j) & (i < j)
+    i, k, j = i[keep], k[keep], j[keep]
+    p_i = (grid[j] - grid[k]) / (grid[j] - grid[i])
+    for _ in range(200):
+        phase_a = float(rng.uniform(-7.0, 7.0))
+        params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
+                               phase_b=float(rng.uniform(-7.0, 7.0)),
+                               bob_initial=random_bloch(rng))
+        g = np.array([von_neumann_entropy(apply(params, _pure(t, phase_a)).matrix)
+                      for t in grid.tolist()])
+        best = max(0.0, float(np.max(g[k] - p_i * g[i] - (1.0 - p_i) * g[j])))
+        result = capacity_bruteforce(params)
+        assert result.c_bruteforce >= best - 1e-12
+        symmetric = Ensemble(members=((0.5, _pure(1.0, phase_a)), (0.5, _pure(-1.0, phase_a))))
+        assert abs(result.c_bruteforce - holevo_chi(params, symmetric)) <= 1e-12
+
+
 def test_capacity_result_guards():
     ens = Ensemble(members=((1.0, QubitState(0.0, 0.0, 1.0)),))
     with pytest.raises(ConsistencyError):

@@ -433,6 +433,34 @@ def test_oracle_past_the_node_cap_is_a_quadrature_error(monkeypatch, delay):
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
+def test_oracle_where_the_integrand_overflows_is_a_quadrature_error(monkeypatch, beta):
+    # at L = dtau = 1e308 the integrand's k L is inf, and sin(inf) once raised
+    # ValueError inside quad: the row was domain_error with every column NaN
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integrand that cannot be evaluated must not be integrated")
+
+    monkeypatch.setattr(field, "quad", refuse)
+    row = evaluate_point(1.0, 1.0, 1e308, 1e308, beta=beta, oracle=True)
+    plain = evaluate_point(1.0, 1.0, 1e308, 1e308, beta=beta)
+    assert plain["status"] == "ok"
+    assert row["status"] == "quadrature_error"
+    assert math.isnan(row["oracle_residual"])
+    assert all(row[c] == plain[c] for c in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus",
+                                            "delta_ab", "c_closed"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [None, 2.0])
+@pytest.mark.parametrize("sep, delay", [(6.0, 1e300), (1e300, 6.0)])
+def test_rows_far_outside_the_light_cone_take_their_limit(sep, delay, beta):
+    # the commutator's (a - L)^2 overflowed, and the thermal Re J came out
+    # NaN: both made the row domain_error
+    row = evaluate_point(1.0, 1.0, sep, delay, beta=beta)
+    assert row["status"] == "ok"
+    assert row["delta_ab"] == 0.0
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
 @pytest.mark.parametrize("sep, delay", [(60.0, 1.0), (100.0, 1.0), (300.0, 50.0), (700.0, 8.0)])
 def test_oracle_is_ok_at_large_separation(sep, delay, beta):
     # these rows were quadrature_error: quad meets Re J's target, and Im J,

@@ -28,6 +28,16 @@ rows = given(
 @example(lambda_a=0.0, lambda_b=1e4, separation=1e3, delay=-1e3, beta=1e3)
 # Re J rounded an ulp above J(0, 0, beta): nu_ab_minus was 1 + 4e-15
 @example(lambda_a=1.0, lambda_b=1.0, separation=1e-8, delay=0.0, beta=0.015625)
+# far outside the light cone the commutator's square overflowed (vacuum)
+# and the thermal Re J came out NaN: all were domain_error
+@example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=1e300, beta=None)
+@example(lambda_a=1.0, lambda_b=1.0, separation=1e300, delay=6.0, beta=None)
+@example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=1e300, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=1e300, delay=6.0, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=1e20, beta=1e3)
+@example(lambda_a=1.0, lambda_b=1.0, separation=1e20, delay=6.0, beta=1e3)
+@example(lambda_a=1.0, lambda_b=1.0, separation=6.0, delay=1e153, beta=2.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=0.0, delay=1e308, beta=None)
 def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     assert row["status"] == "ok"

@@ -148,6 +148,14 @@ def test_commutator_on_the_light_cone_where_2aL_overflows(sep, sign):
     assert np.isclose(delta, reference, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("sep, delay", [(6.0, 1e300), (6.0, -1e300), (1e300, 6.0), (0.0, 1e308)])
+def test_commutator_far_outside_the_light_cone_is_zero(sep, delay):
+    # (a - L)^2 overflows past |a - L| ~ 1.3e154, and it once raised
+    # OverflowError; at a = 1e308, 2 a overflows too, and inf * 0 was NaN
+    f = SmearingSpec(coupling=1.0)
+    assert commutator_closed(f, f, PairGeometry(sep, delay)) == 0.0
+
+
 def _re_j_cases():
     delays = (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3)
     cases = [(L, dt) for L in (0.0, 5e-324, 1e-20, 1e-8, 0.0707, 1e3) for dt in delays]
@@ -207,6 +215,18 @@ def test_thermal_cross_real_closed_limits():
         assert abs(cross_real_closed(L, dtau, 1e9) - cross_real_closed(L, dtau)) <= 1e-15
     # far from the light cone only the 1/k pole of coth survives: pi/(2 beta L) (1 + 1)
     assert np.isclose(cross_real_closed(1000.0, 1.0, 2.0), math.pi / 2000.0, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1e-3, 2.0, 1e3])
+def test_thermal_cross_real_closed_far_outside_the_light_cone(beta):
+    # the Gaussian underflowed to 0 while the series' Hermite tail overflowed,
+    # and 0 * inf made Re J NaN, with a numpy warning
+    assert np.isclose(cross_real_closed(1e20, 6.0, beta), math.pi / (beta * 1e20),
+                      rtol=1e-12, atol=0.0)
+    for sep in (0.0, 6.0):  # the mean of F' and the quotient of F
+        for dtau in (1e20, 1e300, 1e308):
+            assert abs(cross_real_closed(sep, dtau, beta)) <= 1e-15
 
 
 def _route_cases():
