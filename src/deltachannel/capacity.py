@@ -27,7 +27,6 @@ from .channel import ChannelParams, QubitState
 from .errors import ConsistencyError
 
 LN2 = math.log(2.0)
-M_MAX = 4
 CLOSED_FORM_SLACK = 1e-9
 
 #: Unassisted quantum capacity of every channel in this family.  The
@@ -70,13 +69,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A finite input ensemble {(p_m, state_m)} with at most M_MAX members."""
+    """A finite input ensemble {(p_m, state_m)} of at least one member."""
 
     members: tuple[tuple[float, QubitState], ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.members) <= M_MAX:
-            raise ValueError(f"ensemble size must be in [1, {M_MAX}], got {len(self.members)}")
+        if not self.members:
+            raise ValueError("an ensemble needs at least one member")
         total = 0.0
         for p, _ in self.members:
             if not (math.isfinite(p) and p >= 0.0):

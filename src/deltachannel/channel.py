@@ -6,8 +6,8 @@ amplitude theta.  ChannelParams builds the channel's affine Bloch map,
 v(theta) = base + theta * slope, once from those; the output state, its
 eigenvalues 0.5 +- |v| / 2 and the Choi matrix all derive from it.  The
 correlator route (weyl) and operator composition (the tests) are
-independent oracles for the map; direct diagonalization checks the
-eigenvalues on demand.
+independent oracles for the map, and selftest's channel_soundness checks
+the eigenvalues against direct diagonalization.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .errors import ConsistencyError
 from .field import FieldStatistics
 
 BLOCH_TOL = 1e-12
-EIGEN_MATCH_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +53,6 @@ class QubitState:
     def r(self) -> float:
         """Bloch vector length, clipped into [0, 1]."""
         return min(math.sqrt(self.norm_sq), 1.0)
-
-    @classmethod
-    def pure(cls, polar: float, azimuth: float) -> "QubitState":
-        st = math.sin(polar)
-        return cls(st * math.cos(azimuth), st * math.sin(azimuth), math.cos(polar))
 
     def density_matrix(self) -> np.ndarray:
         return np.array(
@@ -168,20 +162,6 @@ def apply(params: ChannelParams, alice_in: QubitState) -> ChannelOutput:
     """Send alice_in through the channel defined by params."""
     th = theta(alice_in, params.phase_a)
     return _output([b + th * s for b, s in zip(params.base, params.slope)])
-
-
-def eigenvalues_analytic(params: ChannelParams, alice_in: QubitState) -> tuple[float, float]:
-    """Closed-form output eigenvalues, cross-checked against diagonalization."""
-    out = apply(params, alice_in)
-    numeric = np.linalg.eigvalsh(out.matrix)
-    p_plus, p_minus = out.eigenvalues
-    mismatch = max(abs(p_plus - numeric[1]), abs(p_minus - numeric[0]))
-    if mismatch > EIGEN_MATCH_TOL:
-        raise ConsistencyError(
-            f"analytic eigenvalues {out.eigenvalues!r} disagree with "
-            f"diagonalization {tuple(numeric)!r} by {mismatch:.3e}"
-        )
-    return out.eigenvalues
 
 
 def output_bloch_affine(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), help="result format (overrides the config)")
     sweep.add_argument("--oracle", action="store_true", help="add quadrature cross-check residuals")
     sweep.add_argument("--optimize", action="store_true", help="run the brute-force optimizer per point")
-    sweep.add_argument("--threads", type=int, default=1,
-                       help="no effect: rows are evaluated in order; kept for compatibility (N >= 1)")
 
     point = sub.add_parser("point", help="print one parameter point as JSON")
     point.add_argument("--lambda-a", type=float, default=1.0, help="Alice coupling (default 1)")
@@ -106,8 +104,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         overrides["optimizer"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _check_output_dir(cfg.output)
     rows = run_sweep(cfg)
     if cfg.output is None:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
-from enum import Enum
 
 import mpmath
 import numpy as np
@@ -75,10 +73,6 @@ FAR_DECAY = 80.0
 IMAGE_CUT = 12.0
 TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
 
-# mpmath's working precision is process-global state; concurrent callers
-# of the oracle must not race on it.
-_MP_LOCK = threading.Lock()
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -86,44 +80,20 @@ _MP_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class SmearingSpec:
-    """One detector's delta-switched Gaussian smearing.
+    """One detector's delta-switched Gaussian smearing, as the field sees it.
 
-    Parameters
-    ----------
-    coupling : float
-        Effective dimensionless coupling lambda_tilde/sigma, >= 0.
-    width : float
-        Gaussian width sigma.  It is the unit of length and time and must
-        be 1.0; the field is kept so callers state the convention.
-    position : tuple of float
-        Detector centre in units of sigma.
-    switch_time : float
-        Proper time tau_0 of the delta switching, in units of sigma.
-    gap : float
-        Energy gap Omega in units of 1/sigma.
+    coupling is the effective dimensionless coupling lambda_tilde/sigma,
+    >= 0.  The Gaussian width sigma is the unit of length and time.  Where
+    the detectors sit and when they switch reaches the field only through
+    PairGeometry, and the gap and switching time reach the channel only as
+    the phase Omega * tau_0 that ChannelParams takes.
     """
 
     coupling: float
-    width: float = 1.0
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    switch_time: float = 0.0
-    gap: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
             raise ValueError(f"coupling must be finite and >= 0, got {self.coupling!r}")
-        if self.width != 1.0:
-            raise ValueError("width is the unit of length/time and must be 1.0")
-        if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
-            raise ValueError(f"position must be a finite 3-vector, got {self.position!r}")
-        for name in ("switch_time", "gap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def phase(self) -> float:
-        """Detector phase Omega * tau_0 accumulated at the switching instant."""
-        return self.gap * self.switch_time
 
 
 @dataclass(frozen=True)
@@ -142,11 +112,6 @@ class PairGeometry:
             raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
         if not math.isfinite(self.delay):
             raise ValueError("delay must be finite")
-
-    @classmethod
-    def from_specs(cls, f_a: SmearingSpec, f_b: SmearingSpec) -> "PairGeometry":
-        sep = math.dist(f_a.position, f_b.position)
-        return cls(separation=sep, delay=f_b.switch_time - f_a.switch_time)
 
 
 @dataclass(frozen=True)
@@ -173,35 +138,27 @@ class FieldStatistics:
             raise ValueError("delta_ab must be finite")
 
 
-class FieldStateKind(Enum):
-    MINKOWSKI_VACUUM = "vacuum"
-    MINKOWSKI_THERMAL = "thermal"
-
-
 @dataclass(frozen=True)
 class FieldStateSpec:
-    """Field state: the vacuum, or a thermal KMS state at inverse temperature beta."""
+    """Field state: the vacuum (beta None), or a thermal KMS state at inverse
+    temperature beta, finite and > 0."""
 
-    kind: FieldStateKind = FieldStateKind.MINKOWSKI_VACUUM
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind is FieldStateKind.MINKOWSKI_THERMAL:
-            if self.beta is None or not (math.isfinite(self.beta) and self.beta > 0.0):
-                raise ValueError(f"thermal state requires beta > 0, got {self.beta!r}")
-        elif self.beta is not None:
-            raise ValueError("vacuum state takes no beta")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"thermal state requires beta > 0, got {self.beta!r}")
 
     @property
     def is_thermal(self) -> bool:
-        return self.kind is FieldStateKind.MINKOWSKI_THERMAL
+        return self.beta is not None
 
 
 VACUUM = FieldStateSpec()
 
 
 def thermal(beta: float) -> FieldStateSpec:
-    return FieldStateSpec(FieldStateKind.MINKOWSKI_THERMAL, beta)
+    return FieldStateSpec(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +247,7 @@ def self_norm_closed(state: FieldStateSpec) -> float:
     """J(0, 0, beta) = cross_real_closed(0, 0, beta), 1 in the vacuum, so that
     ||Ef||^2 = norm_sq_closed(f) * self_norm_closed(state).  Cached: a sweep
     has one state, and every row's norms need this one value."""
-    return cross_real_closed(0.0, 0.0, state.beta if state.is_thermal else None)
+    return cross_real_closed(0.0, 0.0, state.beta)
 
 
 def kms_sine_transform(
@@ -442,7 +399,7 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     # h is a double, so each node j h/2 and its products with L and dtau are
     # exact at MP_DPS digits: a term carries only its functions' rounding
     h = 2.0 * math.pi / reach
-    with _MP_LOCK, mpmath.workdps(MP_DPS):
+    with mpmath.workdps(MP_DPS):
         Lm, dt, step = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.mpf(h) / 2
 
         def f(k):
@@ -466,7 +423,8 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
 
     The thermal coth kernel multiplies the real (symmetric) component only;
     the imaginary component is the commutator part and is temperature
-    independent.  Both components run through quad.  Every consumer compares
+    independent.  Both components run through quad, Re J with a breakpoint
+    at k = 1/beta for the thermal bump below it.  Every consumer compares
     Re J absolutely, so it is never escalated: missing its target raises at
     once, before Im J is integrated.  Im J carries the commutator, compared
     relatively, so below ESCALATION_RATIO or off its target it is recomputed
@@ -502,10 +460,14 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
         raise QuadratureError(f"k L or k dtau overflows on [0, {K_MAX}] (L={L}, dtau={dtau})",
                               estimate=math.inf)
 
+    # coth(beta k / 2) makes a bump of width about 1/beta at k = 0, which
+    # the adaptive rule can step over at large beta: a breakpoint at 1/beta
+    # makes it look there
+    breaks = [1.0 / beta] if beta is not None and 1.0 / beta < K_MAX else None
     # quad appends a message to its result when it warns; the error
     # estimate decides what happens then
     re, re_err, _ = quad(re_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                         limit=400, full_output=1)[:3]
+                         limit=400, points=breaks, full_output=1)[:3]
     check("Re", re, re_err)
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation
@@ -529,14 +491,13 @@ def wightman_cross_quadrature(
     Im W(f_A, f_B) = -Delta(f_A, f_B)/2 holds for every state: the thermal
     kernel enhances only the real (symmetric) part.
     """
-    beta = state.beta if state.is_thermal else None
-    j, _ = _radial_integral(geom.separation, geom.delay, beta)
+    j, _ = _radial_integral(geom.separation, geom.delay, state.beta)
     return pair_prefactor(f_a, f_b) * j
 
 
 def self_norm_j(state: FieldStateSpec) -> float:
     """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta)."""
-    j, _ = _radial_integral(0.0, 0.0, state.beta if state.is_thermal else None)
+    j, _ = _radial_integral(0.0, 0.0, state.beta)
     return j.real
 
 
@@ -561,13 +522,12 @@ def assemble_statistics(
     state independent, so delta_ab always comes from commutator_closed.
     The quadrature is the oracle for all of them.
     """
-    beta = state.beta if state.is_thermal else None
     n_a = norm_sq_closed(f_a)
     n_b = norm_sq_closed(f_b)
-    if beta is not None:
+    if state.is_thermal:
         j0 = self_norm_closed(state)
         n_a, n_b = n_a * j0, n_b * j0
-    re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, beta)
+    re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, state.beta)
     delta = commutator_closed(f_a, f_b, geom)
     # ||E(f_A +- f_B)||^2 >= 0 since |Re J| <= J(0, 0, beta); at equal
     # couplings near L = 0 rounding can leave it an ulp below zero

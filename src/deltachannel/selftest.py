@@ -21,7 +21,8 @@ from . import capacity, channel, field, weyl
 GRID_COUPLINGS = (0.1, 1.0, 10.0)
 GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
 GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
-THERMAL_BETAS = (0.5, 2.0, 20.0)
+# at beta = 879 quad steps over coth's bump at k = 0 unless it breaks at k = 1/beta
+THERMAL_BETAS = (0.5, 2.0, 20.0, 879.0)
 THERMAL_GEOMETRIES = ((0.05, 2.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0))
 # F and F' arguments where both thermal series converge in a few hundred terms
 ROUTE_ARGUMENTS = (0.0, 0.5, 3.0, 8.0)

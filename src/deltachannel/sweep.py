@@ -126,6 +126,9 @@ class SweepConfig:
             raise ConfigError("r_b scaling needs a nonzero bob_bloch direction")
         if self.r_b is not None and not 0.0 <= self.r_b <= 1.0:
             raise ConfigError(f"r_b must lie in [0, 1], got {self.r_b!r}")
+        for axis in self.axes:
+            if axis.name == "r_b" and not 0.0 <= axis.lo <= axis.hi <= 1.0:
+                raise ConfigError(f"axis r_b must lie in [0, 1], got {axis.lo!r} to {axis.hi!r}")
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ConfigError("phases must be finite")
         if len(self.axes) > 2:
@@ -333,7 +336,6 @@ def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
     closed form and quadrature overflow to the same infinity agrees; any
     other undefined term makes the residual NaN.
     """
-    beta = state.beta if state.is_thermal else None
     w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
     d_closed = commutator_closed(f_a, f_b, geom)
     terms = [abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)]
@@ -348,7 +350,7 @@ def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
     # and W / pref no longer carries Re J (off by 0.27 at couplings 20 and
     # 5e-324)
     if pref >= sys.float_info.min:
-        re_j = cross_real_closed(geom.separation, geom.delay, beta)
+        re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
         terms.append(abs(re_j - w_cross.real / pref) / j0_closed)
     # np.max propagates NaN where the builtin max would drop it
     return float(np.max(terms))

@@ -643,10 +643,17 @@ def test_cli_selftest_catches_corrupted_formula(monkeypatch, capsys):
     assert report["checks"][0]["passed"] is False
 
 
-def test_cli_sweep_thread_flag_deterministic(tmp_path):
-    cfg = write_config(tmp_path, BASE_CONFIG)
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    assert main(["sweep", "--config", cfg, "--output", str(one)]) == 0
-    assert main(["sweep", "--config", cfg, "--output", str(four), "--threads", "4"]) == 0
-    assert one.read_bytes() == four.read_bytes()
+@pytest.mark.parametrize("axis", [
+    "-1, 1, 3, linear",  # once exited 0, flipping Bob's state at r_b = -1
+    "0.5, 2, 3, linear",  # once stopped mid-sweep: the Bloch vector left the unit ball
+])
+def test_cli_sweep_rejects_an_r_b_axis_outside_the_unit_interval(tmp_path, capsys, monkeypatch, axis):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran before the config was rejected")
+
+    monkeypatch.setattr(sweep, "evaluate_point", no_row)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, f"schema_version = 1\naxis.r_b = {axis}\n")
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 2
+    assert "axis r_b must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()

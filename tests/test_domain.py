@@ -54,6 +54,9 @@ def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay,
 # a subnormal coupling product once read as a Re J residual of 0.1 to 0.3
 @example(lambda_a=20.0, lambda_b=5e-324, separation=0.0, delay=1.0, beta=None)
 @example(lambda_a=20.0, lambda_b=5e-324, separation=0.0, delay=0.0, beta=1.0)
+# quad stepped over coth's bump at k ~ 1/beta: Re J residuals of 4.2e-6 and 5.9e-6
+@example(lambda_a=0.0, lambda_b=1.0, separation=0.0, delay=0.0, beta=879.0)
+@example(lambda_a=1.0, lambda_b=1.0, separation=1.0, delay=0.0, beta=736.2)
 def test_oracle_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     checked = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta, oracle=True)

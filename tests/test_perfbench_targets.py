@@ -12,6 +12,7 @@ import importlib.util
 import pathlib
 
 from deltachannel.capacity import CapacityResult
+from deltachannel.field import VACUUM, PairGeometry, SmearingSpec, thermal
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +40,14 @@ def test_traced_result_field_exists():
     # the tracer reads CapacityResult.iterations as capacity.holevo_evals;
     # a rename would crash a traced run rather than report `missing`
     assert "iterations" in {f.name for f in dataclasses.fields(CapacityResult)}
+
+
+def test_traced_geometry_attributes_exist(monkeypatch):
+    # the tracer keys each cross integral by geom.separation, geom.delay and
+    # state.beta (read through state.is_thermal); a rename would crash a
+    # traced run rather than report `missing`
+    tracing = _load("tracing", monkeypatch)
+    f = SmearingSpec(coupling=1.0)
+    geom = PairGeometry(1, 2)
+    assert tracing._geometry_key(f, f, geom, thermal(2.0)) == (1.0, 2.0, 2.0)
+    assert tracing._geometry_key(f, f, geom, VACUUM)[2] is None
