@@ -3,8 +3,10 @@
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
 statistics never integrate, and scipy's quad and mpmath run only in the
-oracle.  The oracle escalates only Im J, the commutator part, which is
-compared relatively; Re J is compared absolutely and stays with quad (see
+oracle.  residual is the one rule that compares the two, for a sweep
+row's oracle_residual (through oracle_residual) and for selftest's grid.
+The oracle escalates only Im J, the commutator part, which is compared
+relatively; Re J is compared absolutely and stays with quad (see
 _radial_integral and _commutator_trapezoid).  Everything is dimensionless
 in units of the Gaussian smearing width sigma: couplings are
 lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -43,6 +46,8 @@ QUAD_REL_TOL = 1e-8
 # is compared absolutely, so its float64 noise is harmless: never escalated.
 ESCALATION_RATIO = 1e-8
 MP_DPS = 50
+# denominator floor of every relative closed-form check (see residual)
+RESIDUAL_FLOOR = 1e-12
 # The trapezoid rule runs on [0, K] with exp(-K^2/2) = 10^-(MP_DPS + 5), at
 # step h = 2 pi / (L + |dtau| + K), so it takes K (L + |dtau| + K) / pi
 # nodes at step h/2.  The cap admits L + |dtau| <= 2e3, the corner of the
@@ -504,6 +509,55 @@ def self_norm_j(state: FieldStateSpec) -> float:
 def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:
     """||Ef||^2 by quadrature; the degenerate (L=0, dtau=0) cross value."""
     return pair_prefactor(f, f) * self_norm_j(state)
+
+
+def residual(
+    f_a: SmearingSpec,
+    f_b: SmearingSpec,
+    geom: PairGeometry,
+    state: FieldStateSpec,
+    w_cross: complex,
+    j0: float,
+) -> float:
+    """Largest disagreement between the closed forms and the quadrature
+    values w_cross = W(f_A, f_B) and j0 = J(0, 0, beta).
+
+    The commutator, relatively; both norms, relatively, from the one
+    J(0, 0, beta); and Re W(f_A, f_B) as the absolute difference in Re J
+    over J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b), so a zero
+    crossing of Re J cannot inflate it.  In the vacuum J(0, 0) = 1.  A
+    relative term divides by at least RESIDUAL_FLOOR.  A norm whose closed
+    form and quadrature overflow to the same infinity agrees; any other
+    undefined term makes the residual NaN.
+    """
+    d_closed = commutator_closed(f_a, f_b, geom)
+    terms = [abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)]
+    j0_closed = self_norm_closed(state)
+    for f in (f_a, f_b):
+        closed = norm_sq_closed(f) * j0_closed
+        quad = pair_prefactor(f, f) * j0
+        terms.append(0.0 if closed == quad else abs(closed - quad) / max(closed, RESIDUAL_FLOOR))
+    pref = pair_prefactor(f_a, f_b)
+    # below the smallest normal float W = pref J keeps fewer than 53 bits,
+    # and W / pref no longer carries Re J (off by 0.27 at couplings 20 and
+    # 5e-324)
+    if pref >= sys.float_info.min:
+        re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
+        terms.append(abs(re_j - w_cross.real / pref) / j0_closed)
+    # np.max propagates NaN where the builtin max would drop it
+    return float(np.max(terms))
+
+
+def oracle_residual(
+    f_a: SmearingSpec,
+    f_b: SmearingSpec,
+    geom: PairGeometry,
+    state: FieldStateSpec = VACUUM,
+) -> float:
+    """residual against one cross integral and one J(0, 0, beta) integral,
+    in every state: a sweep row's oracle_residual."""
+    w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
+    return residual(f_a, f_b, geom, state, w_cross, self_norm_j(state))
 
 
 def assemble_statistics(

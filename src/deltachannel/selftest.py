@@ -8,7 +8,8 @@ against the closed form.  Each check's grid or seed and its tolerance are
 stated here once; the acceptance tests run these checks and assert on
 their details.  Every check recomputes its quantities rather than trusting
 the library's internal cross-checks, so a corrupted formula fails even if
-its own guard was corrupted with it.
+its own guard was corrupted with it.  The field check scores its grid by
+field.residual, the same rule as a sweep row's oracle_residual.
 """
 from __future__ import annotations
 
@@ -33,14 +34,7 @@ PSD_TOL = 1e-12
 PPT_TOL = 1e-10
 OPTIMIZER_TOL = 2e-3
 ZERO_TOL = 1e-6
-# denominator floor of every relative closed-form check, here and in a
-# sweep row's oracle_residual
-RESIDUAL_FLOOR = 1e-12
 SAMPLES = 1000
-
-
-def _relative(closed: float, other: float) -> float:
-    return abs(closed - other) / max(abs(closed), RESIDUAL_FLOOR)
 
 
 def random_statistics(rng: np.random.Generator) -> field.FieldStatistics:
@@ -67,53 +61,49 @@ def random_bloch(rng: np.random.Generator) -> channel.QubitState:
 # ---------------------------------------------------------------------------
 
 def _check_field_oracle_grid() -> tuple[bool, dict]:
-    """Closed forms vs quadrature over the fixed coupling/geometry grid: the
-    norms and the commutator relatively, Re J absolutely.  J depends on the
-    geometry alone, so each geometry is integrated once and scaled by
-    pair_prefactor for every coupling pair, as wightman_cross_quadrature
-    scales it.  A few thermal geometries per beta add J(0, 0, beta)
-    relatively and Re J absolutely over J(0, 0, beta), one integral each,
-    and the Matsubara and image series must agree where both converge."""
+    """Closed forms vs quadrature over the fixed coupling/geometry grid,
+    scored by field.residual, the rule of a sweep row's oracle_residual.
+    J depends on the geometry alone, so J(0, 0) and each geometry are
+    integrated once, and each integral is scaled by pair_prefactor for
+    every coupling pair, as wightman_cross_quadrature scales it.  Then per
+    beta J(0, 0, beta) and a few thermal geometries at unit couplings, one
+    integral each; and the Matsubara and image series must agree where
+    both converge."""
     specs = [field.SmearingSpec(coupling=lam) for lam in GRID_COUPLINGS]
+    residuals = []
+
+    def score(state, sep, delay, couplings, j0):
+        geom = field.PairGeometry(sep, delay)
+        j, _ = field._radial_integral(sep, delay, state.beta)
+        residuals.extend(
+            field.residual(f_a, f_b, geom, state, field.pair_prefactor(f_a, f_b) * j, j0)
+            for f_a in couplings for f_b in couplings)
+
     j0 = field.self_norm_j(field.VACUUM)
-    worst = max(_relative(field.norm_sq_closed(f), field.pair_prefactor(f, f) * j0) for f in specs)
-    points = len(specs)
     for sep in GRID_SEPARATIONS:
         for delay in GRID_DELAYS:
-            geom = field.PairGeometry(sep, delay)
-            j, _ = field._radial_integral(sep, delay, None)
-            # Re J absolutely: J(0, 0) = 1 sets its scale
-            re_j = field.cross_real_closed(sep, delay)
-            for f_a in specs:
-                for f_b in specs:
-                    pref = field.pair_prefactor(f_a, f_b)
-                    w = pref * j
-                    closed = field.commutator_closed(f_a, f_b, geom)
-                    worst = max(worst, _relative(closed, -2.0 * w.imag), abs(re_j - w.real / pref))
-                    points += 1
-    unit = specs[1]
-    pref = field.pair_prefactor(unit, unit)
-    thermal_points = 0
+            score(field.VACUUM, sep, delay, specs, j0)
+    vacuum_points = len(residuals)
+    unit = specs[1:2]
     routes = 0.0
+    x = np.array(ROUTE_ARGUMENTS)
     for beta in THERMAL_BETAS:
-        j0_closed = field.cross_real_closed(0.0, 0.0, beta)
-        worst = max(worst, _relative(j0_closed, field.self_norm_j(field.thermal(beta))))
+        state = field.thermal(beta)
+        j0 = field.self_norm_j(state)
         for sep, delay in THERMAL_GEOMETRIES:
-            j, _ = field._radial_integral(sep, delay, beta)
-            re_j = field.cross_real_closed(sep, delay, beta)
-            closed = field.commutator_closed(unit, unit, field.PairGeometry(sep, delay))
-            worst = max(worst, _relative(closed, -2.0 * pref * j.imag),
-                        abs(re_j - j.real) / j0_closed)
-            thermal_points += 1
-        x = np.array(ROUTE_ARGUMENTS)
+            score(state, sep, delay, unit, j0)
         for derivative in (False, True):
             matsubara, images = (field.kms_sine_transform(x, beta, derivative, route)
                                  for route in ("matsubara", "images"))
-            routes = max(routes, float(np.max(np.abs(matsubara - images))) / j0_closed)
+            difference = float(np.max(np.abs(matsubara - images)))
+            routes = max(routes, difference / field.self_norm_closed(state))
+    # np.max keeps a NaN residual, which fails the check
+    worst = float(np.max(residuals))
     detail = {
         "max_residual": worst,
-        "points": points,
-        "thermal_points": thermal_points,
+        # each coupling's norm, and each (geometry, coupling pair)'s cross value
+        "points": len(specs) + vacuum_points,
+        "thermal_points": len(residuals) - vacuum_points,
         "route_max_difference": routes,
     }
     return worst < FIELD_TOL and routes <= ROUTE_TOL, detail

@@ -7,9 +7,9 @@ config always produces byte-identical files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +23,9 @@ from .field import (
     SmearingSpec,
     VACUUM,
     assemble_statistics,
-    commutator_closed,
-    cross_real_closed,
-    norm_sq_closed,
-    pair_prefactor,
-    self_norm_closed,
-    self_norm_j,
+    oracle_residual,
     thermal,
-    wightman_cross_quadrature,
 )
-from .selftest import RESIDUAL_FLOOR
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +45,8 @@ COLUMNS = (
     "oracle_residual",
     "status",
 )
+# the FieldStatistics fields, as row columns
+STATISTICS_COLUMNS = COLUMNS[4:9]
 
 AXIS_NAMES = ("lambda_a", "lambda_b", "L", "dtau", "r_b")
 
@@ -107,9 +102,7 @@ class SweepConfig:
     optimizer: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta_over_sigma) and self.eta_over_sigma > 0.0):
-            raise ConfigError(f"eta_over_sigma must be > 0, got {self.eta_over_sigma!r}")
-        for name in ("lambda_a", "lambda_b"):
+        for name in ("eta_over_sigma", "lambda_a", "lambda_b"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ConfigError(f"{name} must be >= 0, got {v!r}")
@@ -274,20 +267,12 @@ def evaluate_point(
 ) -> dict:
     """One sweep row as a column -> value mapping.
 
-    Failures past input validation never raise.  A failed quadrature sets
-    status quadrature_error: the field-dependent columns go NaN, unless
-    only the --oracle integral failed, which blanks just oracle_residual.
+    Failures past input validation never raise.  An --oracle integral that
+    misses its error target sets status quadrature_error and blanks only
+    oracle_residual: the statistics are closed form and keep their values.
     An overflow or an out-of-domain value sets status domain_error with
     every computed column NaN.
     """
-    return _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
-                     phase_a, phase_b, oracle, optimizer)[0]
-
-
-def _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
-              phase_a, phase_b, oracle, optimizer) -> tuple[dict, FieldStatistics | None]:
-    """evaluate_point's row, with the statistics it was computed from (None
-    where they failed)."""
     row = dict.fromkeys(COLUMNS, math.nan)
     row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
     factors = (("lambda_a", lambda_a), ("lambda_b", lambda_b), ("eta_over_sigma", eta_over_sigma))
@@ -296,80 +281,33 @@ def _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     geom = PairGeometry(separation, delay)
     state = VACUUM if beta is None else thermal(beta)
-    stats = None
     computed: dict = {}
     try:
         # a product of valid factors can still overflow: that is the row's failure
         f_a = SmearingSpec(coupling=lambda_a * eta_over_sigma)
         f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
         stats = assemble_statistics(f_a, f_b, geom, state)
-        computed.update(
-            nu_a=stats.nu_a,
-            nu_b=stats.nu_b,
-            nu_ab_plus=stats.nu_ab_plus,
-            nu_ab_minus=stats.nu_ab_minus,
-            delta_ab=stats.delta_ab,
-            c_closed=capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab),
-        )
+        computed.update(vars(stats),
+                        c_closed=capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab))
         if optimizer:
             result = capacity_bruteforce(ChannelParams(stats, phase_a, phase_b, bob))
             computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
         if oracle:
-            computed["oracle_residual"] = _oracle_residual(f_a, f_b, geom, state, stats)
+            computed["oracle_residual"] = oracle_residual(f_a, f_b, geom, state)
     except QuadratureError:
         row["status"] = "quadrature_error"
     except (OverflowError, ValueError, ConsistencyError):
         row["status"] = "domain_error"
-        return row, None
+        return row
     row.update(computed)
-    return row, stats
-
-
-def _oracle_residual(f_a, f_b, geom, state, stats) -> float:
-    """Largest disagreement between the closed forms and the quadrature.
-
-    One cross integral and one J(0, 0, beta) integral, in every state: the
-    commutator, relatively; both norms, relatively, from the one J(0, 0,
-    beta); and Re W(f_A, f_B) as the absolute difference in Re J over
-    J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b), so a zero crossing
-    of Re J cannot inflate it.  In the vacuum J(0, 0) = 1.  A norm whose
-    closed form and quadrature overflow to the same infinity agrees; any
-    other undefined term makes the residual NaN.
-    """
-    w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
-    d_closed = commutator_closed(f_a, f_b, geom)
-    terms = [abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)]
-    j0 = self_norm_j(state)
-    j0_closed = self_norm_closed(state)
-    for f in (f_a, f_b):
-        closed = norm_sq_closed(f) * j0_closed
-        quad = pair_prefactor(f, f) * j0
-        terms.append(0.0 if closed == quad else abs(closed - quad) / max(closed, RESIDUAL_FLOOR))
-    pref = pair_prefactor(f_a, f_b)
-    # below the smallest normal float W = pref J keeps fewer than 53 bits,
-    # and W / pref no longer carries Re J (off by 0.27 at couplings 20 and
-    # 5e-324)
-    if pref >= sys.float_info.min:
-        re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
-        terms.append(abs(re_j - w_cross.real / pref) / j0_closed)
-    # np.max propagates NaN where the builtin max would drop it
-    return float(np.max(terms))
+    return row
 
 
 def grid_overrides(cfg: SweepConfig) -> list[dict]:
     """Per-row axis overrides in row-major order (first axis outermost)."""
-    if not cfg.axes:
-        return [{}]
-    value_lists = [axis.values() for axis in cfg.axes]
-    overrides = []
-    if len(cfg.axes) == 1:
-        for v in value_lists[0]:
-            overrides.append({cfg.axes[0].name: v})
-        return overrides
-    for outer in value_lists[0]:
-        for inner in value_lists[1]:
-            overrides.append({cfg.axes[0].name: outer, cfg.axes[1].name: inner})
-    return overrides
+    names = [axis.name for axis in cfg.axes]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(axis.values() for axis in cfg.axes))]
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
@@ -452,12 +390,14 @@ def point_query(
 
     The sweep-row fields reproduce a run_sweep row for the same point
     exactly; on top of those come the combined channel coefficients, the
-    output eigenvalues for the given Alice input, and capacity details.
+    output eigenvalues for the given Alice input, and capacity details.  A
+    quadrature_error record keeps all of them, with oracle_residual NaN; a
+    domain_error record carries only its status and inputs.
     """
     bob_state = QubitState(*bob)
     alice_state = QubitState(*alice)
-    row, stats = _evaluate(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
-                           bob_state, phase_a, phase_b, oracle, optimizer)
+    row = evaluate_point(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
+                         bob_state, phase_a, phase_b, oracle, optimizer)
     record: dict = {"schema_version": SCHEMA_VERSION, "status": row["status"]}
     record["inputs"] = {
         "lambda_a": lambda_a,
@@ -471,15 +411,10 @@ def point_query(
         "phase_a": phase_a,
         "phase_b": phase_b,
     }
-    if row["status"] != "ok":
+    if row["status"] == "domain_error":
         return record
-    record["field_statistics"] = {
-        "nu_a": stats.nu_a,
-        "nu_b": stats.nu_b,
-        "nu_ab_plus": stats.nu_ab_plus,
-        "nu_ab_minus": stats.nu_ab_minus,
-        "delta_ab": stats.delta_ab,
-    }
+    record["field_statistics"] = {name: row[name] for name in STATISTICS_COLUMNS}
+    stats = FieldStatistics(**record["field_statistics"])
     params = ChannelParams(stats, phase_a, phase_b, bob_state)
     record["combined_coefficients"] = {
         "c_keep": 0.5 + 0.5 * params.a,

@@ -18,9 +18,11 @@ from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
 from deltachannel.errors import ConfigError, ConsistencyError
 from deltachannel.field import PairGeometry, SmearingSpec, assemble_statistics
+from deltachannel.selftest import selftest
 from deltachannel.sweep import (
     AxisSpec,
     COLUMNS,
+    STATISTICS_COLUMNS,
     SweepConfig,
     evaluate_point,
     format_csv,
@@ -117,8 +119,9 @@ def test_parse_config_rejects_duplicates_and_extra_axes():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ConfigError):
-        SweepConfig(eta_over_sigma=0.0)
+    for eta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="eta_over_sigma must be >= 0"):
+            SweepConfig(eta_over_sigma=eta)
     with pytest.raises(ConfigError):
         SweepConfig(lambda_a=-1.0)
     with pytest.raises(ConfigError):
@@ -179,6 +182,33 @@ def test_point_query_reproduces_sweep_row():
     assert record["capacity"]["c_closed"] == row["c_closed"]
     assert record["field_statistics"]["nu_b"] == row["nu_b"]
     assert record["field_statistics"]["delta_ab"] == row["delta_ab"]
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_quadrature_error_point_matches_the_sweep_row(beta):
+    # point once printed only status and inputs here, though the sweep row
+    # keeps its statistics and c_closed: quad misses Re J's target at L = 1000
+    (row,) = run_sweep(SweepConfig(separation=1000.0, delay=0.0, beta=beta, oracle=True))
+    record = point_query(1.0, 1.0, 1000.0, 0.0, beta=beta, oracle=True)
+    assert row["status"] == record["status"] == "quadrature_error"
+    assert record["field_statistics"] == {name: row[name] for name in STATISTICS_COLUMNS}
+    assert record["capacity"]["c_closed"] == row["c_closed"]
+    assert {"combined_coefficients", "eigenvalues"} <= set(record)
+    assert math.isnan(record["oracle_residual"])
+
+
+def test_zero_eta_sweep_row_matches_point(tmp_path, capsys):
+    # a sweep config once rejected eta_over_sigma = 0, which point --eta 0
+    # and a zero lambda_a accept
+    out = tmp_path / "rows.json"
+    cfg = write_config(tmp_path, "schema_version = 1\neta_over_sigma = 0\nformat = json\n")
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert main(["point", "--eta", "0"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert row["status"] == record["status"] == "ok"
+    assert record["field_statistics"] == {name: row[name] for name in STATISTICS_COLUMNS}
+    assert row["c_closed"] == record["capacity"]["c_closed"] == 0.0
 
 
 def test_point_query_runs_the_optimizer_once_inside_the_row(monkeypatch):
@@ -510,10 +540,20 @@ def test_oracle_residual_column():
 
 def test_undefined_oracle_term_makes_the_residual_nan(monkeypatch):
     # the builtin max once dropped a NaN term and reported the others
-    monkeypatch.setattr(sweep, "self_norm_j", lambda state: math.nan)
+    monkeypatch.setattr(field, "self_norm_j", lambda state: math.nan)
     for beta in (None, 2.0):
         row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=beta, oracle=True)
         assert math.isnan(row["oracle_residual"])
+
+
+def test_rows_and_selftest_share_one_residual(monkeypatch):
+    # a row's oracle_residual and selftest's grid are scored by the one rule
+    monkeypatch.setattr(field, "residual", lambda *args: math.nan)
+    row = evaluate_point(1.0, 1.0, 6.0, 6.0, oracle=True)
+    assert math.isnan(row["oracle_residual"])
+    (check,) = selftest(only=["field_oracle_grid"])["checks"]
+    assert not check["passed"]
+    assert math.isnan(check["detail"]["max_residual"])
 
 
 @pytest.mark.parametrize("separation", [5e-324, 1e-20])
