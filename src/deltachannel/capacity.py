@@ -125,14 +125,16 @@ class CapacityResult:
 # ---------------------------------------------------------------------------
 
 def holevo_chi(params: ChannelParams, ens: Ensemble) -> float:
-    """Holevo information of the ensemble through the channel, in bits."""
+    """Holevo information of the ensemble through the channel, in bits: the
+    entropy of apply's output for the average input, less the mean entropy
+    of the members' outputs, each diagonalized from its density matrix."""
     avg_out = _channel.apply(params, ens.average_state())
     mean_member_entropy = sum(
-        p * von_neumann_entropy(_channel.apply(params, s).matrix)
+        p * von_neumann_entropy(_channel.apply(params, s).density_matrix())
         for p, s in ens.members
         if p > 0.0
     )
-    return von_neumann_entropy(avg_out.matrix) - mean_member_entropy
+    return von_neumann_entropy(avg_out.density_matrix()) - mean_member_entropy
 
 
 def capacity_closed_form(nu_b: float, r_b: float, delta_ab: float) -> float:

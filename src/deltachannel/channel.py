@@ -3,11 +3,13 @@
 The field reaches the channel only through a = nu_b cos(2 delta_ab) and
 b = nu_b sin(2 delta_ab), and Alice's input only through the signal
 amplitude theta.  ChannelParams builds the channel's affine Bloch map,
-v(theta) = base + theta * slope, once from those; the output state, its
-eigenvalues 0.5 +- |v| / 2 and the Choi matrix all derive from it.  The
-correlator route (weyl) and operator composition (the tests) are
-independent oracles for the map, and selftest's channel_soundness checks
-the eigenvalues against direct diagonalization.
+v(theta) = base + theta * slope, once from those.  Inputs and outputs
+are both QubitState: apply returns Bob's output as the state with Bloch
+vector v, and its density matrix, its eigenvalues 0.5 +- |v| / 2 and the
+Choi matrix all derive from that vector.  The correlator route (weyl) and
+operator composition (the tests) are independent oracles for the map, and
+selftest's channel_soundness checks the eigenvalues against direct
+diagonalization.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .field import FieldStatistics
 
 BLOCH_TOL = 1e-12
@@ -29,7 +30,11 @@ BLOCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QubitState:
-    """A qubit state as a Bloch vector (x, y, z), |r| <= 1."""
+    """A qubit state as a Bloch vector (x, y, z), |r|^2 <= 1 + BLOCH_TOL.
+
+    The one state type: Alice's input, Bob's prepared state and Bob's
+    channel output alike.
+    """
 
     x: float
     y: float
@@ -54,6 +59,11 @@ class QubitState:
         """Bloch vector length, clipped into [0, 1]."""
         return min(math.sqrt(self.norm_sq), 1.0)
 
+    @property
+    def eigenvalues(self) -> tuple[float, float]:
+        """(p_plus, p_minus) = 0.5 +- r / 2, the spectrum of density_matrix()."""
+        return (0.5 + 0.5 * self.r, 0.5 - 0.5 * self.r)
+
     def density_matrix(self) -> np.ndarray:
         return np.array(
             [
@@ -73,7 +83,9 @@ class ChannelParams:
     amplitude theta leaves Bob at base + theta * slope.  Bob's flip operator
     cos(phase_b) X - sin(phase_b) Y has axis n = (cos, -sin, 0): the
     component of Bob's Bloch vector v along n passes unchanged, the rest
-    contracts by a, and the signal adds theta * b * (n x v).
+    contracts by a, and the signal adds theta * b * (n x v).  A Bob state
+    that QubitState admits past the unit sphere, |v|^2 in (1, 1 + BLOCH_TOL],
+    is moved onto it first, so that every output is a QubitState too.
     """
 
     stats: FieldStatistics
@@ -93,6 +105,9 @@ class ChannelParams:
         b = self.stats.nu_b * math.sin(two_delta)
         c, s = math.cos(self.phase_b), math.sin(self.phase_b)
         x, y, z = self.bob_initial.bloch
+        if self.bob_initial.norm_sq > 1.0:
+            scale = 1.0 / math.sqrt(self.bob_initial.norm_sq)
+            x, y, z = x * scale, y * scale, z * scale
         kept = (1.0 - a) * (x * c - y * s)
         for name, value in (
             ("a", a),
@@ -103,65 +118,22 @@ class ChannelParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    """Bob's post-channel state, Hermitian by construction.
-
-    r11 and r22 are stored real and r12 complex, so a Hermiticity defect
-    cannot hide behind symmetrization.  eigenvalues = (p_plus, p_minus)
-    from the closed form.
-    """
-
-    r11: float
-    r12: complex
-    r22: float
-    eigenvalues: tuple[float, float]
-
-    def __post_init__(self):
-        p_plus, p_minus = self.eigenvalues
-        if abs(self.r11 + self.r22 - 1.0) > BLOCH_TOL:
-            raise ConsistencyError(f"output trace {self.r11 + self.r22!r} != 1")
-        if abs(p_plus + p_minus - 1.0) > BLOCH_TOL:
-            raise ConsistencyError(f"eigenvalues {self.eigenvalues!r} do not sum to 1")
-        if p_minus < -BLOCH_TOL or p_plus < p_minus:
-            raise ConsistencyError(f"eigenvalues {self.eigenvalues!r} not PSD-ordered")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.r11, self.r12], [self.r12.conjugate(), self.r22]], dtype=complex
-        )
-
-    @property
-    def bloch(self) -> tuple[float, float, float]:
-        return (2.0 * self.r12.real, -2.0 * self.r12.imag, self.r11 - self.r22)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 def theta(state: QubitState, phase_a: float) -> float:
-    """Alice-side signal amplitude: x cos(phase) + y sin(phase), in [-1, 1]."""
-    return state.x * math.cos(phase_a) + state.y * math.sin(phase_a)
+    """Alice-side signal amplitude: x cos(phase) + y sin(phase), clipped into
+    [-1, 1] as QubitState.r is, so that a state past the unit sphere within
+    BLOCH_TOL carries Bob no further out than a pure one."""
+    return max(-1.0, min(state.x * math.cos(phase_a) + state.y * math.sin(phase_a), 1.0))
 
 
-def _output(v) -> ChannelOutput:
-    """The state with Bloch vector v; its eigenvalues are 0.5 +- |v| / 2."""
-    x, y, z = v
-    half_gap = 0.5 * min(math.sqrt(x * x + y * y + z * z), 1.0)
-    return ChannelOutput(
-        r11=0.5 * (1.0 + z),
-        r12=0.5 * complex(x, -y),
-        r22=0.5 * (1.0 - z),
-        eigenvalues=(0.5 + half_gap, 0.5 - half_gap),
-    )
-
-
-def apply(params: ChannelParams, alice_in: QubitState) -> ChannelOutput:
-    """Send alice_in through the channel defined by params."""
+def apply(params: ChannelParams, alice_in: QubitState) -> QubitState:
+    """Send alice_in through the channel defined by params: Bob's output,
+    the state with Bloch vector base + theta * slope."""
     th = theta(alice_in, params.phase_a)
-    return _output([b + th * s for b, s in zip(params.base, params.slope)])
+    return QubitState(*(b + th * s for b, s in zip(params.base, params.slope)))
 
 
 def output_bloch_affine(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +155,7 @@ def choi_matrix(params: ChannelParams) -> np.ndarray:
     T1 = slope . sigma / 2; theta extends complex-linearly to off-diagonal
     units.
     """
-    t0 = _output(params.base).matrix
+    t0 = QubitState(*params.base).density_matrix()
     sx, sy, sz = params.slope
     t1 = 0.5 * np.array([[sz, complex(sx, -sy)], [complex(sx, sy), -sz]])
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)

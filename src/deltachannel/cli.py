@@ -106,9 +106,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
     _check_output_dir(cfg.output)
     rows = run_sweep(cfg)
-    if cfg.output is None:
-        payload = format_csv(rows) if cfg.format == "csv" else format_json(rows)
-        sys.stdout.write(payload)
+    _emit(format_csv(rows) if cfg.format == "csv" else format_json(rows), cfg.output)
     return EXIT_OK
 
 

@@ -500,8 +500,10 @@ def wightman_cross_quadrature(
     return pair_prefactor(f_a, f_b) * j
 
 
+@functools.lru_cache(maxsize=64)
 def self_norm_j(state: FieldStateSpec) -> float:
-    """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta)."""
+    """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta).
+    Cached like self_norm_closed: every --oracle row of a sweep needs it."""
     j, _ = _radial_integral(0.0, 0.0, state.beta)
     return j.real
 

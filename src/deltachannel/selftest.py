@@ -79,7 +79,9 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
             field.residual(f_a, f_b, geom, state, field.pair_prefactor(f_a, f_b) * j, j0)
             for f_a in couplings for f_b in couplings)
 
-    j0 = field.self_norm_j(field.VACUUM)
+    # J(0, 0, beta) straight from the integral, not from the cached
+    # self_norm_j, so that the check integrates it whatever ran before
+    j0 = field._radial_integral(0.0, 0.0, None)[0].real
     for sep in GRID_SEPARATIONS:
         for delay in GRID_DELAYS:
             score(field.VACUUM, sep, delay, specs, j0)
@@ -89,7 +91,7 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     x = np.array(ROUTE_ARGUMENTS)
     for beta in THERMAL_BETAS:
         state = field.thermal(beta)
-        j0 = field.self_norm_j(state)
+        j0 = field._radial_integral(0.0, 0.0, beta)[0].real
         for sep, delay in THERMAL_GEOMETRIES:
             score(state, sep, delay, unit, j0)
         for derivative in (False, True):
@@ -168,8 +170,9 @@ def _check_channel_soundness() -> tuple[bool, dict]:
             bob_initial=random_bloch(rng),
         )
         out = channel.apply(params, random_bloch(rng))
-        numeric = np.linalg.eigvalsh(out.matrix)
-        worst_trace = max(worst_trace, abs(out.r11 + out.r22 - 1.0))
+        rho = out.density_matrix()
+        numeric = np.linalg.eigvalsh(rho)
+        worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
         worst_eigen = max(
             worst_eigen,
             abs(out.eigenvalues[0] - float(numeric[1])),

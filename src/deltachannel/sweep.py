@@ -1,9 +1,9 @@
 """Parameter sweeps: config parsing, grid evaluation, deterministic output.
 
 The config format is flat `key = value` text with `#` comments and a
-mandatory schema_version.  Sweep results are written as CSV or JSON with
+mandatory schema_version.  Sweep rows are formatted as CSV or JSON with
 shortest round-trip float formatting and a fixed column order, so a given
-config always produces byte-identical files.
+config always produces byte-identical output; the CLI writes it.
 """
 from __future__ import annotations
 
@@ -311,8 +311,8 @@ def grid_overrides(cfg: SweepConfig) -> list[dict]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """Evaluate the whole grid in order and write the result file if cfg.output is set."""
-    rows = [
+    """Evaluate the whole grid in order; the rows, unformatted and unwritten."""
+    return [
         evaluate_point(
             lambda_a=overrides.get("lambda_a", cfg.lambda_a),
             lambda_b=overrides.get("lambda_b", cfg.lambda_b),
@@ -328,11 +328,6 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         )
         for overrides in grid_overrides(cfg)
     ]
-    if cfg.output is not None:
-        payload = format_csv(rows) if cfg.format == "csv" else format_json(rows)
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: random draws, independent channel oracles, a Re J reference."""
+"""Shared test helpers: random draws, independent channel oracles, a Re J
+reference, and fresh J(0, 0, beta) caches for every test."""
 from __future__ import annotations
 
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from deltachannel.channel import QubitState
+from deltachannel.field import self_norm_closed, self_norm_j
 from deltachannel.selftest import random_bloch as draw_ball
 from deltachannel.selftest import random_statistics as draw_statistics
 
@@ -112,3 +114,12 @@ def bloch_radius_oracle(stats, phase_b, bob, th) -> float:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture(autouse=True)
+def fresh_self_norm_caches():
+    """Each test starts with J(0, 0, beta) uncached, so an integral count
+    does not depend on which tests ran before, and a test that breaks the
+    quadrature leaves no J(0, 0, beta) behind."""
+    self_norm_j.cache_clear()
+    self_norm_closed.cache_clear()

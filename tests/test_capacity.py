@@ -265,7 +265,7 @@ def test_bruteforce_is_global_on_its_grid(rng):
         params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
                                phase_b=float(rng.uniform(-7.0, 7.0)),
                                bob_initial=random_bloch(rng))
-        g = np.array([von_neumann_entropy(apply(params, _pure(t, phase_a)).matrix)
+        g = np.array([von_neumann_entropy(apply(params, _pure(t, phase_a)).density_matrix())
                       for t in grid.tolist()])
         best = max(0.0, float(np.max(g[k] - p_i * g[i] - (1.0 - p_i) * g[j])))
         result = capacity_bruteforce(params)

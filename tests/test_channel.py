@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from deltachannel.capacity import Ensemble, capacity_bruteforce, holevo_chi
 from deltachannel.channel import (
-    ChannelOutput,
+    BLOCH_TOL,
     ChannelParams,
     QubitState,
     apply,
@@ -16,7 +17,6 @@ from deltachannel.channel import (
     output_bloch_affine,
     theta,
 )
-from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
     FieldStatistics,
     PairGeometry,
@@ -47,7 +47,7 @@ def test_matrix_elements_match_operator_composition(rng):
     for _ in range(300):
         params = random_params(rng)
         alice = draw_ball(rng)
-        via_elements = apply(params, alice).matrix
+        via_elements = apply(params, alice).density_matrix()
         via_operators = oracle_apply(
             params.stats, params.phase_a, params.phase_b, params.bob_initial, alice
         )
@@ -56,13 +56,14 @@ def test_matrix_elements_match_operator_composition(rng):
 
 
 def test_output_is_affine_in_signal_amplitude(rng):
-    for _ in range(50):
+    # bit for bit: apply's output is the state with Bloch vector base + theta * slope
+    for _ in range(2000):
         params = random_params(rng)
         alice = draw_ball(rng)
         base, slope = output_bloch_affine(params)
         via_affine = base + theta(alice, params.phase_a) * slope
         direct = np.array(apply(params, alice).bloch)
-        assert np.allclose(via_affine, direct, rtol=0.0, atol=1e-14)
+        assert np.array_equal(via_affine, direct)
 
 
 def test_channel_invariant_component_passes_through(rng):
@@ -84,9 +85,9 @@ def test_channel_invariant_component_passes_through(rng):
 
 def test_output_trace_one_and_positive(rng):
     for _ in range(300):
-        out = apply(random_params(rng), draw_ball(rng))
-        assert abs(out.r11 + out.r22 - 1.0) <= 1e-12
-        assert min(np.linalg.eigvalsh(out.matrix)) >= -1e-12
+        rho = apply(random_params(rng), draw_ball(rng)).density_matrix()
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_analytic_eigenvalues_match_diagonalization(rng):
@@ -95,7 +96,7 @@ def test_analytic_eigenvalues_match_diagonalization(rng):
         alice = draw_ball(rng)
         out = apply(params, alice)
         p_plus, p_minus = out.eigenvalues
-        numeric = np.linalg.eigvalsh(out.matrix)
+        numeric = np.linalg.eigvalsh(out.density_matrix())
         assert abs(p_plus - numeric[1]) <= 1e-12
         assert abs(p_minus - numeric[0]) <= 1e-12
         assert p_plus >= p_minus
@@ -131,7 +132,7 @@ def test_zero_bob_coupling_is_identity_bit_for_bit():
     bob = QubitState(0.3, -0.4, 0.5)
     params = ChannelParams(stats=stats, phase_a=0.7, phase_b=1.1, bob_initial=bob)
     out = apply(params, QubitState(0.2, 0.1, -0.3))
-    assert np.array_equal(out.matrix, bob.density_matrix())
+    assert np.array_equal(out.density_matrix(), bob.density_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +192,44 @@ def test_density_matrix_matches_pauli_expansion(rng):
                            rtol=0.0, atol=1e-16)
 
 
-def test_channel_output_guards_reject_inconsistent_fields():
-    with pytest.raises(ConsistencyError):
-        ChannelOutput(r11=0.6, r12=0.0j, r22=0.6, eigenvalues=(0.6, 0.6))
-    with pytest.raises(ConsistencyError):
-        ChannelOutput(r11=0.5, r12=0.0j, r22=0.5, eigenvalues=(0.7, 0.1))
-    with pytest.raises(ConsistencyError):
-        ChannelOutput(r11=0.5, r12=0.0j, r22=0.5, eigenvalues=(-0.1, 1.1))
-
-
 def test_channel_params_validation(rng):
     stats = draw_statistics(rng)
     with pytest.raises(ValueError):
         ChannelParams(stats=stats, phase_a=math.inf, phase_b=0.0,
                       bob_initial=QubitState(0.0, 0.0, 1.0))
+
+
+def _edge_state(direction: np.ndarray) -> QubitState:
+    """The state along direction at |r|^2 = 1 + BLOCH_TOL, to the last bits
+    that QubitState admits."""
+    scale = math.sqrt(1.0 + BLOCH_TOL) / float(np.linalg.norm(direction))
+    while True:
+        x, y, z = (float(c) * scale for c in direction)
+        if x * x + y * y + z * z <= 1.0 + BLOCH_TOL:
+            return QubitState(x, y, z)
+        scale = math.nextafter(scale, 0.0)
+
+
+def test_states_at_the_tolerance_edge_never_raise(rng):
+    # QubitState admits |r|^2 up to 1 + BLOCH_TOL.  At nu_b = 1 the channel
+    # keeps Bob's length at |theta| = 1, so a Bob or an Alice state at that
+    # edge once gave outputs a few ulps past it, and apply raised ValueError.
+    # Half of the Bob states lie across the flip axis, where the signal acts
+    # on the whole Bloch vector.
+    for k in range(200):
+        phase_a, phase_b = (float(p) for p in rng.uniform(0.0, 2.0 * math.pi, size=2))
+        direction = rng.normal(size=3)
+        if k % 2:
+            direction[:2] = (math.sin(phase_b), math.cos(phase_b))
+        bob = _edge_state(direction)
+        assert abs(bob.norm_sq - (1.0 + BLOCH_TOL)) <= 1e-15
+        stats = FieldStatistics(nu_a=0.5, nu_b=1.0, nu_ab_plus=0.5, nu_ab_minus=0.5,
+                                delta_ab=float(rng.uniform(-3.0, 3.0)))
+        params = ChannelParams(stats=stats, phase_a=phase_a, phase_b=phase_b, bob_initial=bob)
+        along = np.array([math.cos(phase_a), math.sin(phase_a), 0.0])
+        members = tuple((0.25, _edge_state(d)) for d in (along, -along, *rng.normal(size=(2, 3))))
+        for _, alice in members:
+            apply(params, alice)
+        choi_matrix(params)
+        holevo_chi(params, Ensemble(members))
+        capacity_bruteforce(params)

@@ -342,6 +342,12 @@ def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
     assert row["oracle_residual"] < 1e-6
     assert calls == [(0.0, 8.0, 2.0), (0.0, 0.0, 2.0)]
     assert escalations == [(0.0, 8.0)]
+    # J(0, 0, 2) is integrated once per state: a second row integrates
+    # only its own geometry
+    calls.clear()
+    row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True)
+    assert row["status"] == "ok"
+    assert calls == [(6.0, 6.0, 2.0)]
 
 
 def test_thermal_row_at_large_separation_is_typed():
