@@ -6,8 +6,10 @@ statistics never integrate, and scipy's quad and mpmath run only in the
 oracle.  residual is the one rule that compares the two, for a sweep
 row's oracle_residual (through oracle_residual) and for selftest's grid.
 The oracle escalates only Im J, the commutator part, which is compared
-relatively; Re J is compared absolutely and stays with quad (see
-_radial_integral and _commutator_trapezoid).  Everything is dimensionless
+relatively, to a 50-digit trapezoid rule whose nodes run on fixed-point
+integer recurrences, mpmath computing only their seeds; Re J is compared
+absolutely and stays with quad (see _radial_integral and
+_commutator_trapezoid).  Everything is dimensionless
 in units of the Gaussian smearing width sigma: couplings are
 lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
 temperatures beta/sigma.
@@ -51,10 +53,15 @@ RESIDUAL_FLOOR = 1e-12
 # The trapezoid rule runs on [0, K] with exp(-K^2/2) = 10^-(MP_DPS + 5), at
 # step h = 2 pi / (L + |dtau| + K), so it takes K (L + |dtau| + K) / pi
 # nodes at step h/2.  The cap admits L + |dtau| <= 2e3, the corner of the
-# accepted domain (L <= 1e3, |dtau| <= 1e3): about 1e4 nodes, under a
-# second.  Past it the rule raises QuadratureError without integrating.
+# accepted domain (L <= 1e3, |dtau| <= 1e3): about 1e4 nodes, about 20 ms.
+# Past it the rule raises QuadratureError without integrating.
 TRAPEZOID_K = math.sqrt(2.0 * math.log(10.0) * (MP_DPS + 5))
 TRAPEZOID_MAX_NODES = math.ceil(TRAPEZOID_K * (2e3 + TRAPEZOID_K) / math.pi)
+# The rule's recurrences run on integers scaled by 2^TRAPEZOID_BITS, 20
+# digits past MP_DPS: their forward error at node j, about
+# j^2 2^-TRAPEZOID_BITS ~ 1e-62 of the integrand's scale, stays far below
+# the rule's own 10^-MP_DPS rounding term.
+TRAPEZOID_BITS = math.ceil((MP_DPS + 20) * math.log2(10.0))
 
 # Below this half-width the Dawson difference quotient in cross_real_closed
 # cancels; the mean of D' over the interval is taken by Gauss-Legendre
@@ -220,6 +227,7 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     return math.copysign(magnitude, dt) if magnitude else 0.0
 
 
+@functools.lru_cache(maxsize=1)
 def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float:
     """Re J(L, dtau, beta) in closed form: the vacuum (beta None) or a KMS state.
 
@@ -231,7 +239,9 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
     gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
     cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
-    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.
+    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  The last value is
+    cached, for a row's residual after its statistics; -0.0 and 0.0 share
+    a key and give the same bits.
     """
     e = L / SQRT2
     if beta is None:
@@ -241,8 +251,8 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
         x = b + e * _GL_NODES
         return 0.5 * float(_GL_WEIGHTS @ (1.0 - 2.0 * x * dawsn(x)))
     if e >= DAWSON_SMALL_EPS:
-        f_plus, f_minus = kms_sine_transform(np.array([dtau + L, dtau - L]), beta)
-        return float(f_plus - f_minus) / (2.0 * L)
+        f_plus, f_minus = kms_sine_transform(np.array([dtau + L, dtau - L]), beta).tolist()
+        return (f_plus - f_minus) / (2.0 * L)
     x = dtau + L * _GL_NODES
     return 0.5 * float(_GL_WEIGHTS @ kms_sine_transform(x, beta, derivative=True))
 
@@ -335,12 +345,16 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
     upper = g * erfcx((a + col) / SQRT2)
     tail = _tail_coefficients(beta / (2.0 * math.pi), m + 1, int(derivative))
     moments = SQRT_HALF_PI * _hermite_e(ax_clip, tail)
-    if derivative:
-        # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
-        terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
-        return (terms - 4.0 * gauss * moments) / beta
-    terms = math.pi * (erf(ax / SQRT2) + (lower - upper).sum(axis=1))
-    return np.sign(x) * (terms + 4.0 * gauss * moments) / beta
+    # below beta ~ 3.5e-308 the step 2 pi / beta is inf, so the terms are
+    # 0 * inf and F / beta overflows: the NaN or inf is the caller's domain
+    # error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if derivative:
+            # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
+            terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
+            return (terms - 4.0 * gauss * moments) / beta
+        terms = math.pi * (erf(ax / SQRT2) + (lower - upper).sum(axis=1))
+        return np.sign(x) * (terms + 4.0 * gauss * moments) / beta
 
 
 def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
@@ -362,21 +376,6 @@ def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
 # statistics path does
 # ---------------------------------------------------------------------------
 
-def _geom_factor(k: float, L: float) -> float:
-    # sin(kL)/L; below SERIES_CUTOFF it equals k to double precision, which
-    # also covers L = 0 and subnormal L, where k*L has lost its digits
-    x = k * L
-    return math.sin(x) / L if x >= SERIES_CUTOFF else k
-
-
-def _coth_half(k: float, beta: float) -> float:
-    # coth(beta k / 2); series below 1e-8 where tanh underflows relative accuracy
-    x = 0.5 * beta * k
-    if x < 1e-8:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
-
-
 def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     """Im J by the trapezoid rule at MP_DPS digits, for the cancellation regime.
 
@@ -391,6 +390,13 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     step h and at h/2 on nested nodes; the estimate is |T(h) - T(h/2)|, or
     the sum's rounding, 10^-MP_DPS h sum |f|, if that is larger.  Raises
     QuadratureError without integrating past TRAPEZOID_MAX_NODES.
+
+    The nodes k_j = j h/2 run on exact recurrences over integers scaled by
+    2^TRAPEZOID_BITS, so mpmath computes only the seeds: the Gaussian as
+    g_j = g_{j-1} r_j with r_{j+1} = r_j exp(-(h/2)^2), and sin(k_j L)/L
+    and sin(k_j dtau) as sin(j t) = sin(t) U_{j-1}(cos t) by the Chebyshev
+    recurrence U_j = 2 cos(t) U_{j-1} - U_{j-2}, at t = L h/2 and
+    t = dtau h/2 (cos t = 1 gives U_{j-1} = j, so L = 0 takes k_j itself).
     """
     reach = L + abs(dtau) + TRAPEZOID_K
     # nodes at step h/2 on [0, K]; a float, which may be inf at extreme reach
@@ -401,24 +407,40 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
             f"{TRAPEZOID_MAX_NODES} (L={L}, dtau={dtau})",
             estimate=math.inf,
         )
-    # h is a double, so each node j h/2 and its products with L and dtau are
-    # exact at MP_DPS digits: a term carries only its functions' rounding
     h = 2.0 * math.pi / reach
-    with mpmath.workdps(MP_DPS):
-        Lm, dt, step = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.mpf(h) / 2
+    bits = TRAPEZOID_BITS
+    with mpmath.workprec(bits + 32):
+        # h is a double, so h/2 and its products with L and dtau are exact
+        step = mpmath.mpf(h) / 2
+        gauss = mpmath.exp(-step * step / 2)
+        cos_l, sin_l = mpmath.cos_sin(step * L)
+        cos_t, sin_t = mpmath.cos_sin(step * dtau)
+        # f(k_j) = scale g_j U_{j-1}(cos_l) U_{j-1}(cos_t); the loop keeps
+        # each product g_j U U, scaled by 2^(3 bits)
+        scale = -(step if L == 0.0 else sin_l / L) * sin_t
 
-        def f(k):
-            g = k if L == 0.0 else mpmath.sin(k * Lm) / Lm
-            return -mpmath.exp(-k * k / 2) * g * mpmath.sin(k * dt)
+        def fixed(v):
+            return int(mpmath.nint(mpmath.ldexp(v, bits)))
 
-        # the integrand vanishes at k = 0; nodes j h/2 with j even are T(h)'s
-        values = [f(j * step) for j in range(1, math.floor(nodes) + 1)]
-        even = mpmath.fsum(values[1::2])
-        odd = mpmath.fsum(values[0::2])
-        coarse = 2 * step * even
-        fine = step * (even + odd)
-        rounding = mpmath.mpf(10) ** -MP_DPS * step * mpmath.fsum(abs(v) for v in values)
-        return float(fine), float(max(abs(fine - coarse), rounding))
+        r, q = fixed(gauss), fixed(gauss * gauss)
+        two_cos_l, two_cos_t = 2 * fixed(cos_l), 2 * fixed(cos_t)
+    one = 1 << bits
+    g, u_l, u_l_prev, u_t, u_t_prev = one, one, 0, one, 0
+    terms = []
+    for _ in range(math.floor(nodes)):
+        g = g * r >> bits
+        r = r * q >> bits
+        terms.append(g * u_l * u_t)
+        u_l, u_l_prev = (two_cos_l * u_l >> bits) - u_l_prev, u_l
+        u_t, u_t_prev = (two_cos_t * u_t >> bits) - u_t_prev, u_t
+    # the integrand vanishes at k = 0; nodes j h/2 with j even are T(h)'s
+    even, odd = sum(terms[1::2]), sum(terms[0::2])
+    with mpmath.workprec(bits + 32):
+        unit = mpmath.ldexp(step * scale, -3 * bits)
+        fine = unit * (even + odd)
+        rounding = mpmath.mpf(10) ** -MP_DPS * abs(unit) * sum(map(abs, terms))
+        # |T(h/2) - T(h)| = |unit (odd - even)|
+        return float(fine), float(max(abs(unit * (odd - even)), rounding))
 
 
 def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex, float]:
@@ -440,14 +462,22 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     inf, where k L or k dtau overflows on the window.
     """
 
+    # sin(kL)/L; below SERIES_CUTOFF it equals k to double precision, which
+    # also covers L = 0 and subnormal L, where k*L has lost its digits.  The
+    # thermal kernel is coth(beta k / 2), by its series below 1e-8, where
+    # tanh loses relative accuracy.
     def re_kern(k: float) -> float:
-        v = math.exp(-0.5 * k * k) * _geom_factor(k, L)
+        x = k * L
+        v = math.exp(-0.5 * k * k) * (math.sin(x) / L if x >= SERIES_CUTOFF else k)
         if beta is not None:
-            v *= _coth_half(k, beta)
+            y = 0.5 * beta * k
+            v *= 1.0 / y + y / 3.0 if y < 1e-8 else 1.0 / math.tanh(y)
         return v * math.cos(k * dtau)
 
     def im_kern(k: float) -> float:
-        return -math.exp(-0.5 * k * k) * _geom_factor(k, L) * math.sin(k * dtau)
+        x = k * L
+        return (-math.exp(-0.5 * k * k) * (math.sin(x) / L if x >= SERIES_CUTOFF else k)
+                * math.sin(k * dtau))
 
     def misses(value: float, err: float) -> bool:
         return err > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))

@@ -1,5 +1,5 @@
-"""Shared test helpers: random draws, independent channel oracles, a Re J
-reference, and fresh J(0, 0, beta) caches for every test."""
+"""Shared test helpers: random draws, independent channel oracles, Re J and
+Im J references, and fresh field caches for every test."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import settings
 
 from deltachannel.channel import QubitState
-from deltachannel.field import self_norm_closed, self_norm_j
+from deltachannel import field
+from deltachannel.field import cross_real_closed, self_norm_closed, self_norm_j
 from deltachannel.selftest import random_bloch as draw_ball
 from deltachannel.selftest import random_statistics as draw_statistics
 
@@ -58,6 +59,29 @@ def thermal_re_j_reference(L, dtau, beta):
         cuts = set(mpmath.linspace(0, 16, panels + 1))
         cuts.update(mpmath.mpf(c) / b for c in (0.5, 2, 8, 32, 128) if c / beta < 16)
         return float(mpmath.quad(kernel, sorted(cuts), method="gauss-legendre"))
+
+
+def commutator_trapezoid_reference(L, dtau):
+    """field._commutator_trapezoid's rule evaluated directly: the same nodes,
+    step, window and estimate, with each node's exp and sines from mpmath at
+    MP_DPS digits.  Slow (about 30 us a node)."""
+    reach = L + abs(dtau) + field.TRAPEZOID_K
+    nodes = field.TRAPEZOID_K * reach / math.pi
+    h = 2.0 * math.pi / reach
+    with mpmath.workdps(field.MP_DPS):
+        Lm, dt, step = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.mpf(h) / 2
+
+        def f(k):
+            g = k if L == 0.0 else mpmath.sin(k * Lm) / Lm
+            return -mpmath.exp(-k * k / 2) * g * mpmath.sin(k * dt)
+
+        values = [f(j * step) for j in range(1, math.floor(nodes) + 1)]
+        even = mpmath.fsum(values[1::2])
+        odd = mpmath.fsum(values[0::2])
+        coarse = 2 * step * even
+        fine = step * (even + odd)
+        rounding = mpmath.mpf(10) ** -field.MP_DPS * step * mpmath.fsum(abs(v) for v in values)
+        return float(fine), float(max(abs(fine - coarse), rounding))
 
 
 def density_matrix(state: QubitState) -> np.ndarray:
@@ -117,9 +141,10 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture(autouse=True)
-def fresh_self_norm_caches():
-    """Each test starts with J(0, 0, beta) uncached, so an integral count
-    does not depend on which tests ran before, and a test that breaks the
-    quadrature leaves no J(0, 0, beta) behind."""
+def fresh_caches():
+    """Each test starts with J(0, 0, beta) and Re J uncached, so an integral
+    or call count does not depend on which tests ran before, and a test
+    that breaks the quadrature or patches a series leaves no value behind."""
     self_norm_j.cache_clear()
     self_norm_closed.cache_clear()
+    cross_real_closed.cache_clear()

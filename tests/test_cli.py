@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -348,6 +349,38 @@ def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
     row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True)
     assert row["status"] == "ok"
     assert calls == [(6.0, 6.0, 2.0)]
+
+
+def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
+    # the residual reuses the statistics' Re J: one series per row
+    series = field.kms_sine_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return series(*args, **kwargs)
+
+    field.self_norm_closed(field.thermal(2.0))
+    monkeypatch.setattr(field, "kms_sine_transform", counted)
+    row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True)
+    assert row["status"] == "ok"
+    assert calls == [(2.0,)]
+
+
+@pytest.mark.parametrize("beta", ["5e-324", "2e-308"])
+def test_subnormal_beta_is_a_quiet_domain_error(beta, capsys):
+    # 2 pi / beta overflows: the series' NaN or inf once leaked numpy
+    # RuntimeWarnings to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["point", "--beta", beta]) == 0
+        record = json.loads(capsys.readouterr().out)
+        rows = [evaluate_point(1.0, 1.0, sep, delay, beta=float(beta))
+                for sep, delay in ((0.0, 0.0), (0.01, 3.0), (30.0, 0.0), (1e20, 6.0))]
+    assert [str(w.message) for w in caught] == []
+    assert record["status"] == "domain_error"
+    assert all(row["status"] == "domain_error" for row in rows)
+    assert capsys.readouterr().err == ""
 
 
 def test_thermal_row_at_large_separation_is_typed():

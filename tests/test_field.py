@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import deltachannel.field as field
-from conftest import re_j_reference, thermal_re_j_reference
+from conftest import commutator_trapezoid_reference, re_j_reference, thermal_re_j_reference
 from deltachannel.errors import QuadratureError
 from deltachannel.field import (
     FOUR_PI_SQ,
@@ -333,10 +333,10 @@ def test_quadrature_error_carries_estimate(monkeypatch):
 
 
 # Geometries whose Im J cancels in float64: from 1.3e-13 at (0, 8) down to
-# 6.6e-31 at (1e-20, 12), and at (60, 1) an Im J of about 1e-758, which the
-# 50-digit rule resolves only to its rounding.
+# 6.6e-31 at (1e-20, 12) and 1.8e-38 at (7, -20), and at (60, 1) an Im J of
+# about 1e-758, which the 50-digit rule resolves only to its rounding.
 TRAPEZOID_GEOMETRIES = ((0.0, 8.0), (1e-20, 12.0), (1.0, 12.0), (3.0, 12.0),
-                        (6.0, 12.0), (10.0, 3.0), (60.0, 1.0))
+                        (6.0, 12.0), (10.0, 3.0), (7.0, -20.0), (60.0, 1.0))
 
 
 @pytest.mark.parametrize("sep, delay", TRAPEZOID_GEOMETRIES)
@@ -353,6 +353,51 @@ def test_commutator_trapezoid_matches_closed_form(sep, delay):
     im, estimate = field._commutator_trapezoid(sep, delay)
     assert math.isclose(im, expected, rel_tol=1e-12, abs_tol=10.0**-field.MP_DPS)
     assert abs(im - expected) <= estimate
+
+
+def _trapezoid_draws(count=8):
+    # L is 0 or 5e-324 a quarter of the time each, else log-uniform on
+    # [1e-20, 1e3]; |dtau| is log-uniform on [1e-3, 1e3].  Few, since the
+    # direct rule takes about 30 us a node
+    rng = np.random.default_rng(385)
+    draws = []
+    for _ in range(count):
+        kind, exponent = rng.integers(4), rng.uniform(-20.0, 3.0)
+        sep = (0.0, 5e-324, 10.0**exponent, 10.0**exponent)[kind]
+        delay = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        draws.append((float(sep), delay))
+    return draws
+
+
+# The direct rule carries up to its estimate of rounding, so its float can
+# differ from the recurrences' in the last bits unless that rounding is far
+# below half an ulp (1.1e-16 relative): at (7, -20), |Im J| = 2.5e13 times
+# the estimate, it is 5 ulp off the correctly rounded closed form, which
+# the recurrences return.
+BIT_EQUAL_RATIO = 1e20
+
+
+@pytest.mark.parametrize("sep, delay", TRAPEZOID_GEOMETRIES + tuple(_trapezoid_draws()))
+def test_commutator_trapezoid_matches_the_direct_rule(sep, delay):
+    im, estimate = field._commutator_trapezoid(sep, delay)
+    expected, expected_estimate = commutator_trapezoid_reference(sep, delay)
+    assert math.isclose(estimate, expected_estimate, rel_tol=1e-12, abs_tol=0.0)
+    if abs(expected) >= BIT_EQUAL_RATIO * estimate:
+        assert im == expected
+    else:
+        assert abs(im - expected) <= estimate
+
+
+def test_cross_real_closed_cache_keeps_the_sign_of_zero_delay_harmless():
+    # the one-entry cache takes -0.0 and 0.0 as one key; both give the same bits
+    for beta in (None, 2.0, 1e3):
+        for sep in (0.0, 5e-324, 0.01, 2.5):
+            cross_real_closed.cache_clear()
+            negative = cross_real_closed(sep, -0.0, beta)
+            cross_real_closed.cache_clear()
+            positive = cross_real_closed(sep, 0.0, beta)
+            assert negative.hex() == positive.hex()
+            assert cross_real_closed(sep, -0.0, beta).hex() == positive.hex()
 
 
 # ---------------------------------------------------------------------------
