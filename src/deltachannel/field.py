@@ -2,17 +2,17 @@
 
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
-statistics never integrate, and scipy's quad and mpmath run only in the
-oracle.  residual is the one rule that compares the two, for a sweep
-row's oracle_residual (through oracle_residual) and for selftest's grid.
-The oracle escalates only Im J, the commutator part, which is compared
-relatively, to a 50-digit trapezoid rule whose nodes run on fixed-point
-integer recurrences, mpmath computing only their seeds; Re J is compared
-absolutely and stays with quad (see _radial_integral and
-_commutator_trapezoid).  Everything is dimensionless
-in units of the Gaussian smearing width sigma: couplings are
-lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
-temperatures beta/sigma.
+statistics never integrate, and scipy.integrate and mpmath are imported
+on the oracle's first call, not with this module (see quad and
+_commutator_trapezoid).  residual is the one rule that compares the two,
+for a sweep row's oracle_residual (through oracle_residual) and for
+selftest's grid.  The oracle escalates only Im J, the commutator part,
+which is compared relatively, to a 50-digit trapezoid rule whose nodes
+run on fixed-point integer recurrences, mpmath computing only their
+seeds; Re J is compared absolutely and stays with quad (see
+_radial_integral).  Everything is dimensionless in units of the Gaussian
+smearing width sigma: couplings are lambda_tilde/sigma, distances
+L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -21,9 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import dawsn, erf, erfcx, wofz, zeta
 
 from .errors import QuadratureError
@@ -376,6 +374,15 @@ def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
 # statistics path does
 # ---------------------------------------------------------------------------
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only the oracle
+    integrates, so a process that never runs it never loads the module.
+    Arguments and result pass through unchanged."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     """Im J by the trapezoid rule at MP_DPS digits, for the cancellation regime.
 
@@ -398,6 +405,8 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     recurrence U_j = 2 cos(t) U_{j-1} - U_{j-2}, at t = L h/2 and
     t = dtau h/2 (cos t = 1 gives U_{j-1} = j, so L = 0 takes k_j itself).
     """
+    import mpmath
+
     reach = L + abs(dtau) + TRAPEZOID_K
     # nodes at step h/2 on [0, K]; a float, which may be inf at extreme reach
     nodes = TRAPEZOID_K * reach / math.pi
@@ -471,7 +480,9 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
         v = math.exp(-0.5 * k * k) * (math.sin(x) / L if x >= SERIES_CUTOFF else k)
         if beta is not None:
             y = 0.5 * beta * k
-            v *= 1.0 / y + y / 3.0 if y < 1e-8 else 1.0 / math.tanh(y)
+            # at tiny beta y underflows to 0.0: coth is then inf, as the
+            # series' 1/y is for subnormal y, and the non-finite J a miss
+            v *= (1.0 / y + y / 3.0 if y else math.inf) if y < 1e-8 else 1.0 / math.tanh(y)
         return v * math.cos(k * dtau)
 
     def im_kern(k: float) -> float:
@@ -480,7 +491,8 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
                 * math.sin(k * dtau))
 
     def misses(value: float, err: float) -> bool:
-        return err > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))
+        # a non-finite value or estimate (J past the float range) is a miss
+        return not (math.isfinite(value) and err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)))
 
     def check(part: str, value: float, err: float) -> None:
         if misses(value, err):

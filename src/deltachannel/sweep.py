@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +249,14 @@ def parse_config(path: str) -> SweepConfig:
 def _resolve_bob(bob_bloch: tuple[float, float, float], r_b: float | None) -> QubitState:
     if r_b is None:
         return QubitState(*bob_bloch)
-    norm = math.sqrt(sum(c * c for c in bob_bloch))
+    square = sum(c * c for c in bob_bloch)
+    if not sys.float_info.min <= square < math.inf:
+        # the sum of squares under- or overflows: dividing by the largest
+        # component first brings it into [1, 3] and keeps the direction
+        top = max(map(abs, bob_bloch))
+        bob_bloch = tuple(c / top for c in bob_bloch)
+        square = sum(c * c for c in bob_bloch)
+    norm = math.sqrt(square)
     return QubitState(*(r_b * c / norm for c in bob_bloch))
 
 

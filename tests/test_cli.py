@@ -736,3 +736,21 @@ def test_cli_sweep_rejects_an_r_b_axis_outside_the_unit_interval(tmp_path, capsy
     assert main(["sweep", "--config", cfg, "--output", str(out)]) == 2
     assert "axis r_b must lie in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bob, unit", [
+    ("1e-200, 0, 0", "1, 0, 0"),  # once a ZeroDivisionError traceback: the square underflowed
+    ("1e200, 1e200, 0", "1, 1, 0"),  # once Bob (0, 0, 0) with status ok: the square overflowed
+])
+def test_cli_sweep_scales_a_bob_direction_whose_square_leaves_the_float_range(tmp_path, capsys, bob, unit):
+    rows = []
+    for direction in (bob, unit):
+        cfg = write_config(tmp_path, f"schema_version = 1\nlambda_a = 10\nphase_b = 0.7\n"
+                                     f"bob_bloch = {direction}\nr_b = 0.5\nformat = json\n")
+        assert main(["sweep", "--config", cfg]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        rows.append(row)
+    scaled, reference = rows
+    assert scaled["status"] == "ok"
+    assert reference["c_closed"] > 0.0
+    assert abs(scaled["c_closed"] - reference["c_closed"]) <= 1e-15

@@ -313,6 +313,24 @@ def test_radial_integral_quad_warning_is_a_typed_error(beta):
         field._radial_integral(1000.0, 0.0, beta)
 
 
+@pytest.mark.parametrize("beta", [5e-324, 1e-310])
+def test_radial_integral_past_the_float_range_at_tiny_beta_is_a_typed_error(beta):
+    # 2 / beta overflows, and J with it: at 5e-324 the coth series once
+    # raised ZeroDivisionError out of quad (0.5 beta k rounds to 0.0), and
+    # at 1e-310 J came back NaN with a NaN estimate, which passed as met
+    with pytest.raises(QuadratureError):
+        field._radial_integral(6.0, 6.0, beta)
+    f = SmearingSpec(coupling=1.0)
+    with pytest.raises(QuadratureError):
+        field.oracle_residual(f, f, PairGeometry(6.0, 6.0), thermal(beta))
+
+
+def test_radial_integral_non_finite_value_is_a_miss(monkeypatch):
+    monkeypatch.setattr(field, "quad", lambda func, a, b, **kwargs: (math.nan, 0.0, {}))
+    with pytest.raises(QuadratureError):
+        field._radial_integral(6.0, 6.0, None)
+
+
 def test_quadrature_error_carries_estimate(monkeypatch):
     # Re J meeting its target lets Im J miss its own and escalate, and the
     # failure carries the escalation's estimate; Re J missing its target
