@@ -1,22 +1,21 @@
 """Entropies, Holevo information, and the classical capacity.
 
-The closed-form capacity is exact for this channel family: it is
-entanglement breaking, so the one-shot Holevo maximum is the capacity
-(Shor 2002; Horodecki, Shor & Ruskai 2003).  A deterministic brute-force
-search serves as an independent oracle: it must approach the closed form
-from below, never exceed it.
+The channel is entanglement breaking, so its one-shot Holevo maximum is
+its capacity (Shor 2002; Horodecki, Shor & Ruskai 2003), and
+capacity_closed_form gives that maximum for every channel in the family.
+A deterministic brute-force search is its independent oracle: it must
+meet the closed form from below, never exceed it.
 
 The search runs on the signal amplitude theta in [-1, 1], not on the
-Bloch sphere.  The channel is affine in theta: every input with amplitude
-theta leaves Bob at base + theta * slope.  So an ensemble's Holevo
+Bloch sphere: the channel is affine in theta, so an ensemble's Holevo
 information depends on its members only through their theta values and
-probabilities, and a pure member per theta covers every ensemble.  On a
-line two members suffice, and one scan of the lower convex envelope of
-the output entropy over a theta grid finds the best pair on that grid.
+probabilities.  The output entropy g(theta) is concave (entropy is
+concave, the map affine), so the best members for a mean theta are -1
+and +1, and one scan of g above their chord finds the best mean on a
+grid.  The scan does not assume that g is even, as the closed form does.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -96,8 +95,11 @@ class CapacityResult:
     """Closed-form capacity next to its brute-force estimate.
 
     q_ea_lower is the entanglement-assisted lower bound, exactly half the
-    closed form.  iterations counts the search's entropy evaluations: one
-    per theta grid point, and one Holevo evaluation of the ensemble found.
+    closed form.  nu_eff is the coherence w = nu_b * r_perp of
+    kept_and_nu_eff, the part of Bob's Bloch vector that the channel
+    contracts and the signal rotates.  iterations counts the search's
+    entropy evaluations: one per theta grid point, and one Holevo
+    evaluation of the ensemble found.
     """
 
     c_closed: float
@@ -137,34 +139,51 @@ def holevo_chi(params: ChannelParams, ens: Ensemble) -> float:
     return von_neumann_entropy(avg_out.density_matrix()) - mean_member_entropy
 
 
-def capacity_closed_form(nu_b: float, r_b: float, delta_ab: float) -> float:
-    """Classical capacity in bits.
+def kept_and_nu_eff(nu_b: float, phase_b: float, bob: QubitState) -> tuple[float, float]:
+    """(p, w): the two lengths of Bob's Bloch vector that the channel sees.
 
-    C = H(1/2 + w |cos 2 delta| / 2) - H(1/2 + w / 2) with w = nu_b * r_b.
-    nu_b = 0 is admitted as the underflow image of very strong coupling.
+    p = x cos(phase_b) - y sin(phase_b) is the component along Bob's flip
+    axis, which passes unchanged; the rest, of length
+    r_perp = min(sqrt(|v|^2 - p^2), 1), is contracted to w = nu_b r_perp
+    (nu_eff) and turned by the signal.  Bob's output at amplitude theta has
+    length hypot(p, w sqrt(cos^2 2 delta + theta^2 sin^2 2 delta)).
+    """
+    p = bob.x * math.cos(phase_b) - bob.y * math.sin(phase_b)
+    r_perp = min(math.sqrt(max(bob.norm_sq - p * p, 0.0)), 1.0)
+    return p, min(max(nu_b, 0.0), 1.0) * r_perp
+
+
+def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: QubitState) -> float:
+    """Classical capacity in bits of the channel with these four inputs.
+
+    C = h(hypot(p, w |cos 2 delta|)) - h(hypot(p, w)), with (p, w) from
+    kept_and_nu_eff and h(u) = H(1/2 + u / 2).  ChannelParams makes base
+    orthogonal to slope, so the output entropy g(theta) is even as well as
+    concave, and the inputs theta = -1 and +1 with weights 1/2 are optimal:
+    C = g(0) - g(1).  nu_b = 0 is admitted as the underflow image of very
+    strong coupling.
     """
     if not -1e-12 <= nu_b <= 1.0 + 1e-12:
         raise ValueError(f"nu_b = {nu_b!r} outside [0, 1]")
-    if not -1e-12 <= r_b <= 1.0 + 1e-12:
-        raise ValueError(f"r_b = {r_b!r} outside [0, 1]")
     if not math.isfinite(delta_ab):
         raise ValueError("delta_ab must be finite")
-    w = min(max(nu_b, 0.0), 1.0) * min(max(r_b, 0.0), 1.0)
-    c = binary_entropy(0.5 + 0.5 * w * abs(math.cos(2.0 * delta_ab))) - binary_entropy(
-        0.5 + 0.5 * w
-    )
+    p, w = kept_and_nu_eff(nu_b, phase_b, bob)
+    contracted = math.hypot(p, w * abs(math.cos(2.0 * delta_ab)))
+    c = binary_entropy(0.5 + 0.5 * contracted) - binary_entropy(0.5 + 0.5 * math.hypot(p, w))
     if c < -1e-12:
         raise ConsistencyError(f"closed-form capacity came out negative: {c!r}")
     return max(c, 0.0)
 
 
 def tune_bob_phase(bob: QubitState) -> float:
-    """A switch phase for Bob that zeroes the channel-invariant component.
+    """The switch phase for Bob that maximizes the capacity.
 
     Solves cos(alpha) = -y/h, sin(alpha) = x/h with h = sqrt(x^2 + y^2) and
-    returns pi - alpha (the n = 1 branch of phase + alpha = n pi).  With the
-    equatorial component gone, the tuned capacity closed form nu_b -> nu_b r_b
-    applies.  A state with x = y = 0 has nothing to tune; returns 0.0.
+    returns pi - alpha (the n = 1 branch of phase + alpha = n pi).  That
+    zeroes p of kept_and_nu_eff, so all of Bob's Bloch vector carries the
+    signal, w = nu_b r_b, and capacity_closed_form is at its maximum over
+    phase_b (the paper's optimality claim; the tests scan phases for it).
+    A state with x = y = 0 has nothing to tune; returns 0.0.
     """
     if bob.x == 0.0 and bob.y == 0.0:
         return 0.0
@@ -193,46 +212,25 @@ def _output_entropy(base: np.ndarray, slope: np.ndarray, thetas: np.ndarray) -> 
     return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
 
 
-def _lower_hull(xs: list[float], ys: list[float]) -> list[int]:
-    """Indices of the lower convex hull of points sorted by x, left to right,
-    by Andrew's monotone chain (IPL 9 (1979) 216); collinear points drop."""
-    hull: list[int] = []
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (xs[j] - xs[i]) * (y - ys[i]) - (ys[j] - ys[i]) * (x - xs[i]) > 0.0:
-                break
-            hull.pop()
-        hull.append(k)
-    return hull
-
-
 def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     """Maximize Holevo information over ensembles of pure inputs on a theta grid.
 
     With g(theta) the entropy of Bob's output at amplitude theta, an
-    ensemble's Holevo information is g(mean theta) - sum p g(theta_m).  At a
-    given mean the least sum p g is the lower convex envelope of g there,
-    reached by two members (Caratheodory in one dimension).  So the search
-    evaluates g on THETA_POINTS grid amplitudes, builds the envelope, and
-    takes the grid point where g stands highest above it, with the two
-    envelope vertices around that point as members, weighted so that their
-    mean is the point's theta (one member if the point is a vertex).  It
-    assumes nothing about g, so the result is the global maximum on the grid.
+    ensemble's Holevo information is g(mean theta) - sum p g(theta_m).  g
+    is concave, so at a given mean the least sum p g lies on the chord
+    between theta = -1 and +1.  The search takes the grid point theta_k
+    where g stands highest above that chord, with members -1 and +1
+    weighted to the mean theta_k (one member if theta_k is an end).
     """
     base, slope = _channel.output_bloch_affine(params)
     grid = np.linspace(-1.0, 1.0, THETA_POINTS)
     g = _output_entropy(base, slope, grid)
-    thetas = grid.tolist()
-    hull = _lower_hull(thetas, g.tolist())
-    k = int(np.argmax(g - np.interp(grid, grid[hull], g[hull])))
-    pos = bisect.bisect_left(hull, k)
-    if hull[pos] == k:
-        members = ((1.0, thetas[k]),)
+    k = int(np.argmax(g - np.interp(grid, grid[[0, -1]], g[[0, -1]])))
+    t = float(grid[k])
+    if k in (0, THETA_POINTS - 1):
+        members = ((1.0, t),)
     else:
-        i, j = hull[pos - 1], hull[pos]
-        p_i = (thetas[j] - thetas[k]) / (thetas[j] - thetas[i])
-        members = ((p_i, thetas[i]), (1.0 - p_i, thetas[j]))
+        members = ((0.5 - 0.5 * t, -1.0), (0.5 + 0.5 * t, 1.0))
 
     cos_a, sin_a = math.cos(params.phase_a), math.sin(params.phase_a)
     ensemble = Ensemble(tuple(
@@ -241,14 +239,14 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     # report the honest route through channel.apply, not the search's arithmetic
     c_bruteforce = holevo_chi(params, ensemble)
 
-    stats = params.stats
-    c_closed = capacity_closed_form(stats.nu_b, params.bob_initial.r, stats.delta_ab)
+    stats, bob = params.stats, params.bob_initial
+    c_closed = capacity_closed_form(stats.nu_b, stats.delta_ab, params.phase_b, bob)
     return CapacityResult(
         c_closed=c_closed,
         c_bruteforce=c_bruteforce,
         best_ensemble=ensemble,
         q_ea_lower=c_closed / 2.0,
-        nu_eff=stats.nu_b * params.bob_initial.r,
+        nu_eff=kept_and_nu_eff(stats.nu_b, params.phase_b, bob)[1],
         iterations=THETA_POINTS + 1,
         gap=abs(c_closed - c_bruteforce),
     )

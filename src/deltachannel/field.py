@@ -282,19 +282,38 @@ def kms_sine_transform(
       h(x, c) = sqrt(pi/2) Im w((x + i c)/sqrt2), w the Faddeeva function
       (A&S 7.1); past n = N, h is expanded in 1/c^2 (Laplace moments times
       zeta(2j, N + 1) / beta^2j).  Fast where beta is large.
-    Each route takes as many terms as its tail needs for all of x; route
-    None takes the one with fewer, and both agree to rounding where both run.
+    Each argument takes the route that needs fewer terms for it alone, and
+    the arguments that share a route share one call, which takes as many
+    terms as its tail needs for all of them; both routes agree to rounding
+    where both run.  route forces one route for every argument.
     """
     x = np.asarray(x, dtype=float)
+    if route is not None:
+        return _series(x, beta, derivative, route)
+    groups: dict[str, list[int]] = {}
+    for i, v in enumerate(np.abs(x).tolist()):
+        m, n = _term_counts(v, v, beta)
+        groups.setdefault("matsubara" if m <= n else "images", []).append(i)
+    if len(groups) == 1:
+        return _series(x, beta, derivative, *groups)
+    out = np.empty_like(x)
+    for name, idx in groups.items():
+        out[idx] = _series(x[idx], beta, derivative, name)
+    return out
+
+
+def _term_counts(near: float, far: float, beta: float) -> tuple[float, float]:
+    # (Matsubara, images) terms for arguments with |x| in [near, far], as
+    # floats: at extreme beta the one that is not taken is inf
+    reach = MATSUBARA_CUT if near < FAR_X else FAR_DECAY / near
+    return reach / (2.0 * math.pi) * beta, IMAGE_CUT * (far + 2.0) / beta
+
+
+def _series(x: np.ndarray, beta: float, derivative: bool, route: str) -> np.ndarray:
     ax = np.abs(x)
     mags = ax.tolist()
-    near, far = min(mags), max(mags)
-    reach = MATSUBARA_CUT if near < FAR_X else FAR_DECAY / near
-    # term counts as floats first: at extreme beta the unused one is inf
-    m = reach / (2.0 * math.pi) * beta
-    n = IMAGE_CUT * (far + 2.0) / beta
-    if route is None:
-        route = "matsubara" if m <= n else "images"
+    far = max(mags)
+    m, n = _term_counts(min(mags), far, beta)
     if route == "matsubara":
         return _matsubara(x, ax, far, beta, math.ceil(m), derivative)
     if route == "images":

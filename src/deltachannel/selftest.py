@@ -32,7 +32,7 @@ ROUTE_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 PSD_TOL = 1e-12
 PPT_TOL = 1e-10
-OPTIMIZER_TOL = 2e-3
+OPTIMIZER_TOL = 1e-12
 ZERO_TOL = 1e-6
 SAMPLES = 1000
 

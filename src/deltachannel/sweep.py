@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import capacity_bruteforce, capacity_closed_form
+from .capacity import capacity_bruteforce, capacity_closed_form, kept_and_nu_eff
 from .channel import ChannelParams, QubitState, apply
 from .errors import ConfigError, ConsistencyError, QuadratureError
 from .field import (
@@ -287,6 +287,8 @@ def evaluate_point(
     for name, value in factors:
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if not (math.isfinite(phase_a) and math.isfinite(phase_b)):
+        raise ValueError("phases must be finite")
     geom = PairGeometry(separation, delay)
     state = VACUUM if beta is None else thermal(beta)
     computed: dict = {}
@@ -296,7 +298,7 @@ def evaluate_point(
         f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
         stats = assemble_statistics(f_a, f_b, geom, state)
         computed.update(vars(stats),
-                        c_closed=capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab))
+                        c_closed=capacity_closed_form(stats.nu_b, stats.delta_ab, phase_b, bob))
         if optimizer:
             result = capacity_bruteforce(ChannelParams(stats, phase_a, phase_b, bob))
             computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
@@ -429,7 +431,7 @@ def point_query(
     capacity_block = {
         "c_closed": row["c_closed"],
         "q_ea_lower": row["c_closed"] / 2.0,
-        "nu_eff": stats.nu_b * bob_state.r,
+        "nu_eff": kept_and_nu_eff(stats.nu_b, phase_b, bob_state)[1],
     }
     if optimizer:
         capacity_block["c_bruteforce"] = row["c_bruteforce"]

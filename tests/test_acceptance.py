@@ -161,7 +161,7 @@ def test_criterion_06_high_capacity_corner():
     )
     assert abs(stats.nu_b - 0.99545) <= 5e-6
     assert np.isclose(2.0 * stats.delta_ab, math.pi / 2.0, rtol=1e-12, atol=0.0)
-    c_closed = capacity_closed_form(stats.nu_b, 1.0, stats.delta_ab)
+    c_closed = capacity_closed_form(stats.nu_b, stats.delta_ab, 0.0, QubitState(0.0, 0.0, 1.0))
     assert abs(c_closed - 0.9767) <= 1e-3
     assert np.isclose(c_closed, C_CLOSED_STAR, rtol=1e-12, atol=0.0)
     print(f"criterion 06 PASS: c_closed {c_closed!r} at lambda_a {lam_a!r}")
@@ -205,7 +205,7 @@ def test_criterion_08_gap_independence():
                                bob_initial=up)
         result = capacity_bruteforce(params)
         assert result.c_closed == capacity_closed_form(
-            reference.nu_b, up.r, reference.delta_ab
+            reference.nu_b, reference.delta_ab, 0.0, up
         )
         values.append(result.c_bruteforce)
     spread = max(values) - min(values)

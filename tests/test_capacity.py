@@ -18,7 +18,7 @@ from deltachannel.capacity import (
     tune_bob_phase,
     von_neumann_entropy,
 )
-from deltachannel.channel import ChannelParams, QubitState, apply
+from deltachannel.channel import ChannelParams, QubitState, apply, theta
 from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
     FieldStatistics,
@@ -116,7 +116,7 @@ def test_paper_ensemble_attains_the_closed_form():
         plus = QubitState(math.cos(phase_a), math.sin(phase_a), 0.0)
         minus = QubitState(-math.cos(phase_a), -math.sin(phase_a), 0.0)
         ens = Ensemble(members=((0.5, plus), (0.5, minus)))
-        closed = capacity_closed_form(stats.nu_b, bob.r, stats.delta_ab)
+        closed = capacity_closed_form(stats.nu_b, stats.delta_ab, 0.0, bob)
         assert np.isclose(holevo_chi(params, ens), closed, rtol=0.0, atol=1e-12)
 
 
@@ -124,36 +124,56 @@ def test_paper_ensemble_attains_the_closed_form():
 # closed form
 # ---------------------------------------------------------------------------
 
+def _bob_up(r_b: float) -> QubitState:
+    return QubitState(0.0, 0.0, r_b)
+
+
 def test_closed_form_zero_cases():
-    assert capacity_closed_form(0.9, 1.0, 0.0) == 0.0
-    assert capacity_closed_form(0.9, 0.0, 0.5) == 0.0
-    assert capacity_closed_form(0.0, 1.0, 0.5) == 0.0
+    assert capacity_closed_form(0.9, 0.0, 0.0, _bob_up(1.0)) == 0.0
+    assert capacity_closed_form(0.9, 0.5, 0.0, _bob_up(0.0)) == 0.0
+    assert capacity_closed_form(0.0, 0.5, 0.0, _bob_up(1.0)) == 0.0
 
 
 def test_closed_form_perfect_limit():
     # a noiseless flip channel read at the right angle carries one full bit
-    assert np.isclose(capacity_closed_form(1.0, 1.0, math.pi / 4.0),
+    assert np.isclose(capacity_closed_form(1.0, math.pi / 4.0, 0.0, _bob_up(1.0)),
                       1.0, rtol=0.0, atol=1e-12)
 
 
 def test_closed_form_monotone_in_preparation_radius():
     nu_b, delta = 0.8, 0.5
-    values = [capacity_closed_form(nu_b, r, delta) for r in np.linspace(0.1, 1.0, 10)]
+    values = [capacity_closed_form(nu_b, delta, 0.0, _bob_up(r))
+              for r in np.linspace(0.1, 1.0, 10).tolist()]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 @given(nu_b=probabilities, r_b=probabilities,
        delta=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_closed_form_is_a_capacity(nu_b, r_b, delta):
-    c = capacity_closed_form(nu_b, r_b, delta)
+    c = capacity_closed_form(nu_b, delta, 0.0, _bob_up(r_b))
     assert 0.0 <= c <= 1.0
 
 
 def test_closed_form_domain():
     with pytest.raises(ValueError):
-        capacity_closed_form(1.5, 1.0, 0.3)
+        capacity_closed_form(1.5, 0.3, 0.0, _bob_up(1.0))
     with pytest.raises(ValueError):
-        capacity_closed_form(0.5, -0.5, 0.3)
+        capacity_closed_form(0.5, math.inf, 0.0, _bob_up(1.0))
+
+
+def test_closed_form_is_the_capacity_of_random_untuned_channels():
+    # any Bob state and phase_b: the brute force meets the closed form, and
+    # the ensemble it finds is the closed form's theta = -1, +1 pair
+    rng = np.random.default_rng(3000)
+    for _ in range(3000):
+        phase_a = float(rng.uniform(-7.0, 7.0))
+        params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
+                               phase_b=float(rng.uniform(-7.0, 7.0)),
+                               bob_initial=random_bloch(rng))
+        result = capacity_bruteforce(params)
+        assert result.gap <= 1e-12
+        assert [p for p, _ in result.best_ensemble.members] == [0.5, 0.5]
+        assert [round(theta(s, phase_a)) for _, s in result.best_ensemble.members] == [-1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +184,18 @@ def test_tune_bob_phase_examples():
     assert tune_bob_phase(QubitState(1.0, 0.0, 0.0)) == math.pi / 2.0
     assert tune_bob_phase(QubitState(0.0, 1.0, 0.0)) == 0.0
     assert tune_bob_phase(QubitState(0.0, 0.0, 1.0)) == 0.0
+
+
+def test_tuned_phase_maximizes_the_closed_form():
+    # the paper's optimality claim: no switch phase of Bob's beats the one
+    # that puts all of his Bloch vector under the signal
+    rng = np.random.default_rng(20261019)
+    phases = np.linspace(-math.pi, math.pi, 101).tolist()
+    for _ in range(200):
+        stats, bob = random_statistics(rng), random_bloch(rng)
+        tuned = capacity_closed_form(stats.nu_b, stats.delta_ab, tune_bob_phase(bob), bob)
+        assert max(capacity_closed_form(stats.nu_b, stats.delta_ab, phase, bob)
+                   for phase in phases) <= tuned
 
 
 def test_tune_bob_phase_zeroes_invariant_component(rng):
@@ -190,7 +222,7 @@ def moderate_params() -> ChannelParams:
 
 def test_bruteforce_reaches_closed_form_pure_bob():
     result = capacity_bruteforce(moderate_params())
-    assert result.gap <= 2e-3
+    assert result.gap <= 1e-12
     assert result.c_bruteforce <= result.c_closed + 1e-9
     assert result.iterations > 0
     assert result.q_ea_lower == result.c_closed / 2.0
@@ -204,7 +236,7 @@ def test_bruteforce_mixed_bob_with_tuned_phase():
     params = ChannelParams(stats=stats, phase_a=0.0,
                            phase_b=tune_bob_phase(bob), bob_initial=bob)
     result = capacity_bruteforce(params)
-    assert result.gap <= 2e-3
+    assert result.gap <= 1e-12
     assert result.c_bruteforce <= result.c_closed + 1e-9
     assert result.nu_eff == stats.nu_b * 0.5
 
@@ -233,12 +265,13 @@ def test_bruteforce_deterministic():
        phase_a=st.floats(min_value=-7.0, max_value=7.0),
        phase_b=st.floats(min_value=-7.0, max_value=7.0))
 def test_bruteforce_stays_under_the_closed_form_on_random_channels(seed, phase_a, phase_b):
-    # mixed Bob, phase_b untuned: the closed form is still an upper bound
+    # mixed Bob, phase_b untuned: the closed form is this channel's capacity
     rng = np.random.default_rng(seed)
     params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
                            phase_b=phase_b, bob_initial=random_bloch(rng))
     result = capacity_bruteforce(params)  # raises ConsistencyError on an overshoot
     assert result.c_bruteforce <= result.c_closed + 1e-9
+    assert result.gap <= 1e-12
     assert abs(holevo_chi(params, result.best_ensemble) - result.c_bruteforce) <= 1e-12
     for _, member in result.best_ensemble.members:
         assert abs(member.norm_sq - 1.0) <= 1e-12

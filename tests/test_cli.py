@@ -397,6 +397,46 @@ def test_thermal_row_at_large_separation_is_typed():
         assert np.isclose(row["nu_ab_plus"], math.exp(-2.0 * (2.0 * n * j0 + 2.0 * re_w)), rtol=1e-14)
 
 
+@pytest.mark.parametrize("sep, delay, beta",
+                         [(1e12, -1e12, 1e6), (1e13, -1e13, 3e6), (1e300, -1e300, 1e8)])
+def test_thermal_row_far_out_on_the_light_cone_sums_few_terms(monkeypatch, sep, delay, beta):
+    # x = dtau + L is 0 and x = dtau - L is huge: sized for both at once, one
+    # series once took about 3.18 beta Matsubara terms (0.5 s and 298 MB at
+    # beta = 1e6, a MemoryError at 1e8); each argument now takes its own route
+    terms = []
+    for name, position in (("_matsubara", 4), ("_images", 2)):
+        def counted(*args, _series=getattr(field, name), _position=position):
+            terms.append(args[_position])
+            return _series(*args)
+        monkeypatch.setattr(field, name, counted)
+    field.cross_real_closed.cache_clear()
+    field.self_norm_closed.cache_clear()
+    row = evaluate_point(1.0, 1.0, sep, delay, beta=beta)
+    assert row["status"] == "ok"
+    assert terms and max(terms) <= 10**4
+
+
+# lambda = (1, 1) and (L, dtau) = (0.5, 1.5).  c_closed was once the tuned
+# channel's 0.00449 for both Bob states: (1, 0, 0) at phase_b = 0 lies on his
+# flip axis, a replacement channel of capacity 0, and (0.6, 0, 0.8) at
+# phase_b = 0.3 has c_bruteforce 0.00330
+@pytest.mark.parametrize("bob, phase_b", [("1,0,0", "0"), ("0.6,0,0.8", "0.3")])
+def test_untuned_bob_rows_report_their_own_channel_capacity(tmp_path, capsys, bob, phase_b):
+    assert main(["point", "--lambda-a", "1", "--lambda-b", "1", "--L", "0.5", "--dtau", "1.5",
+                 "--bob", bob, "--phase-b", phase_b, "--optimize"]) == 0
+    capacity = json.loads(capsys.readouterr().out)["capacity"]
+    cfg = tmp_path / "row.cfg"
+    cfg.write_text(f"schema_version = 1\nL = 0.5\ndtau = 1.5\nbob_bloch = {bob}\n"
+                   f"phase_b = {phase_b}\noptimizer = true\nformat = json\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["c_closed"] == capacity["c_closed"] == 2.0 * capacity["q_ea_lower"]
+    for record in (capacity, row):
+        assert abs(record["c_closed"] - record["c_bruteforce"]) <= 1e-12
+    if bob == "1,0,0":
+        assert capacity["c_closed"] == capacity["q_ea_lower"] == 0.0
+
+
 def test_vacuum_row_once_lost_to_quadrature_is_ok():
     # the radial quadrature of Re J fails its error target here; the closed
     # form does not need it
@@ -467,6 +507,8 @@ def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
     for argv in (["--lambda-a", "-1"], ["--lambda-b", "inf"], ["--eta", "-1", "--lambda-a", "0"]):
         assert main(["point", *argv]) == 2
         assert "must be finite and >= 0" in capsys.readouterr().err
+    assert main(["point", "--phase-b", "inf"]) == 2
+    assert "phases must be finite" in capsys.readouterr().err
     assert main(["point", "--eta", "1e10", "--lambda-a", "1e300"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "domain_error"
 
