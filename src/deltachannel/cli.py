@@ -8,13 +8,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
 from .errors import ConfigError
 from .selftest import selftest
-from .sweep import format_csv, format_json, json_ready, parse_config, point_query, run_sweep
+from .sweep import format_csv, format_json, parse_config, parse_triple, point_query, run_sweep, to_json
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -29,17 +28,6 @@ def _check_output_dir(path: str | None) -> None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory {parent!r} does not exist")
-
-
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{flag}: expected x,y,z, got {text!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{flag}: expected three numbers, got {text!r}") from None
-    return (x, y, z)
 
 
 def _emit(payload: str, path: str | None) -> None:
@@ -93,17 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    overrides = {}
-    if args.output is not None:
-        overrides["output"] = args.output
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.oracle:
-        overrides["oracle"] = True
-    if args.optimize:
-        overrides["optimizer"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    # a flag given on the command line overrides its config key
+    cfg = dataclasses.replace(
+        cfg,
+        output=cfg.output if args.output is None else args.output,
+        format=cfg.format if args.format is None else args.format,
+        oracle=cfg.oracle or args.oracle,
+        optimizer=cfg.optimizer or args.optimize,
+    )
     _check_output_dir(cfg.output)
     rows = run_sweep(cfg)
     _emit(format_csv(rows) if cfg.format == "csv" else format_json(rows), cfg.output)
@@ -119,21 +104,21 @@ def _run_point(args: argparse.Namespace) -> int:
         delay=args.dtau,
         eta_over_sigma=args.eta,
         beta=args.beta,
-        bob=_parse_triple(args.bob, "--bob"),
-        alice=_parse_triple(args.alice, "--alice"),
+        bob=parse_triple(args.bob, "--bob"),
+        alice=parse_triple(args.alice, "--alice"),
         phase_a=args.phase_a,
         phase_b=args.phase_b,
         oracle=args.oracle,
         optimizer=args.optimize,
     )
-    _emit(json.dumps(json_ready(record), indent=2, allow_nan=False) + "\n", args.output)
+    _emit(to_json(record), args.output)
     return EXIT_OK
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
     _check_output_dir(args.output)
     report = selftest(only=args.only)
-    payload = json.dumps(json_ready(report), indent=2, allow_nan=False) + "\n"
+    payload = to_json(report)
     sys.stdout.write(payload)
     if args.output is not None:
         _emit(payload, args.output)
@@ -155,10 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "point":
             return _run_point(args)
         return _run_selftest(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

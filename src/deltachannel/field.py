@@ -225,7 +225,7 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     return math.copysign(magnitude, dt) if magnitude else 0.0
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float:
     """Re J(L, dtau, beta) in closed form: the vacuum (beta None) or a KMS state.
 
@@ -237,9 +237,9 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
     gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
     cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
-    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  The last value is
-    cached, for a row's residual after its statistics; -0.0 and 0.0 share
-    a key and give the same bits.
+    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  Two values are
+    cached, a row's J(0, 0, beta) and Re J, for its residual after its
+    statistics; -0.0 and 0.0 share a key and give the same bits.
     """
     e = L / SQRT2
     if beta is None:
@@ -253,14 +253,6 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
         return (f_plus - f_minus) / (2.0 * L)
     x = dtau + L * _GL_NODES
     return 0.5 * float(_GL_WEIGHTS @ kms_sine_transform(x, beta, derivative=True))
-
-
-@functools.lru_cache(maxsize=64)
-def self_norm_closed(state: FieldStateSpec) -> float:
-    """J(0, 0, beta) = cross_real_closed(0, 0, beta), 1 in the vacuum, so that
-    ||Ef||^2 = norm_sq_closed(f) * self_norm_closed(state).  Cached: a sweep
-    has one state, and every row's norms need this one value."""
-    return cross_real_closed(0.0, 0.0, state.beta)
 
 
 def kms_sine_transform(
@@ -283,22 +275,27 @@ def kms_sine_transform(
       (A&S 7.1); past n = N, h is expanded in 1/c^2 (Laplace moments times
       zeta(2j, N + 1) / beta^2j).  Fast where beta is large.
     Each argument takes the route that needs fewer terms for it alone, and
-    the arguments that share a route share one call, which takes as many
+    the arguments that share a route share one sum, which takes as many
     terms as its tail needs for all of them; both routes agree to rounding
-    where both run.  route forces one route for every argument.
+    where both run.  route puts every argument in one group on that route.
     """
     x = np.asarray(x, dtype=float)
-    if route is not None:
-        return _series(x, beta, derivative, route)
+    if route not in (None, "matsubara", "images"):
+        raise ValueError(f"unknown route {route!r}; choose matsubara or images")
+    ax = np.abs(x)
+    mags = ax.tolist()
     groups: dict[str, list[int]] = {}
-    for i, v in enumerate(np.abs(x).tolist()):
+    for i, v in enumerate(mags):
         m, n = _term_counts(v, v, beta)
-        groups.setdefault("matsubara" if m <= n else "images", []).append(i)
-    if len(groups) == 1:
-        return _series(x, beta, derivative, *groups)
+        groups.setdefault(route or ("matsubara" if m <= n else "images"), []).append(i)
     out = np.empty_like(x)
     for name, idx in groups.items():
-        out[idx] = _series(x[idx], beta, derivative, name)
+        far = max(mags[i] for i in idx)
+        m, n = _term_counts(min(mags[i] for i in idx), far, beta)
+        if name == "matsubara":
+            out[idx] = _matsubara(x[idx], ax[idx], far, beta, math.ceil(m), derivative)
+        else:
+            out[idx] = _images(x[idx], beta, math.ceil(n), derivative)
     return out
 
 
@@ -307,18 +304,6 @@ def _term_counts(near: float, far: float, beta: float) -> tuple[float, float]:
     # floats: at extreme beta the one that is not taken is inf
     reach = MATSUBARA_CUT if near < FAR_X else FAR_DECAY / near
     return reach / (2.0 * math.pi) * beta, IMAGE_CUT * (far + 2.0) / beta
-
-
-def _series(x: np.ndarray, beta: float, derivative: bool, route: str) -> np.ndarray:
-    ax = np.abs(x)
-    mags = ax.tolist()
-    far = max(mags)
-    m, n = _term_counts(min(mags), far, beta)
-    if route == "matsubara":
-        return _matsubara(x, ax, far, beta, math.ceil(m), derivative)
-    if route == "images":
-        return _images(x, beta, math.ceil(n), derivative)
-    raise ValueError(f"unknown route {route!r}; choose matsubara or images")
 
 
 def _tail_coefficients(scale: float, start: int, shift: int) -> list[float]:
@@ -564,7 +549,7 @@ def wightman_cross_quadrature(
 @functools.lru_cache(maxsize=64)
 def self_norm_j(state: FieldStateSpec) -> float:
     """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta).
-    Cached like self_norm_closed: every --oracle row of a sweep needs it."""
+    Cached: every --oracle row of a sweep needs it."""
     j, _ = _radial_integral(0.0, 0.0, state.beta)
     return j.real
 
@@ -595,7 +580,7 @@ def residual(
     """
     d_closed = commutator_closed(f_a, f_b, geom)
     terms = [abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)]
-    j0_closed = self_norm_closed(state)
+    j0_closed = cross_real_closed(0.0, 0.0, state.beta)
     for f in (f_a, f_b):
         closed = norm_sq_closed(f) * j0_closed
         quad = pair_prefactor(f, f) * j0
@@ -635,14 +620,14 @@ def assemble_statistics(
     with the cross norm expanded through Re W(f_A, f_B).  Every scalar is
     closed form, so no integral runs: Re W through cross_real_closed, the
     vacuum norms through norm_sq_closed, and a thermal norm as the vacuum
-    one times J(0, 0, beta) = self_norm_closed(state).  The commutator is
-    state independent, so delta_ab always comes from commutator_closed.
-    The quadrature is the oracle for all of them.
+    one times J(0, 0, beta) = cross_real_closed(0, 0, beta).  The
+    commutator is state independent, so delta_ab always comes from
+    commutator_closed.  The quadrature is the oracle for all of them.
     """
     n_a = norm_sq_closed(f_a)
     n_b = norm_sq_closed(f_b)
     if state.is_thermal:
-        j0 = self_norm_closed(state)
+        j0 = cross_real_closed(0.0, 0.0, state.beta)
         n_a, n_b = n_a * j0, n_b * j0
     re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, state.beta)
     delta = commutator_closed(f_a, f_b, geom)

@@ -98,7 +98,7 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
             matsubara, images = (field.kms_sine_transform(x, beta, derivative, route)
                                  for route in ("matsubara", "images"))
             difference = float(np.max(np.abs(matsubara - images)))
-            routes = max(routes, difference / field.self_norm_closed(state))
+            routes = max(routes, difference / field.cross_real_closed(0.0, 0.0, beta))
     # np.max keeps a NaN residual, which fails the check
     worst = float(np.max(residuals))
     detail = {

@@ -140,17 +140,8 @@ class SweepConfig:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "eta_over_sigma": float,
-    "lambda_a": float,
-    "lambda_b": float,
-    "L": float,
-    "dtau": float,
-    "beta": float,
-    "r_b": float,
-    "phase_a": float,
-    "phase_b": float,
-}
+_SCALAR_KEYS = ("eta_over_sigma", "lambda_a", "lambda_b", "L", "dtau", "beta", "r_b",
+                "phase_a", "phase_b")
 _FIELD_FOR_KEY = {"L": "separation", "dtau": "delay"}
 
 
@@ -168,6 +159,14 @@ def _parse_float(value: str, where: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def parse_triple(text: str, where: str) -> tuple[float, float, float]:
+    """x,y,z of bob_bloch, --bob or --alice; where names the line or flag."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"{where}: expected three comma-separated numbers, got {text!r}")
+    return tuple(_parse_float(p.strip(), where) for p in parts)
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -194,16 +193,11 @@ def parse_config_text(text: str) -> SweepConfig:
         elif key in _SCALAR_KEYS:
             fields[_FIELD_FOR_KEY.get(key, key)] = _parse_float(value, where)
         elif key == "bob_bloch":
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{where}: expected three comma-separated numbers")
-            fields["bob_bloch"] = tuple(_parse_float(p, where) for p in parts)
+            fields["bob_bloch"] = parse_triple(value, where)
         elif key in ("oracle", "optimizer"):
             fields[key] = _parse_bool(value, where)
-        elif key == "format":
-            fields["format"] = value
-        elif key == "output":
-            fields["output"] = value
+        elif key in ("format", "output"):
+            fields[key] = value
         elif key.startswith("axis."):
             name = key[len("axis."):]
             parts = [p.strip() for p in value.split(",")]
@@ -213,15 +207,8 @@ def parse_config_text(text: str) -> SweepConfig:
                 count = int(parts[2])
             except ValueError:
                 raise ConfigError(f"{where}: count must be an integer") from None
-            axes.append(
-                AxisSpec(
-                    name=name,
-                    lo=_parse_float(parts[0], where),
-                    hi=_parse_float(parts[1], where),
-                    count=count,
-                    scale=parts[3],
-                )
-            )
+            lo, hi = (_parse_float(p, where) for p in parts[:2])
+            axes.append(AxisSpec(name, lo, hi, count, parts[3]))
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
     if schema_version is None:
@@ -235,7 +222,8 @@ def parse_config_text(text: str) -> SweepConfig:
 
 def parse_config(path: str) -> SweepConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -368,9 +356,14 @@ def json_ready(value):
     return value
 
 
-def format_json(rows: list[dict]) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "rows": [{c: r[c] for c in COLUMNS} for r in rows]}
+def to_json(doc) -> str:
+    """Strict JSON for sweep rows, a point record or a selftest report."""
     return json.dumps(json_ready(doc), indent=2, allow_nan=False) + "\n"
+
+
+def format_json(rows: list[dict]) -> str:
+    return to_json({"schema_version": SCHEMA_VERSION,
+                    "rows": [{c: r[c] for c in COLUMNS} for r in rows]})
 
 
 # ---------------------------------------------------------------------------

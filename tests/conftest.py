@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from deltachannel.channel import QubitState
 from deltachannel import field
-from deltachannel.field import cross_real_closed, self_norm_closed, self_norm_j
+from deltachannel.field import cross_real_closed, self_norm_j
 from deltachannel.selftest import random_bloch as draw_ball
 from deltachannel.selftest import random_statistics as draw_statistics
 
@@ -146,5 +146,4 @@ def fresh_caches():
     or call count does not depend on which tests ran before, and a test
     that breaks the quadrature or patches a series leaves no value behind."""
     self_norm_j.cache_clear()
-    self_norm_closed.cache_clear()
     cross_real_closed.cache_clear()

@@ -81,6 +81,7 @@ def test_parse_config_full():
         ("axis.lambda_a = 1, 2, 0, linear", "count"),
         ("oracle = maybe", "boolean"),
         ("bob_bloch = 1, 2", "three"),
+        ("bob_bloch = 1, x, 0", "expected a number"),
         ("format = yaml", "format"),
     ],
 )
@@ -352,7 +353,8 @@ def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
 
 
 def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
-    # the residual reuses the statistics' Re J: one series per row
+    # the residual reuses the statistics' Re J, and J(0, 0, 2) stays cached
+    # beside each row's own Re J: one series per row
     series = field.kms_sine_transform
     calls = []
 
@@ -360,11 +362,13 @@ def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
         calls.append(args[1:])
         return series(*args, **kwargs)
 
-    field.self_norm_closed(field.thermal(2.0))
+    field.cross_real_closed(0.0, 0.0, 2.0)
     monkeypatch.setattr(field, "kms_sine_transform", counted)
-    row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True)
-    assert row["status"] == "ok"
-    assert calls == [(2.0,)]
+    for sep, delay in ((6.0, 6.0), (4.0, 8.0)):
+        calls.clear()
+        row = evaluate_point(10.0, 1.0, sep, delay, beta=2.0, oracle=True)
+        assert row["status"] == "ok"
+        assert calls == [(2.0,)]
 
 
 @pytest.mark.parametrize("beta", ["5e-324", "2e-308"])
@@ -410,7 +414,6 @@ def test_thermal_row_far_out_on_the_light_cone_sums_few_terms(monkeypatch, sep, 
             return _series(*args)
         monkeypatch.setattr(field, name, counted)
     field.cross_real_closed.cache_clear()
-    field.self_norm_closed.cache_clear()
     row = evaluate_point(1.0, 1.0, sep, delay, beta=beta)
     assert row["status"] == "ok"
     assert terms and max(terms) <= 10**4
@@ -723,7 +726,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["point", "--bob", "1,2"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "--bob" in err and "three" in err
+    assert main(["point", "--alice", "1,x,0"]) == 2
+    err = capsys.readouterr().err
+    assert "--alice" in err and "number" in err
     assert main(["point", "--bob", "0.9,0.9,0.9"]) == 2
     capsys.readouterr()
 
@@ -732,6 +739,40 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_cli_sweep_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # a leading BOM once made line 1 an unknown key '\ufeffschema_version'
+    rows = []
+    for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(BASE_CONFIG, encoding=encoding)
+        assert main(["sweep", "--config", str(path)]) == 0
+        rows.append(capsys.readouterr().out)
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert rows[0] == rows[1]
+    assert len(rows[0].splitlines()) == 7
+
+
+def test_cli_sweep_flags_override_config_keys(tmp_path, capsys):
+    keyed, flagged = tmp_path / "keyed.csv", tmp_path / "flagged.json"
+    cfg = write_config(tmp_path, f"schema_version = 1\noutput = {keyed}\nformat = csv\n"
+                                 "oracle = true\noptimizer = true\n")
+    # with no flag given, the config's output, oracle and optimizer hold
+    assert main(["sweep", "--config", cfg]) == 0
+    assert capsys.readouterr().out == ""
+    header, row = keyed.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["oracle_residual"] != "nan"
+    assert cells["c_bruteforce"] != "nan"
+    # --output and --format override both keys
+    keyed.unlink()
+    assert main(["sweep", "--config", cfg, "--output", str(flagged), "--format", "json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert not keyed.exists()
+    (doc_row,) = json.loads(flagged.read_text(encoding="utf-8"))["rows"]
+    assert doc_row["oracle_residual"] is not None
+    assert doc_row["c_bruteforce"] is not None
 
 
 def test_cli_selftest_single_check_passes(capsys):
