@@ -25,6 +25,8 @@ def _check_output_dir(path: str | None) -> None:
     """Reject unwritable output locations before any computation starts."""
     if path is None:
         return
+    if not path:
+        raise ConfigError("output path is empty")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory {parent!r} does not exist")

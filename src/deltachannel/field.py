@@ -2,17 +2,19 @@
 
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
-statistics never integrate, and scipy.integrate and mpmath are imported
-on the oracle's first call, not with this module (see quad and
-_commutator_trapezoid).  residual is the one rule that compares the two,
-for a sweep row's oracle_residual (through oracle_residual) and for
-selftest's grid.  The oracle escalates only Im J, the commutator part,
-which is compared relatively, to a 50-digit trapezoid rule whose nodes
-run on fixed-point integer recurrences, mpmath computing only their
-seeds; Re J is compared absolutely and stays with quad (see
-_radial_integral).  Everything is dimensionless in units of the Gaussian
-smearing width sigma: couplings are lambda_tilde/sigma, distances
-L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
+statistics never integrate.  The vacuum closed forms need only math and
+numpy, the Dawson function being this module's own (see dawson);
+scipy.special is imported on a thermal series' first call, and
+scipy.integrate and mpmath on the oracle's first call, none of them with
+this module (see quad and _commutator_trapezoid).  residual is the one
+rule that compares the two, for a sweep row's oracle_residual (through
+oracle_residual) and for selftest's grid.  The oracle escalates only
+Im J, the commutator part, which is compared relatively, to a 50-digit
+trapezoid rule whose nodes run on fixed-point integer recurrences, mpmath
+computing only their seeds; Re J is compared absolutely and stays with
+quad (see _radial_integral).  Everything is dimensionless in units of the
+Gaussian smearing width sigma: couplings are lambda_tilde/sigma,
+distances L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erf, erfcx, wofz, zeta
 
 from .errors import QuadratureError
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+SQRT_PI = math.sqrt(math.pi)
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT2 = math.sqrt(2.0)
 # Below this argument the next series term (x^2/6) is under 2e-17 relative,
@@ -61,9 +63,27 @@ TRAPEZOID_MAX_NODES = math.ceil(TRAPEZOID_K * (2e3 + TRAPEZOID_K) / math.pi)
 # the rule's own 10^-MP_DPS rounding term.
 TRAPEZOID_BITS = math.ceil((MP_DPS + 20) * math.log2(10.0))
 
+# The Dawson function (see dawson).  Its Taylor series runs below
+# DAWSON_TAYLOR_MAX, where the first of its terms left out is under 2e-19
+# of the sum; its asymptotic series above DAWSON_ASYMPTOTIC_MIN, where the
+# first left out is under 5e-21; Rybicki's series between them.  At step
+# DAWSON_H that series leaves out exp(-(pi / 2h)^2) ~ 2e-27 of the sum, and
+# the odd n whose weight exp(-(n h)^2) is above 1e-18 reach every bit of a
+# double.
+DAWSON_TAYLOR_MAX = 1.0
+DAWSON_ASYMPTOTIC_MIN = 25.0
+DAWSON_H = 0.2
+# (-2)^n / (2n + 1)!!, each correctly rounded (int / int is)
+_DAWSON_TAYLOR = tuple((-2) ** n / math.prod(range(1, 2 * n + 2, 2)) for n in range(20))
+_DAWSON_PAIRS = tuple(
+    (n, math.exp(-(n * DAWSON_H) ** 2)) for n in range(1, 40, 2)
+    if math.exp(-(n * DAWSON_H) ** 2) > 1e-18
+)
+
 # Below this half-width the Dawson difference quotient in cross_real_closed
-# cancels; the mean of D' over the interval is taken by Gauss-Legendre
-# instead, whose 6-point error there is far below double precision.
+# cancels; the mean of D' over the interval is taken instead by
+# _dawson_slope_mean, or by Gauss-Legendre, whose 6-point error there is far
+# below double precision.
 DAWSON_SMALL_EPS = 0.05
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
@@ -225,6 +245,69 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     return math.copysign(magnitude, dt) if magnitude else 0.0
 
 
+def dawson(x: float) -> float:
+    """The Dawson function D(x) = exp(-x^2) int_0^x exp(t^2) dt, within 4 ulp.
+
+    - |x| < DAWSON_TAYLOR_MAX: x sum_n (-2x^2)^n / (2n + 1)!!, A&S 7.1.6
+      at z = i x, so a subnormal x gives x;
+    - |x| > DAWSON_ASYMPTOTIC_MIN: (1/2x) sum_n (2n - 1)!! / (2x^2)^n,
+      which is 0.0 at +-inf;
+    - between them Rybicki's sampling-theorem series (Numerical Recipes
+      2nd ed. section 6.10), D(x) = pi^(-1/2) sum_{n odd}
+      exp(-(x' - n h)^2) / (n0 + n), shifted to the nearest even multiple
+      n0 h of the step h = DAWSON_H, x' = x - n0 h, summed with math.fsum.
+    Odd bit for bit, including the sign of zero.
+    """
+    ax = abs(x)
+    if ax < DAWSON_TAYLOR_MAX:
+        u = x * x
+        s = 0.0
+        for c in reversed(_DAWSON_TAYLOR):
+            s = s * u + c
+        return x * s
+    if ax <= DAWSON_ASYMPTOTIC_MIN:
+        n0 = 2 * round(ax / (2.0 * DAWSON_H))
+        xp = ax - n0 * DAWSON_H
+        t = 2.0 * DAWSON_H * xp
+        # exp(-(x' -+ n h)^2) = exp(-x'^2) exp(-(n h)^2) exp(+-n t)
+        terms = []
+        for n, weight in _DAWSON_PAIRS:
+            e = math.exp(n * t)
+            terms += (weight * e / (n0 + n), weight / (e * (n0 - n)))
+        return math.copysign(math.exp(-xp * xp) * math.fsum(terms) / SQRT_PI, x)
+    # NaN lands here too, and stays NaN
+    v = 0.5 / (ax * ax)
+    s = 1.0
+    for k in range(15, 0, -2):
+        s = 1.0 + k * v * s
+    return math.copysign(0.5 / ax * s, x)
+
+
+def _dawson_slope_mean(b: float, e: float) -> float:
+    """[D(b + e) - D(b - e)] / (2e), the mean of D' over [b - e, b + e], for
+    e < DAWSON_SMALL_EPS and |b| in dawson's range of Rybicki's series.
+
+    Each term of that series is differenced on its own, at the shift n0 h
+    nearest |b| (D' is even):
+    exp(-(u + e)^2) - exp(-(u - e)^2) = -2 exp(-u^2 - e^2) sinh(2 u e),
+    so the mean is -(2 / sqrt(pi)) exp(-e^2) sum_n u_n exp(-u_n^2)
+    sinhc(2 u_n e) / (n0 + n), u_n = |b| - (n0 + n) h, sinhc(z) = sinh(z)/z.
+    Nothing cancels as e -> 0, e = 0 gives D'(b), and a subnormal e gives
+    its bits.  One sum of 32 terms, where Gauss-Legendre would take six
+    calls of dawson.
+    """
+    ab = abs(b)
+    n0 = 2 * round(ab / (2.0 * DAWSON_H))
+    y = ab - n0 * DAWSON_H
+    terms = []
+    for n, _ in _DAWSON_PAIRS:
+        for m in (n, -n):
+            u = y - m * DAWSON_H
+            z = 2.0 * u * e
+            terms.append(u * math.exp(-u * u) * (math.sinh(z) / z if z else 1.0) / (n0 + m))
+    return -2.0 * math.exp(-e * e) * math.fsum(terms) / SQRT_PI
+
+
 @functools.lru_cache(maxsize=2)
 def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float:
     """Re J(L, dtau, beta) in closed form: the vacuum (beta None) or a KMS state.
@@ -234,7 +317,9 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     Dawson function, so Re J = [D(b + e) - D(b - e)] / (2 e), e = L/sqrt2
     and b = dtau/sqrt2 (Abramowitz & Stegun 7.1).  The quotient is the mean
     of F' over [dtau - L, dtau + L]; below DAWSON_SMALL_EPS that mean is
-    taken by Gauss-Legendre, free of the quotient's cancellation.  L = 0
+    taken free of the quotient's cancellation: in the vacuum by
+    _dawson_slope_mean where dawson would sum Rybicki's series, else by
+    Gauss-Legendre.  L = 0
     gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
     cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
     Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  Two values are
@@ -245,9 +330,11 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     if beta is None:
         b = dtau / SQRT2
         if e >= DAWSON_SMALL_EPS:
-            return float(dawsn(b + e) - dawsn(b - e)) / (2.0 * e)
-        x = b + e * _GL_NODES
-        return 0.5 * float(_GL_WEIGHTS @ (1.0 - 2.0 * x * dawsn(x)))
+            return (dawson(b + e) - dawson(b - e)) / (2.0 * e)
+        if DAWSON_TAYLOR_MAX <= abs(b) <= DAWSON_ASYMPTOTIC_MIN:
+            return _dawson_slope_mean(b, e)
+        d_prime = [1.0 - 2.0 * x * dawson(x) for x in (b + e * _GL_NODES).tolist()]
+        return 0.5 * float(_GL_WEIGHTS @ d_prime)
     if e >= DAWSON_SMALL_EPS:
         f_plus, f_minus = kms_sine_transform(np.array([dtau + L, dtau - L]), beta).tolist()
         return (f_plus - f_minus) / (2.0 * L)
@@ -307,7 +394,11 @@ def _term_counts(near: float, far: float, beta: float) -> tuple[float, float]:
 
 
 def _tail_coefficients(scale: float, start: int, shift: int) -> list[float]:
-    # scale^p zeta(p, start) at degree p - 1 + shift, for p in TAIL_POWERS
+    # scale^p zeta(p, start) at degree p - 1 + shift, for p in TAIL_POWERS.
+    # scipy.special loads on a thermal row's first call, here and in
+    # _matsubara and _images: no vacuum route needs it.
+    from scipy.special import zeta
+
     coef = [0.0] * (TAIL_POWERS[-1] + shift)
     for p, z in zip(TAIL_POWERS, zeta(np.array(TAIL_POWERS, dtype=float), start).tolist()):
         coef[p - 1 + shift] = scale**p * z
@@ -328,6 +419,8 @@ def _hermite_e(x, coef: list) -> np.ndarray:
 
 
 def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.ndarray:
+    from scipy.special import erf, erfcx
+
     col = ax[:, None]
     step = 2.0 * math.pi / beta
     a = step * np.arange(1, m + 1)
@@ -360,17 +453,20 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
 
 
 def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
+    from scipy.special import wofz
+
     z = (x[:, None] + 1j * beta * np.arange(1, n + 1)) / SQRT2
     w = wofz(z)
+    d = np.array([dawson(v) for v in (x / SQRT2).tolist()])
     tail = _tail_coefficients(1.0 / beta, n + 1, 0)
     if derivative:
-        terms = (1.0 - math.sqrt(math.pi) * (z * w).imag).sum(axis=1)
+        terms = (1.0 - SQRT_PI * (z * w).imag).sum(axis=1)
         # d/dx Im p(ix) = Re p'(ix), and He_k' = k He_{k-1}
         moments = _hermite_e(1j * x, [k * c for k, c in enumerate(tail)][1:]).real
-        return 1.0 - SQRT2 * x * dawsn(x / SQRT2) + 2.0 * (terms + moments)
+        return 1.0 - SQRT2 * x * d + 2.0 * (terms + moments)
     terms = SQRT_HALF_PI * w.imag.sum(axis=1)
     moments = _hermite_e(1j * x, tail).imag
-    return SQRT2 * dawsn(x / SQRT2) + 2.0 * (terms + moments)
+    return SQRT2 * d + 2.0 * (terms + moments)
 
 
 # ---------------------------------------------------------------------------

@@ -24,19 +24,24 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
+def dawson_reference(x):
+    """The Dawson function (sqrt(pi)/2) exp(-x^2) erfi(x) as an mpf, at 50
+    digits or at the working precision if that is higher."""
+    with mpmath.workdps(max(mpmath.mp.dps, 50)):
+        x = mpmath.mpf(x)
+        return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+
 def re_j_reference(L, dtau):
     """Vacuum Re J from erfi at 50 digits, plus the digits lost to the
     difference quotient below L = 1."""
     dps = 50 + (math.ceil(-math.log10(L)) if 0.0 < L < 1.0 else 0)
     with mpmath.workdps(dps):
         Lm, dt, s2 = mpmath.mpf(L), mpmath.mpf(dtau), mpmath.sqrt(2)
-
-        def dawson(x):
-            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
-
         if L == 0.0:
-            return float(1 - s2 * dt * dawson(dt / s2))
-        return float((dawson((Lm + dt) / s2) + dawson((Lm - dt) / s2)) / (s2 * Lm))
+            return float(1 - s2 * dt * dawson_reference(dt / s2))
+        return float((dawson_reference((Lm + dt) / s2) + dawson_reference((Lm - dt) / s2))
+                     / (s2 * Lm))
 
 
 def thermal_re_j_reference(L, dtau, beta):

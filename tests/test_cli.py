@@ -737,6 +737,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["selftest", "--output", missing_dir]) == 2
     capsys.readouterr()
 
+    # an empty output path is a usage error, found before any row is computed
+    empty_key = tmp_path / "empty_output.cfg"
+    empty_key.write_text(BASE_CONFIG + "output =\n", encoding="utf-8")
+    for argv in (["sweep", "--config", good, "--output", ""], ["sweep", "--config", str(empty_key)],
+                 ["point", "--output", ""], ["selftest", "--output", ""]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "output path is empty" in captured.err and captured.out == "", argv
+
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
 

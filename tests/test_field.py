@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import sys
 
 import mpmath
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import deltachannel.field as field
-from conftest import commutator_trapezoid_reference, re_j_reference, thermal_re_j_reference
+from conftest import (
+    commutator_trapezoid_reference,
+    dawson_reference,
+    re_j_reference,
+    thermal_re_j_reference,
+)
 from deltachannel.errors import QuadratureError
 from deltachannel.field import (
     FOUR_PI_SQ,
@@ -22,6 +28,7 @@ from deltachannel.field import (
     assemble_statistics,
     commutator_closed,
     cross_real_closed,
+    dawson,
     norm_sq_closed,
     norm_sq_quadrature,
     pair_prefactor,
@@ -166,8 +173,9 @@ def _re_j_cases():
 
 
 def test_cross_real_closed_matches_erfi_reference():
+    # every vacuum route: the quotient, _dawson_slope_mean and Gauss-Legendre
     worst = max(abs(cross_real_closed(L, dt) - re_j_reference(L, dt)) for L, dt in _re_j_cases())
-    assert worst <= 1e-14
+    assert worst <= 5e-16
 
 
 def test_cross_real_closed_limits():
@@ -182,6 +190,54 @@ def test_cross_real_closed_agrees_with_quadrature():
     for sep, delay in ((0.0, 0.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (0.01, 2.0), (3.0, -12.0)):
         j, _ = field._radial_integral(sep, delay, None)
         assert abs(cross_real_closed(sep, delay) - j.real) <= 1e-12
+
+
+# the Dawson function: x for |x| log-uniform over the float range and
+# uniform on [0, 30], each branch edge and the float on either side of it,
+# a few points where Rybicki's shift n0 h moves, and x = 0.0133, where
+# scipy's dawsn is 97 ulp off
+DAWSON_PINNED = 0.01328024707269681
+
+
+def _dawson_sample():
+    draw = random.Random(20261019)
+    xs = [10.0 ** draw.uniform(-320.0, 300.0) for _ in range(100)]
+    xs += [draw.uniform(0.0, 30.0) for _ in range(400)]
+    for edge in (field.DAWSON_TAYLOR_MAX, field.DAWSON_ASYMPTOTIC_MIN, 1.4, 12.2, 24.6):
+        xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return xs + [DAWSON_PINNED]
+
+
+def _ulps(value, reference):
+    # reference is an mpf; the ulp is that of the float nearest it
+    return float(abs(mpmath.mpf(value) - reference)) / math.ulp(float(reference))
+
+
+def test_dawson_is_within_4_ulp_of_the_50_digit_reference():
+    from scipy.special import dawsn
+
+    xs = _dawson_sample()
+    refs = [dawson_reference(x) for x in xs]
+    ours = [_ulps(dawson(x), r) for x, r in zip(xs, refs)]
+    theirs = [_ulps(float(dawsn(x)), r) for x, r in zip(xs, refs)]
+    assert max(ours) <= 4.0
+    assert statistics.fmean(ours) < statistics.fmean(theirs)
+    assert _ulps(dawson(DAWSON_PINNED), dawson_reference(DAWSON_PINNED)) <= 1.0
+
+
+def test_dawson_special_values():
+    for zero in (0.0, -0.0):
+        assert math.copysign(1.0, dawson(zero)) == math.copysign(1.0, zero)
+        assert dawson(zero) == 0.0
+    for sign in (1.0, -1.0):
+        value = dawson(sign * math.inf)
+        assert value == 0.0 and math.copysign(1.0, value) == sign
+        for tiny in (5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)):
+            assert dawson(sign * tiny) == sign * tiny
+    assert math.isnan(dawson(math.nan))
+    for x in _dawson_sample():
+        # odd bit for bit: the values are non-zero, where == compares bits
+        assert dawson(-x) == -dawson(x) != 0.0
 
 
 # Thermal Re J against the 50-digit quadrature: separations at and near 0

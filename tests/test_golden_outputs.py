@@ -50,7 +50,7 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("config, flags, digest", [
     (FIG1_CONFIG, [], "b2f48bcc96686c2d047b39528b7daff104bc12447c2980d9449c6e0333e52d0c"),
     (ORACLE_CONFIG, ["--oracle"],
-     "69f1b4bc94b68410555e72ead0a49e666db787b87062cbafa5bd528d70f93e32"),
+     "0e552a680f783c4a969cdd943d19bcdb30d83f4ea04c48e0ed651b0ef11f6bfd"),
     (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
      "d131d82648f91d27ba94dc371722f3199390010d68ef1153e3fc21d3cb720a56"),
 ], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2"])

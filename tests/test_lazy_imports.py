@@ -1,4 +1,6 @@
-"""scipy.integrate and mpmath load on the oracle's first call, not at import.
+"""scipy.special loads on a thermal row's first call, and scipy.integrate
+and mpmath on the oracle's first call, not at import: a vacuum process
+loads none of them.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -21,7 +23,7 @@ from deltachannel import cli
 
 
 def loaded():
-    return [name for name in ("scipy.integrate", "mpmath") if name in sys.modules]
+    return [name for name in ("scipy.special", "scipy.integrate", "mpmath") if name in sys.modules]
 
 
 def run(argv):
@@ -66,8 +68,9 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "import": [],
         "point": [],
         "vacuum sweep": [],
-        "beta = 2 sweep": [],
-        "oracle point": ["scipy.integrate"],
-        "escalated oracle point": ["scipy.integrate", "mpmath"],
+        "beta = 2 sweep": ["scipy.special"],
+        # scipy.integrate imports scipy.special itself
+        "oracle point": ["scipy.special", "scipy.integrate"],
+        "escalated oracle point": ["scipy.special", "scipy.integrate", "mpmath"],
     }
     assert result == {"status": {"oracle point": "ok", "escalated oracle point": "ok"}}
