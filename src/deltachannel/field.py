@@ -12,7 +12,11 @@ oracle_residual) and for selftest's grid.  The oracle escalates only
 Im J, the commutator part, which is compared relatively, to a 50-digit
 trapezoid rule whose nodes run on fixed-point integer recurrences, mpmath
 computing only their seeds; Re J is compared absolutely and stays with
-quad (see _radial_integral).  Everything is dimensionless in units of the
+quad (see _radial_integral).  The couplings are only a prefactor, so both
+routes cache their J by (L, dtau, beta) for the last GEOMETRY_CACHE_SIZE
+geometries: cross_real_closed its Re J, and oracle_j the integral or its
+QuadratureError, so a process integrates each geometry once, whether it
+succeeds or fails.  Everything is dimensionless in units of the
 Gaussian smearing width sigma: couplings are lambda_tilde/sigma,
 distances L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
 """
@@ -102,6 +106,17 @@ FAR_X = 12.0
 FAR_DECAY = 80.0
 IMAGE_CUT = 12.0
 TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
+
+# Entries of each per-geometry cache, cross_real_closed's and the oracle's
+# (see oracle_j).  A sweep runs its last axis innermost: with a coupling axis
+# innermost a geometry repeats in consecutive rows, and two entries would
+# do, but with an L or dtau axis inside a coupling axis each geometry comes
+# back only after all the others, so the cache must hold the whole (L, dtau)
+# grid, here up to 64 x 64.  A larger grid integrates every row, as two
+# entries would.  An entry takes about 120 bytes in the first cache and 240
+# in the second (320 for a remembered QuadratureError), so both caches full
+# stay under 2 MB.
+GEOMETRY_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +323,7 @@ def _dawson_slope_mean(b: float, e: float) -> float:
     return -2.0 * math.exp(-e * e) * math.fsum(terms) / SQRT_PI
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float:
     """Re J(L, dtau, beta) in closed form: the vacuum (beta None) or a KMS state.
 
@@ -322,9 +337,10 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     Gauss-Legendre.  L = 0
     gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
     cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
-    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  Two values are
-    cached, a row's J(0, 0, beta) and Re J, for its residual after its
-    statistics; -0.0 and 0.0 share a key and give the same bits.
+    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  The last
+    GEOMETRY_CACHE_SIZE values are cached, so a sweep computes J(0, 0, beta)
+    and each geometry's Re J once, and a row's residual reuses its
+    statistics' values; -0.0 and 0.0 share a key and give the same bits.
     """
     e = L / SQRT2
     if beta is None:
@@ -429,7 +445,10 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
     ax_clip = np.minimum(ax, K_MAX)
     gauss = np.exp(-0.5 * ax_clip * ax_clip)
     g = gauss[:, None]
-    lower = g * erfcx(np.abs(a - col) / SQRT2)
+    # below beta ~ 3.5e-308 a is inf, and so is an |x| past the float range:
+    # their difference is NaN, which the caller's domain check rejects
+    with np.errstate(invalid="ignore"):
+        lower = g * erfcx(np.abs(a - col) / SQRT2)
     if step < far:
         # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative;
         # far off the light cone the exponent may overflow to -inf, whose exp,
@@ -627,27 +646,46 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     return complex(re, im), max(re_err, im_err)
 
 
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _remembered_j(L: float, dtau: float, beta: float | None):
+    # _radial_integral's J, or its QuadratureError's message and estimate:
+    # not the error itself, whose traceback would grow at each raise
+    try:
+        return _radial_integral(L, dtau, beta)[0], None
+    except QuadratureError as exc:
+        return None, (str(exc), exc.estimate)
+
+
+def oracle_j(L: float, dtau: float, beta: float | None) -> complex:
+    """J(L, dtau, beta) by _radial_integral, integrated once per geometry
+    per process: the last GEOMETRY_CACHE_SIZE outcomes are cached, a
+    QuadratureError's too, which is raised afresh, with the same message
+    and estimate, at each call.  -0.0 and 0.0 share a key and give the
+    same bits."""
+    j, failure = _remembered_j(L, dtau, beta)
+    if failure:
+        raise QuadratureError(*failure)
+    return j
+
+
 def wightman_cross_quadrature(
     f_a: SmearingSpec,
     f_b: SmearingSpec,
     geom: PairGeometry,
     state: FieldStateSpec = VACUUM,
 ) -> complex:
-    """Smeared two-point value W(f_A, f_B) by radial quadrature.
+    """Smeared two-point value W(f_A, f_B) by radial quadrature (oracle_j).
 
     Im W(f_A, f_B) = -Delta(f_A, f_B)/2 holds for every state: the thermal
     kernel enhances only the real (symmetric) part.
     """
-    j, _ = _radial_integral(geom.separation, geom.delay, state.beta)
-    return pair_prefactor(f_a, f_b) * j
+    return pair_prefactor(f_a, f_b) * oracle_j(geom.separation, geom.delay, state.beta)
 
 
-@functools.lru_cache(maxsize=64)
 def self_norm_j(state: FieldStateSpec) -> float:
     """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta).
-    Cached: every --oracle row of a sweep needs it."""
-    j, _ = _radial_integral(0.0, 0.0, state.beta)
-    return j.real
+    oracle_j's entry at (0, 0, beta), so integrated once per state."""
+    return oracle_j(0.0, 0.0, state.beta).real
 
 
 def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:

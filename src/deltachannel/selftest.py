@@ -79,8 +79,9 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
             field.residual(f_a, f_b, geom, state, field.pair_prefactor(f_a, f_b) * j, j0)
             for f_a in couplings for f_b in couplings)
 
-    # J(0, 0, beta) straight from the integral, not from the cached
-    # self_norm_j, so that the check integrates it whatever ran before
+    # J(0, 0, beta) and each geometry's J straight from the integral, not
+    # from oracle_j's cache, so that the check integrates them whatever ran
+    # before
     j0 = field._radial_integral(0.0, 0.0, None)[0].real
     for sep in GRID_SEPARATIONS:
         for delay in GRID_DELAYS:

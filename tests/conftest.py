@@ -11,7 +11,6 @@ from hypothesis import settings
 
 from deltachannel.channel import QubitState
 from deltachannel import field
-from deltachannel.field import cross_real_closed, self_norm_j
 from deltachannel.selftest import random_bloch as draw_ball
 from deltachannel.selftest import random_statistics as draw_statistics
 
@@ -147,8 +146,11 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with J(0, 0, beta) and Re J uncached, so an integral
-    or call count does not depend on which tests ran before, and a test
-    that breaks the quadrature or patches a series leaves no value behind."""
-    self_norm_j.cache_clear()
-    cross_real_closed.cache_clear()
+    """Each test starts with every cache of deltachannel.field empty (each
+    attribute that has cache_clear, so a new cache cannot be left out), so
+    an integral or call count does not depend on which tests ran before,
+    and a test that breaks the quadrature or patches a series leaves no
+    value behind."""
+    for value in list(vars(field).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

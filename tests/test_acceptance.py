@@ -24,6 +24,8 @@ from deltachannel.field import (
 )
 from deltachannel.selftest import (
     FIELD_TOL,
+    GRID_DELAYS,
+    GRID_SEPARATIONS,
     IDENTITY_TOL,
     PPT_TOL,
     PSD_TOL,
@@ -34,6 +36,7 @@ from deltachannel.selftest import (
     optimizer_gate,
     selftest,
 )
+from deltachannel.sweep import parse_config_text, run_sweep
 
 LAMBDA_A_STAR = 494.788589023863  # solves 2 * delta_ab = pi/2 at lambda_b = 0.3
 C_CLOSED_STAR = 0.976751352600931  # frozen independent evaluation at that point
@@ -47,6 +50,17 @@ bob_bloch = 0, 0, 1
 axis.lambda_a = 0.1, 1000, 64, log
 axis.lambda_b = 0.1, 1000, 64, log
 format = csv
+"""
+
+# --oracle at 9 geometries: (0, 0), 6 of field_oracle_grid's 16 vacuum
+# geometries, and at beta = 2 its thermal (6, 6)
+ORACLE_GRID_CONFIG = """\
+schema_version = 1
+L = 6.0
+dtau = 6.0
+axis.L = 0, 6, 3, linear
+axis.dtau = 0, 6, 3, linear
+oracle = true
 """
 
 
@@ -91,6 +105,33 @@ def test_criterion_01_closed_form_vs_quadrature_grid(monkeypatch):
     assert detail["route_max_difference"] <= ROUTE_TOL
     assert elapsed < 60.0
     print(f"criterion 01 PASS: max residual {detail['max_residual']:.3e} in {elapsed:.1f} s")
+
+
+def test_criterion_01_integrates_whatever_the_oracle_cached(monkeypatch):
+    # --oracle sweeps over some of the grid's geometries, in the vacuum and
+    # at one of its betas, leave their J cached; the check still integrates
+    # J(0, 0) and each of its geometries itself
+    for beta in ("", "beta = 2\n"):
+        rows = run_sweep(parse_config_text(ORACLE_GRID_CONFIG + beta))
+        assert all(row["status"] == "ok" for row in rows)
+    # a sweep's J(0, 0, beta) is its (0, 0) row's cross J
+    assert field._remembered_j.cache_info().currsize == 2 * 9
+    calls = []
+    integral = field._radial_integral
+
+    def counted(L, dtau, beta):
+        calls.append((L, dtau, beta))
+        return integral(L, dtau, beta)
+
+    monkeypatch.setattr(field, "_radial_integral", counted)
+    detail = _registry_detail("field_oracle_grid")
+    assert calls[0] == (0.0, 0.0, None)
+    vacuum = {(sep, delay, None) for sep in GRID_SEPARATIONS for delay in GRID_DELAYS}
+    assert set(calls[1:17]) == vacuum
+    thermal = {(sep, delay, beta) for beta in THERMAL_BETAS
+               for sep, delay in ((0.0, 0.0),) + THERMAL_GEOMETRIES}
+    assert set(calls[17:]) == thermal and len(calls) == 17 + len(thermal)
+    assert detail["max_residual"] < FIELD_TOL
 
 
 def test_criterion_02_unit_coupling_values():

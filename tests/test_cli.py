@@ -371,6 +371,99 @@ def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
         assert calls == [(2.0,)]
 
 
+def _counted_integrals(monkeypatch) -> list:
+    calls = []
+    integral = field._radial_integral
+
+    def counted(L, dtau, beta):
+        calls.append((L, dtau, beta))
+        return integral(L, dtau, beta)
+
+    monkeypatch.setattr(field, "_radial_integral", counted)
+    return calls
+
+
+ORACLE_COUPLING_CONFIG = """\
+schema_version = 1
+L = {L}
+dtau = {dtau}
+axis.lambda_a = 0.1, 1000, 4, log
+axis.lambda_b = 0.1, 1000, 4, log
+oracle = true
+"""
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_oracle_coupling_sweep_integrates_its_geometry_once(monkeypatch, beta):
+    # the couplings are a prefactor: 16 rows share the cross J and J(0, 0, beta)
+    calls = _counted_integrals(monkeypatch)
+    text = ORACLE_COUPLING_CONFIG.format(L=6.0, dtau=6.0) + (f"beta = {beta}\n" if beta else "")
+    rows = run_sweep(parse_config_text(text))
+    assert len(rows) == 16
+    assert all(row["status"] == "ok" and row["oracle_residual"] < 1e-6 for row in rows)
+    assert calls == [(6.0, 6.0, beta), (0.0, 0.0, beta)]
+    # a later point query of a row integrates nothing and gives its bits
+    calls.clear()
+    row = rows[6]
+    record = point_query(row["lambda_a"], row["lambda_b"], 6.0, 6.0, beta=beta, oracle=True)
+    assert calls == []
+    assert record["status"] == "ok"
+    assert record["oracle_residual"].hex() == row["oracle_residual"].hex()
+    assert record["capacity"]["c_closed"].hex() == row["c_closed"].hex()
+    for name in STATISTICS_COLUMNS:
+        assert record["field_statistics"][name].hex() == row[name].hex()
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monkeypatch, beta):
+    # the last axis runs innermost, so each dtau comes back after the other
+    # two: only a cache that holds all three integrates each once
+    calls = _counted_integrals(monkeypatch)
+    text = ("schema_version = 1\nL = 6.0\naxis.lambda_a = 0.1, 1000, 3, log\n"
+            "axis.dtau = 2, 6, 3, linear\noracle = true\n") + (f"beta = {beta}\n" if beta else "")
+    rows = run_sweep(parse_config_text(text))
+    assert [row["dtau"] for row in rows] == [2.0, 4.0, 6.0] * 3
+    assert all(row["status"] == "ok" for row in rows)
+    assert calls == [(6.0, 2.0, beta), (0.0, 0.0, beta), (6.0, 4.0, beta), (6.0, 6.0, beta)]
+    # the closed form too: its three Re J and J(0, 0, beta), once each
+    assert field.cross_real_closed.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
+    # quad misses Re J's target at (1000, 1): the cross integral fails once,
+    # each later row raises the remembered failure, and J(0, 0, beta) is
+    # never asked for
+    calls = _counted_integrals(monkeypatch)
+    text = ORACLE_COUPLING_CONFIG.format(L=1000.0, dtau=1.0) + (f"beta = {beta}\n" if beta else "")
+    rows = run_sweep(parse_config_text(text))
+    assert len(rows) == 16
+    assert all(row["status"] == "quadrature_error" for row in rows)
+    assert all(math.isnan(row["oracle_residual"]) for row in rows)
+    assert calls == [(1000.0, 1.0, beta)]
+    # each raise is a new error with the first one's message and estimate
+    f = SmearingSpec(coupling=1.0)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(field.QuadratureError) as excinfo:
+            field.wightman_cross_quadrature(f, f, PairGeometry(1000.0, 1.0), field.FieldStateSpec(beta))
+        errors.append(excinfo.value)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1]) and "L=1000.0, dtau=1.0" in str(errors[0])
+    assert errors[0].estimate == errors[1].estimate > 0.0
+    assert calls == [(1000.0, 1.0, beta)]
+
+
+def test_matsubara_past_the_float_range_warns_nothing():
+    # at beta = 5e-324 every Matsubara frequency is inf, and so is |x| at
+    # L = dtau = 1.7e308: inf - inf once leaked a RuntimeWarning, which
+    # python -W error raised out of the row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = evaluate_point(700.0, 6.0, 1.7e308, 1.7e308, beta=5e-324)
+    assert row["status"] == "domain_error"
+
+
 @pytest.mark.parametrize("beta", ["5e-324", "2e-308"])
 def test_subnormal_beta_is_a_quiet_domain_error(beta, capsys):
     # 2 pi / beta overflows: the series' NaN or inf once leaked numpy

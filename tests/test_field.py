@@ -401,6 +401,8 @@ def test_quadrature_error_carries_estimate(monkeypatch):
             return (1.0, re_err, {}) if func.__name__ == "re_kern" else (0.5, 1.0, {})
 
         monkeypatch.setattr(field, "quad", bad_quad)
+        # the oracle remembers the geometry's failure under the last quad
+        field._remembered_j.cache_clear()
         with pytest.raises(QuadratureError) as excinfo:
             wightman_cross_quadrature(f, f, PairGeometry(6.0, 6.0))
         assert excinfo.value.estimate == estimate
@@ -472,6 +474,21 @@ def test_cross_real_closed_cache_keeps_the_sign_of_zero_delay_harmless():
             positive = cross_real_closed(sep, 0.0, beta)
             assert negative.hex() == positive.hex()
             assert cross_real_closed(sep, -0.0, beta).hex() == positive.hex()
+
+
+def test_oracle_j_cache_keeps_the_sign_of_zero_delay_harmless():
+    # the oracle's cache also takes -0.0 and 0.0 as one key
+    def bits(j):
+        return j.real.hex(), j.imag.hex()
+
+    for beta in (None, 2.0):
+        for sep in (0.0, 5e-324, 2.5):
+            field._remembered_j.cache_clear()
+            negative = field.oracle_j(sep, -0.0, beta)
+            field._remembered_j.cache_clear()
+            positive = field.oracle_j(sep, 0.0, beta)
+            assert bits(negative) == bits(positive)
+            assert bits(field.oracle_j(sep, -0.0, beta)) == bits(positive)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ oracle = false
 optimizer = false
 """
 
+# the Fig-1 couplings at 16 x 16: 256 --oracle rows share one geometry
+ORACLE_COUPLING_CONFIG = FIG1_CONFIG.replace("64", "16")
+
 ORACLE_CONFIG = """\
 schema_version = 1
 lambda_a = 10
@@ -53,7 +56,12 @@ def _digest(data: bytes) -> str:
      "0e552a680f783c4a969cdd943d19bcdb30d83f4ea04c48e0ed651b0ef11f6bfd"),
     (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
      "d131d82648f91d27ba94dc371722f3199390010d68ef1153e3fc21d3cb720a56"),
-], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2"])
+    (ORACLE_COUPLING_CONFIG, ["--oracle"],
+     "7e57676357be5b804e6afced591f86e11e859a815a9df613513503f137409f18"),
+    (ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
+     "19601f870f2aa90407a92d2ed758f273e8e53349e5e6ba6aeea609ff81b50c99"),
+], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2", "oracle_coupling_csv_vacuum",
+        "oracle_coupling_csv_beta2"])
 def test_sweep_bytes(tmp_path, config, flags, digest):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(config, encoding="utf-8")
