@@ -1,7 +1,7 @@
 """Command-line front end: sweep, point, selftest subcommands.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage or config error,
-3 I/O error.
+3 I/O error.  A usage error shows the usage of the command given.
 """
 from __future__ import annotations
 
@@ -40,7 +40,11 @@ def _emit(payload: str, path: str | None) -> None:
             handle.write(payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name.
+    parse_args leaves a parser unchanged, so one set serves every call of
+    main."""
     parser = argparse.ArgumentParser(
         prog="deltachannel",
         description="Delta-switched detector-pair channel: sweeps, point "
@@ -49,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate a config-driven parameter grid")
+    sweep.set_defaults(run=_run_sweep)
     sweep.add_argument("--config", required=True, help="path to a key = value config file")
     sweep.add_argument("--output", help="result file path (overrides the config)")
     sweep.add_argument("--format", choices=("csv", "json"), help="result format (overrides the config)")
@@ -56,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--optimize", action="store_true", help="run the brute-force optimizer per point")
 
     point = sub.add_parser("point", help="print one parameter point as JSON")
+    point.set_defaults(run=_run_point)
     point.add_argument("--lambda-a", type=float, default=1.0, help="Alice coupling (default 1)")
     point.add_argument("--lambda-b", type=float, default=1.0, help="Bob coupling (default 1)")
     point.add_argument("--L", type=float, default=6.0, help="detector separation (default 6)")
@@ -71,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--output", help="write the JSON record here instead of stdout")
 
     check = sub.add_parser("selftest", help="run the built-in invariant suite")
+    check.set_defaults(run=_run_selftest)
     check.add_argument("--output", help="write the JSON report here as well as stdout")
     check.add_argument(
         "--only",
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECK",
         help="run only the named check (repeatable)",
     )
-    return parser
+    return parser, sub.choices
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -127,21 +134,20 @@ def _run_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if report["passed"] else EXIT_SELFTEST_FAIL
 
 
-# parse_args leaves the parser unchanged, so one serves every call of main
-_parser = functools.cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
     try:
-        args = _parser().parse_args(argv)
+        # a command's own parser reads its flags in one pass; only an argv
+        # that names no command first (--help, a typo, nothing) needs the
+        # top-level parser
+        command = commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "point":
-            return _run_point(args)
-        return _run_selftest(args)
+        return args.run(args)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

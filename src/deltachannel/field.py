@@ -578,12 +578,13 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
 
     The thermal coth kernel multiplies the real (symmetric) component only;
     the imaginary component is the commutator part and is temperature
-    independent.  Both components run through quad, Re J with a breakpoint
-    at k = 1/beta for the thermal bump below it.  Every consumer compares
-    Re J absolutely, so it is never escalated: missing its target raises at
-    once, before Im J is integrated.  Im J carries the commutator, compared
-    relatively, so below ESCALATION_RATIO or off its target it is recomputed
-    by _commutator_trapezoid, at MP_DPS digits on [0, TRAPEZOID_K] at step
+    independent.  Both components run through quad, Re J with breakpoints
+    at k = 1/beta and, below k = 1, at 4/beta and 16/beta, for the thermal
+    bump.  Every consumer compares Re J absolutely, so it is never
+    escalated: missing its target raises at once, before Im J is
+    integrated.  Im J carries the commutator, compared relatively, so below
+    ESCALATION_RATIO or off its target it is recomputed by
+    _commutator_trapezoid, at MP_DPS digits on [0, TRAPEZOID_K] at step
     2 pi / (L + |dtau| + TRAPEZOID_K), for L + |dtau| up to 2e3.  Returns
     (J, error_estimate); raises QuadratureError when a component's estimate
     misses both the absolute and the relative target, and, with estimate
@@ -627,9 +628,12 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
                               estimate=math.inf)
 
     # coth(beta k / 2) makes a bump of width about 1/beta at k = 0, which
-    # the adaptive rule can step over at large beta: a breakpoint at 1/beta
-    # makes it look there
-    breaks = [1.0 / beta] if beta is not None and 1.0 / beta < K_MAX else None
+    # the adaptive rule can step over at large beta.  Breakpoints at 1/beta
+    # and, below k = 1, at 4/beta and 16/beta make it look there; past
+    # 16/beta what is left of the bump, exp(-16) of it, no longer hides.
+    breaks = None
+    if beta is not None and 1.0 / beta < K_MAX:
+        breaks = [1.0 / beta] + [c / beta for c in (4.0, 16.0) if c / beta < 1.0]
     # quad appends a message to its result when it warns; the error
     # estimate decides what happens then
     re, re_err, _ = quad(re_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
@@ -726,8 +730,8 @@ def residual(
     if pref >= sys.float_info.min:
         re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
         terms.append(abs(re_j - w_cross.real / pref) / j0_closed)
-    # np.max propagates NaN where the builtin max would drop it
-    return float(np.max(terms))
+    # the builtin max alone can drop a NaN term
+    return math.nan if any(map(math.isnan, terms)) else float(max(terms))
 
 
 def oracle_residual(

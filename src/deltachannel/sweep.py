@@ -3,15 +3,18 @@
 The config format is flat `key = value` text with `#` comments and a
 mandatory schema_version.  Sweep rows are formatted as CSV or JSON with
 shortest round-trip float formatting and a fixed column order, so a given
-config always produces byte-identical output; the CLI writes it.
+config always produces byte-identical output; the CLI writes it.  The JSON
+writer walks a document once and writes the bytes of
+json.dumps(doc, indent=2, allow_nan=False), with NaN as null.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -332,33 +335,54 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+# every column but the last, status, as a tuple: the float cells of a row
+_FLOAT_CELLS = operator.itemgetter(*COLUMNS[:-1])
 
 
 def format_csv(rows: list[dict]) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in COLUMNS))
+        lines.append(",".join(map(repr, map(float, _FLOAT_CELLS(row)))) + "," + row["status"])
     return "\n".join(lines) + "\n"
 
 
-def json_ready(value):
-    """A copy of value for strict JSON: every float NaN becomes None (null)."""
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it at
+    indentation pad, except that a NaN float is null."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "null"
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError here
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def to_json(doc) -> str:
     """Strict JSON for sweep rows, a point record or a selftest report."""
-    return json.dumps(json_ready(doc), indent=2, allow_nan=False) + "\n"
+    return _json(doc, "") + "\n"
 
 
 def format_json(rows: list[dict]) -> str:

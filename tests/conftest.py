@@ -1,7 +1,9 @@
 """Shared test helpers: random draws, independent channel oracles, Re J and
-Im J references, and fresh field caches for every test."""
+Im J references, the stdlib JSON route, and fresh field caches for every
+test."""
 from __future__ import annotations
 
+import json
 import math
 
 import mpmath
@@ -86,6 +88,23 @@ def commutator_trapezoid_reference(L, dtau):
         fine = step * (even + odd)
         rounding = mpmath.mpf(10) ** -field.MP_DPS * step * mpmath.fsum(abs(v) for v in values)
         return float(fine), float(max(abs(fine - coarse), rounding))
+
+
+def json_ready(value):
+    """A copy of value for strict JSON: every float NaN becomes None (null)."""
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def stdlib_json(doc) -> str:
+    """The bytes sweep.to_json must write: the stdlib's indented encoder
+    after a pass that turns NaN into null."""
+    return json.dumps(json_ready(doc), indent=2, allow_nan=False) + "\n"
 
 
 def density_matrix(state: QubitState) -> np.ndarray:

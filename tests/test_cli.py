@@ -9,11 +9,13 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import deltachannel.field as field
 import deltachannel.sweep as sweep
 import deltachannel.weyl as weyl
-from conftest import re_j_reference
+from conftest import re_j_reference, stdlib_json
 from deltachannel.capacity import Ensemble, capacity_bruteforce, holevo_chi
 from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
@@ -32,6 +34,7 @@ from deltachannel.sweep import (
     parse_config_text,
     point_query,
     run_sweep,
+    to_json,
 )
 
 BASE_CONFIG = """\
@@ -260,6 +263,69 @@ def test_json_format_nan_becomes_null():
     assert doc["schema_version"] == 1
     assert doc["rows"][0]["nu_a"] is None
     assert doc["rows"][0]["lambda_a"] == 0.1
+
+
+def test_csv_writes_library_callers_cells_as_floats():
+    # an int and an np.float64 cell are written as repr(float(v))
+    row = dict.fromkeys(COLUMNS, math.nan)
+    row.update(lambda_a=3, lambda_b=np.float64(0.1), L=np.float64(1e-320), dtau=-0, status="ok")
+    cells = format_csv([row]).splitlines()[1].split(",")
+    assert cells[:4] == ["3.0", "0.1", "1e-320", "0.0"]
+    assert cells[-1] == "ok" and len(cells) == len(COLUMNS)
+
+
+# floats the shortest repr must get right, and NaN, written as null
+JSON_FLOATS = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([math.nan, 0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e308,
+                     1.7976931348623157e308, 0.30000000000000004, 1 / 3, -2.718281828459045]),
+)
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS,
+    JSON_FLOATS.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9", "\U0001f600", ""]),
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(JSON_DOCS)
+@example({})
+@example([])
+@example({"rows": [], "a": {"b": ()}, "\u00e9\"\\": [math.nan, -0.0, 5e-324]})
+def test_to_json_writes_the_stdlib_bytes(doc):
+    assert to_json(doc) == stdlib_json(doc)
+
+
+def test_to_json_writes_library_documents_as_the_stdlib_does():
+    rows = run_sweep(parse_config_text(BASE_CONFIG))
+    assert format_json(rows) == stdlib_json({"schema_version": 1,
+                                              "rows": [{c: r[c] for c in COLUMNS} for r in rows]})
+    for record in (point_query(1.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True, optimizer=True),
+                   point_query(1e300, 1e300, 6.0, 6.0), selftest(only=["gamma_identities"])):
+        assert to_json(record) == stdlib_json(record)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64(math.inf)])
+def test_to_json_refuses_infinities(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        to_json({"rows": [1.0, value]})
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_to_json_takes_only_str_keys(key):
+    # the stdlib would write these keys as strings; no library document has one
+    with pytest.raises(TypeError):
+        to_json({"inputs": {key: 0.0}})
 
 
 def test_sweep_survives_quadrature_failure(monkeypatch):
@@ -841,6 +907,31 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_cli_usage_errors_show_the_command_given(capsys):
+    # a command's flags are read by its own parser, which names itself
+    assert main(["point", "--bogus", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--bogus" in err and err.startswith("usage: deltachannel point ")
+    for argv in ([], ["nosuch"], ["--bogus"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage: deltachannel [-h]"), argv
+    assert main(["--help"]) == 0
+    assert "{sweep,point,selftest}" in capsys.readouterr().out
+    assert main(["point", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: deltachannel point ")
+
+
+def test_cli_reads_sys_argv_without_an_argv(monkeypatch, capsys):
+    assert main(["point", "--lambda-a", "0.5"]) == 0
+    given = capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["deltachannel", "point", "--lambda-a", "0.5"])
+    assert main() == 0
+    assert capsys.readouterr().out == given
+    monkeypatch.setattr("sys.argv", ["deltachannel", "point", "--bogus"])
+    assert main() == 2
+    assert capsys.readouterr().err.startswith("usage: deltachannel point ")
 
 
 def test_cli_sweep_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):

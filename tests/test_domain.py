@@ -57,6 +57,8 @@ def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay,
 # quad stepped over coth's bump at k ~ 1/beta: Re J residuals of 4.2e-6 and 5.9e-6
 @example(lambda_a=0.0, lambda_b=1.0, separation=0.0, delay=0.0, beta=879.0)
 @example(lambda_a=1.0, lambda_b=1.0, separation=1.0, delay=0.0, beta=736.2)
+# with one breakpoint, at 1/beta, quad missed the bump's tail past it: 2.7e-6
+@example(lambda_a=0.0, lambda_b=1.0, separation=0.0, delay=0.0, beta=797.0)
 def test_oracle_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay, beta):
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     checked = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta, oracle=True)

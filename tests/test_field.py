@@ -353,6 +353,14 @@ def test_thermal_norm_reference_value():
     assert warm > norm_sq_closed(f)
 
 
+def test_radial_integral_resolves_the_thermal_bump_at_large_beta():
+    # with one breakpoint, at 1/beta, quad's estimate stayed near 1e-12
+    # while Re J(0, 0, beta) was off by up to 2.7e-6 (beta = 797)
+    for beta in [797.0, *np.geomspace(1.0, 1e4, 41)]:
+        j, _ = field._radial_integral(0.0, 0.0, float(beta))
+        assert abs(j.real - field.cross_real_closed(0.0, 0.0, float(beta))) < 1e-10, beta
+
+
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_radial_integral_subnormal_separation_is_coincident_limit(beta):
     # sin(kL)/L at subnormal L is quantised noise; its L -> 0 value is k
