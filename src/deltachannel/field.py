@@ -4,21 +4,22 @@ Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
 statistics never integrate.  The vacuum closed forms need only math and
 numpy, the Dawson function being this module's own (see dawson);
-scipy.special is imported on a thermal series' first call, and
-scipy.integrate and mpmath on the oracle's first call, none of them with
-this module (see quad and _commutator_trapezoid).  residual is the one
-rule that compares the two, for a sweep row's oracle_residual (through
-oracle_residual) and for selftest's grid.  The oracle escalates only
-Im J, the commutator part, which is compared relatively, to a 50-digit
-trapezoid rule whose nodes run on fixed-point integer recurrences, mpmath
-computing only their seeds; Re J is compared absolutely and stays with
-quad (see _radial_integral).  The couplings are only a prefactor, so both
-routes cache their J by (L, dtau, beta) for the last GEOMETRY_CACHE_SIZE
-geometries: cross_real_closed its Re J, and oracle_j the integral or its
-QuadratureError, so a process integrates each geometry once, whether it
-succeeds or fails.  Everything is dimensionless in units of the
-Gaussian smearing width sigma: couplings are lambda_tilde/sigma,
-distances L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
+scipy.special is imported on a thermal series' first call,
+scipy.integrate on the oracle's first call and mpmath on its first Im J,
+none of them with this module (see quad and _commutator_trapezoid).
+residual is the one rule that compares the two, for a sweep row's
+oracle_residual (through oracle_residual) and for selftest's grid.  The
+oracle takes one route per component of J (see _radial_integral): Re J,
+compared absolutely, by quad; Im J, the commutator part, compared
+relatively, by a 50-digit trapezoid rule whose nodes run on fixed-point
+integer recurrences, mpmath computing only their seeds.  The couplings
+are only a prefactor, so both routes cache their J by (L, dtau, beta)
+for the last GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J,
+and oracle_j the integral or its QuadratureError, so a process
+integrates each geometry once, whether it succeeds or fails.  Everything
+is dimensionless in units of the Gaussian smearing width sigma: couplings
+are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
+temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -44,13 +45,6 @@ SERIES_CUTOFF = 1e-8
 K_MAX = 40.0
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
-# An Im J this small relative to the integrand scale is dominated by
-# float64 cancellation noise (~1e-16 of scale), which the relative
-# commutator check cannot absorb, and is recomputed at MP_DPS digits by the
-# trapezoid rule.  Values at or above the threshold carry relative error
-# <= ~1e-8 from the roundoff floor alone, so the split is gapless.  Re J
-# is compared absolutely, so its float64 noise is harmless: never escalated.
-ESCALATION_RATIO = 1e-8
 MP_DPS = 50
 # denominator floor of every relative closed-form check (see residual)
 RESIDUAL_FLOOR = 1e-12
@@ -503,7 +497,7 @@ def quad(*args, **kwargs):
 
 
 def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
-    """Im J by the trapezoid rule at MP_DPS digits, for the cancellation regime.
+    """Im J by the trapezoid rule at MP_DPS digits, free of float64 cancellation.
 
     Im J = -int_0^inf exp(-k^2/2) sin(kL)/L sin(k dtau) dk has an even,
     entire integrand, so the trapezoid rule converges exponentially on it
@@ -578,14 +572,14 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
 
     The thermal coth kernel multiplies the real (symmetric) component only;
     the imaginary component is the commutator part and is temperature
-    independent.  Both components run through quad, Re J with breakpoints
-    at k = 1/beta and, below k = 1, at 4/beta and 16/beta, for the thermal
-    bump.  Every consumer compares Re J absolutely, so it is never
-    escalated: missing its target raises at once, before Im J is
-    integrated.  Im J carries the commutator, compared relatively, so below
-    ESCALATION_RATIO or off its target it is recomputed by
-    _commutator_trapezoid, at MP_DPS digits on [0, TRAPEZOID_K] at step
-    2 pi / (L + |dtau| + TRAPEZOID_K), for L + |dtau| up to 2e3.  Returns
+    independent.  Each component has one route.  Re J, which every consumer
+    compares absolutely, runs through quad, with breakpoints at k = 1/beta
+    and, below k = 1, at 4/beta and 16/beta, for the thermal bump; missing
+    its target raises at once, before Im J is computed.  Im J carries the
+    commutator, compared relatively, which float64 cancellation would spoil
+    wherever Im J is small, so it is _commutator_trapezoid's, at MP_DPS
+    digits on [0, TRAPEZOID_K] at step 2 pi / (L + |dtau| + TRAPEZOID_K),
+    for L + |dtau| up to 2e3; at dtau = 0 it is exactly 0.  Returns
     (J, error_estimate); raises QuadratureError when a component's estimate
     misses both the absolute and the relative target, and, with estimate
     inf, where k L or k dtau overflows on the window.
@@ -605,17 +599,9 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
             v *= (1.0 / y + y / 3.0 if y else math.inf) if y < 1e-8 else 1.0 / math.tanh(y)
         return v * math.cos(k * dtau)
 
-    def im_kern(k: float) -> float:
-        x = k * L
-        return (-math.exp(-0.5 * k * k) * (math.sin(x) / L if x >= SERIES_CUTOFF else k)
-                * math.sin(k * dtau))
-
-    def misses(value: float, err: float) -> bool:
-        # a non-finite value or estimate (J past the float range) is a miss
-        return not (math.isfinite(value) and err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)))
-
     def check(part: str, value: float, err: float) -> None:
-        if misses(value, err):
+        # a non-finite value or estimate (J past the float range) is a miss
+        if not (math.isfinite(value) and err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))):
             raise QuadratureError(
                 f"radial quadrature did not converge: error estimate {err:.3e} "
                 f"for {part} J = {value!r} (L={L}, dtau={dtau}, beta={beta})",
@@ -642,10 +628,7 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation
         return complex(re, 0.0), re_err
-    im, im_err, _ = quad(im_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                         limit=400, full_output=1)[:3]
-    if abs(im) < ESCALATION_RATIO or misses(im, im_err):
-        im, im_err = _commutator_trapezoid(L, dtau)
+    im, im_err = _commutator_trapezoid(L, dtau)
     check("Im", im, im_err)
     return complex(re, im), max(re_err, im_err)
 

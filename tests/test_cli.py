@@ -332,14 +332,14 @@ def test_sweep_survives_quadrature_failure(monkeypatch):
     def bad_quad(func, a, b, **kwargs):
         return 0.5, 1.0, {}
 
-    def bad_escalation(sep, delay):
+    def bad_trapezoid(sep, delay):
         return 0.5, 1.0
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle calls no mpmath.quad")
 
     monkeypatch.setattr(field, "quad", bad_quad)
-    monkeypatch.setattr(field, "_commutator_trapezoid", bad_escalation)
+    monkeypatch.setattr(field, "_commutator_trapezoid", bad_trapezoid)
     monkeypatch.setattr(mpmath, "quad", refuse)
     # statistics never integrate, so only the --oracle integral can fail
     text = "schema_version = 1\nbeta = 2\naxis.lambda_a = 1, 2, 2, linear\n"
@@ -374,7 +374,7 @@ def test_thermal_sweep_needs_no_quadrature(monkeypatch, capsys):
     monkeypatch.setattr(field, "quad", refuse)
     monkeypatch.setattr(field, "_commutator_trapezoid", refuse)
     monkeypatch.setattr(mpmath, "quad", refuse)
-    # (0, 8) is the geometry whose oracle escalates to the trapezoid rule
+    # (0, 8) is a geometry whose Im J cancels in float64
     text = BASE_CONFIG.replace("L = 6.0", "L = 0.0").replace("dtau = 6.0", "dtau = 8.0")
     rows = run_sweep(parse_config_text(text + "beta = 2\n"))
     assert len(rows) == 6
@@ -386,36 +386,38 @@ def test_thermal_sweep_needs_no_quadrature(monkeypatch, capsys):
 def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
     calls = []
     integral = field._radial_integral
-    escalation = field._commutator_trapezoid
-    escalations = []
+    trapezoid = field._commutator_trapezoid
+    trapezoids = []
 
     def counted(L, dtau, beta):
         calls.append((L, dtau, beta))
         return integral(L, dtau, beta)
 
-    def counted_escalation(L, dtau):
-        escalations.append((L, dtau))
-        return escalation(L, dtau)
+    def counted_trapezoid(L, dtau):
+        trapezoids.append((L, dtau))
+        return trapezoid(L, dtau)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle escalates by the trapezoid rule, not mpmath.quad")
+        raise AssertionError("the oracle's Im J is the trapezoid rule's, not mpmath.quad's")
 
     monkeypatch.setattr(field, "_radial_integral", counted)
-    monkeypatch.setattr(field, "_commutator_trapezoid", counted_escalation)
+    monkeypatch.setattr(field, "_commutator_trapezoid", counted_trapezoid)
     monkeypatch.setattr(mpmath, "quad", refuse)
-    # Im J is tiny at (0, 8): the cross integral escalates its commutator part,
-    # which is state independent, so the escalation takes no beta
+    # the cross integral's Im J, the commutator part, is state independent,
+    # so the trapezoid rule takes no beta; J(0, 0, 2) has dtau = 0 and no Im J
     row = evaluate_point(10.0, 1.0, 0.0, 8.0, beta=2.0, oracle=True)
     assert row["status"] == "ok"
     assert row["oracle_residual"] < 1e-6
     assert calls == [(0.0, 8.0, 2.0), (0.0, 0.0, 2.0)]
-    assert escalations == [(0.0, 8.0)]
+    assert trapezoids == [(0.0, 8.0)]
     # J(0, 0, 2) is integrated once per state: a second row integrates
     # only its own geometry
     calls.clear()
+    trapezoids.clear()
     row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=2.0, oracle=True)
     assert row["status"] == "ok"
     assert calls == [(6.0, 6.0, 2.0)]
+    assert trapezoids == [(6.0, 6.0)]
 
 
 def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
@@ -676,8 +678,8 @@ def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
 
 
 def test_failed_oracle_keeps_the_row_statistics():
-    # quad misses Re J's error target at L = 1000, and Re J is never
-    # escalated; the closed-form statistics and capacity stand, only the
+    # quad misses Re J's error target at L = 1000, and Re J has no other
+    # route; the closed-form statistics and capacity stand, only the
     # residual is lost
     row = evaluate_point(1.0, 1.0, 1000.0, 0.0, oracle=True)
     plain = evaluate_point(1.0, 1.0, 1000.0, 0.0)
@@ -737,7 +739,7 @@ def test_rows_far_outside_the_light_cone_take_their_limit(sep, delay, beta):
 @pytest.mark.parametrize("sep, delay", [(60.0, 1.0), (100.0, 1.0), (300.0, 50.0), (700.0, 8.0)])
 def test_oracle_is_ok_at_large_separation(sep, delay, beta):
     # these rows were quadrature_error: quad meets Re J's target, and Im J,
-    # far below ESCALATION_RATIO, now escalates to the trapezoid rule
+    # which cancels in float64 here, is the trapezoid rule's
     row = evaluate_point(10.0, 1.0, sep, delay, beta=beta, oracle=True)
     assert row["status"] == "ok"
     assert row["oracle_residual"] < 1e-6

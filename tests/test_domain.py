@@ -44,8 +44,8 @@ def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay,
     assert all(math.isfinite(row[c]) for c in STATISTICS)
 
 
-# an --oracle row costs up to about 0.5 s where its Im J escalates to the
-# trapezoid rule at L + |dtau| near 1e3; most rows here fail or pass sooner
+# an --oracle row's trapezoid rule for Im J costs up to about 20 ms, at
+# L + |dtau| near 2e3, and the first one loads mpmath; most rows cost less
 @settings(max_examples=30)
 @rows
 @example(lambda_a=1.0, lambda_b=1.0, separation=1000.0, delay=1.0, beta=2.0)

@@ -324,14 +324,26 @@ def test_norm_quadrature_matches_closed_form():
         assert np.isclose(norm_sq_quadrature(f), closed, rtol=1e-9, atol=0.0)
 
 
+# Im J cancels in float64 at (0, 6), where quad's value was 1.1e-9 off
+# relatively, and at (0, 8); past (60, 1) the closed form underflows to 0.0
+COMMUTATOR_GEOMETRIES = ((1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (2.0, -4.0), (0.0, 6.0),
+                         (6.0, 3.0), (12.0, 9.0), (0.0, 8.0), (60.0, 1.0), (300.0, 50.0))
+
+
 def test_wightman_imaginary_part_is_half_commutator():
     f_a = SmearingSpec(coupling=0.7)
     f_b = SmearingSpec(coupling=1.9)
-    for sep, delay in ((1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (2.0, -4.0)):
-        geom = PairGeometry(sep, delay)
-        w = wightman_cross_quadrature(f_a, f_b, geom)
-        delta = commutator_closed(f_a, f_b, geom)
-        assert np.isclose(-2.0 * w.imag, delta, rtol=1e-6, atol=1e-15)
+    for state in (VACUUM, thermal(2.0), thermal(879.0)):
+        for sep, delay in COMMUTATOR_GEOMETRIES:
+            geom = PairGeometry(sep, delay)
+            w = wightman_cross_quadrature(f_a, f_b, geom, state)
+            delta = commutator_closed(f_a, f_b, geom)
+            if delta:
+                assert np.isclose(-2.0 * w.imag, delta, rtol=1e-14, atol=0.0), (geom, state)
+            else:
+                # the 50-digit rule resolves an Im J below the float range
+                # only to its rounding, 10^-MP_DPS of the integrand's scale
+                assert abs(w.imag) < 10.0 ** -field.MP_DPS, (geom, state)
 
 
 def test_wightman_identity_survives_thermal_state():
@@ -396,17 +408,17 @@ def test_radial_integral_non_finite_value_is_a_miss(monkeypatch):
 
 
 def test_quadrature_error_carries_estimate(monkeypatch):
-    # Re J meeting its target lets Im J miss its own and escalate, and the
-    # failure carries the escalation's estimate; Re J missing its target
+    # Re J meeting its target lets the trapezoid rule's Im J miss its own,
+    # and the failure carries the rule's estimate; Re J missing its target
     # fails at once with Re J's estimate
-    def bad_escalation(sep, delay):
+    def bad_trapezoid(sep, delay):
         return 0.5, 0.25
 
-    monkeypatch.setattr(field, "_commutator_trapezoid", bad_escalation)
+    monkeypatch.setattr(field, "_commutator_trapezoid", bad_trapezoid)
     f = SmearingSpec(coupling=1.0)
     for re_err, estimate in ((1e-12, 0.25), (1.0, 1.0)):
         def bad_quad(func, a, b, **kwargs):
-            return (1.0, re_err, {}) if func.__name__ == "re_kern" else (0.5, 1.0, {})
+            return 1.0, re_err, {}
 
         monkeypatch.setattr(field, "quad", bad_quad)
         # the oracle remembers the geometry's failure under the last quad

@@ -53,9 +53,9 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("config, flags, digest", [
     (FIG1_CONFIG, [], "b2f48bcc96686c2d047b39528b7daff104bc12447c2980d9449c6e0333e52d0c"),
     (ORACLE_CONFIG, ["--oracle"],
-     "0e552a680f783c4a969cdd943d19bcdb30d83f4ea04c48e0ed651b0ef11f6bfd"),
+     "6e2e1cd0c4bd1be5e5c7e7a64efbce167cf7613f43f37b1a74d4c13d78850435"),
     (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
-     "d131d82648f91d27ba94dc371722f3199390010d68ef1153e3fc21d3cb720a56"),
+     "b98c9857e8d5de4b9a519a24b7302391a4200c483164ff19dea623de91e83568"),
     (ORACLE_COUPLING_CONFIG, ["--oracle"],
      "7e57676357be5b804e6afced591f86e11e859a815a9df613513503f137409f18"),
     (ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
@@ -73,7 +73,7 @@ def test_sweep_bytes(tmp_path, config, flags, digest):
 @pytest.mark.parametrize("argv, digest", [
     (POINT, "4ea843e6ef04a70b8036c5f0f59dde2ac390bd8ce37c7c9de4466bc79b20abfc"),
     (POINT + ["--beta", "2"], "12b88fced203a788ab88ced967269906c8e9dd3ccd79afc120cc9d1d1c90637b"),
-    (["selftest"], "a42d9252bc1f22c62db84a3de99b3ddb847e048ca872544bce50e69e656872f4"),
+    (["selftest"], "721321cc143294632077c16b693adfa79d6adc92a23292847997e06e927c9e0f"),
 ], ids=["point_vacuum", "point_beta2", "selftest"])
 def test_stdout_bytes(capsys, argv, digest):
     assert main(argv) == 0
