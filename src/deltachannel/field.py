@@ -4,13 +4,13 @@ Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
 statistics never integrate.  The vacuum closed forms need only math and
 numpy, the Dawson function being this module's own (see dawson);
-scipy.special is imported on a thermal series' first call,
-scipy.integrate on the oracle's first call and mpmath on its first Im J,
-none of them with this module (see quad and _commutator_trapezoid).
-residual is the one rule that compares the two, for a sweep row's
-oracle_residual (through oracle_residual) and for selftest's grid.  The
-oracle takes one route per component of J (see _radial_integral): Re J,
-compared absolutely, by quad; Im J, the commutator part, compared
+scipy.special is imported on a thermal series' first call and mpmath on
+the oracle's first Im J, neither with this module (see
+_commutator_trapezoid).  residual is the one rule that compares the two,
+for a sweep row's oracle_residual (through oracle_residual) and for
+selftest's grid.  The oracle takes one route per component of J (see
+_radial_integral): Re J, compared absolutely, by quad, a composite
+Gauss-Legendre rule in numpy; Im J, the commutator part, compared
 relatively, by a 50-digit trapezoid rule whose nodes run on fixed-point
 integer recurrences, mpmath computing only their seeds.  The couplings
 are only a prefactor, so both routes cache their J by (L, dtau, beta)
@@ -40,9 +40,18 @@ SQRT2 = math.sqrt(2.0)
 # so sin(x)/x = 1 holds to double precision.
 SERIES_CUTOFF = 1e-8
 
-# Radial quadrature window.  The integrand carries exp(-k^2/2), so the tail
-# beyond k = 40 is below 1e-300 and the fixed cutoff is exact in doubles.
+# Past |x| = K_MAX the Gaussian exp(-x^2/2), below 1e-347, is 0.0 in doubles.
 K_MAX = 40.0
+# The oracle's Re J rule (see quad) runs on [0, GL_K]; since
+# |sin(kL)/L| <= k and coth falls, the tail it leaves is under
+# exp(-GL_K^2 / 2) ~ 5e-32 of J(0, 0, beta).  Its panels are at most
+# GL_WIDTH / (L + |dtau|) wide, two periods of the integrand's fastest
+# oscillation.  The cap admits L + |dtau| <= 2e3, the corner of the
+# accepted domain: 1910 uniform panels, about 5 ms; panels graded toward
+# k = 0 add under 1030 at any finite beta.
+GL_K = 12.0
+GL_WIDTH = 4.0 * math.pi
+GL_MAX_PANELS = math.ceil(GL_K * 2e3 / GL_WIDTH)
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 MP_DPS = 50
@@ -487,13 +496,89 @@ def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
 # statistics path does
 # ---------------------------------------------------------------------------
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call: only the oracle
-    integrates, so a process that never runs it never loads the module.
-    Arguments and result pass through unchanged."""
-    from scipy.integrate import quad as scipy_quad
+@functools.cache
+def _gl_rules() -> tuple:
+    # the 20- and 40-point Gauss-Legendre nodes and weights on [-1, 1],
+    # computed on the oracle's first call.  leggauss's nodes are within an
+    # ulp, but its 40-point weights are up to 7e-13 off, which left Re J
+    # 3e-15 off at (0, 6).  The weights are 2 / ((1 - x^2) P_n'(x)^2) at
+    # each node x instead, P_n and P_n' by the three-term recurrence, times
+    # the first-order change of that weight over Newton's step -P_n / P_n'
+    # to the exact node: within 4e-15, which leaves Re J within 2e-16.
+    rules = []
+    for n in (20, 40):
+        x = np.polynomial.legendre.leggauss(n)[0]
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        # 1 - x^2 as (1 - x)(1 + x), which keeps its digits near x = +-1
+        u = (1.0 - x) * (1.0 + x)
+        slope = n * (p_prev - x * p) / u
+        rules.append((x, 2.0 / (u * slope * slope) * (1.0 + 2.0 * x * p / (u * slope))))
+    return tuple(rules)
 
-    return scipy_quad(*args, **kwargs)
+
+def _check_panel_cap(L: float, dtau: float) -> None:
+    # quad's uniform panels; a float, which may be inf at extreme reach
+    panels = GL_K * (L + abs(dtau)) / GL_WIDTH
+    if panels > GL_MAX_PANELS:
+        raise QuadratureError(
+            f"Re J rule needs {panels:.3g} panels, past its cap of {GL_MAX_PANELS} "
+            f"(L={L}, dtau={dtau})",
+            estimate=math.inf,
+        )
+
+
+def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
+    """Re J(L, dtau, beta) by a composite Gauss-Legendre rule: (value, estimate).
+
+    Re J = int_0^GL_K exp(-k^2/2) sin(kL)/L [coth(beta k/2)] cos(k dtau) dk.
+    The integrand is entire in the vacuum, and in a KMS state analytic but
+    for coth's poles at k = 2 pi i m / beta, m != 0, so Gauss-Legendre
+    converges geometrically on each panel (Trefethen, SIAM Review 50 (2008)
+    67).  The panels are uniform, at most min(1, GL_WIDTH / (L + |dtau|))
+    wide; where pi/beta is narrower than that, they are graded toward
+    k = 0 as [0, pi/beta], then doubling, so the poles stay at least two
+    half-widths from every panel.  The value is the 40-point sum and
+    the estimate |G40 - G20|, the 20-point rule's distance from it.
+    Raises QuadratureError, with estimate inf, past GL_MAX_PANELS, without
+    integrating.
+
+    sin(kL)/L is k below SERIES_CUTOFF, which also covers L = 0 and
+    subnormal L, where k L has lost its digits; coth(beta k/2) is its series
+    below 1e-8, where tanh loses relative accuracy.  Below beta = 1 the rule
+    sums beta f, whose kernel beta coth(beta k/2) -> 2/k stays finite as
+    beta -> 0, and divides by beta at the end, so J(0, 0, beta) ~ 2.5/beta
+    is finite down to beta ~ 1.4e-308 and inf below.
+    """
+    _check_panel_cap(L, dtau)
+    reach = L + abs(dtau)
+    width = min(1.0, GL_WIDTH / reach) if reach else 1.0
+    edges = [0.0]
+    if beta is not None and math.pi / beta < width:
+        edge = math.pi / beta
+        while edge < width:
+            edges.append(edge)
+            edge *= 2.0
+    uniform = np.linspace(edges[-1], GL_K, math.ceil((GL_K - edges[-1]) / width) + 1)
+    edges = np.concatenate([edges[:-1], uniform])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    scale = 1.0 if beta is None else min(beta, 1.0)
+    sums = []
+    # np.where evaluates both of its branches, and the one it drops may
+    # divide by zero; a J past the float range is check's miss, not a warning
+    with np.errstate(all="ignore"):
+        for nodes, weights in _gl_rules():
+            k = mid[:, None] + half[:, None] * nodes
+            f = np.exp(-0.5 * k * k) * np.where(k * L >= SERIES_CUTOFF, np.sin(k * L) / L, k)
+            f *= np.cos(k * dtau)
+            if beta is not None:
+                y = 0.5 * beta * k
+                f *= np.where(y < 1e-8, scale / beta * (2.0 / k) + scale * y / 3.0,
+                              scale / np.tanh(y))
+            sums.append(float(half @ (f @ weights)))
+    g20, g40 = sums
+    return g40 / scale, abs(g40 - g20) / scale
 
 
 def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
@@ -568,36 +653,23 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
 def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex, float]:
     """Dimensionless radial integral J with error estimate.
 
-    J = int_0^K_MAX dk exp(-k^2/2) * sin(kL)/L * [coth(beta k/2)]_re * exp(-ik dtau)
+    J = int_0^inf dk exp(-k^2/2) * sin(kL)/L * [coth(beta k/2)]_re * exp(-ik dtau)
 
     The thermal coth kernel multiplies the real (symmetric) component only;
     the imaginary component is the commutator part and is temperature
     independent.  Each component has one route.  Re J, which every consumer
-    compares absolutely, runs through quad, with breakpoints at k = 1/beta
-    and, below k = 1, at 4/beta and 16/beta, for the thermal bump; missing
-    its target raises at once, before Im J is computed.  Im J carries the
-    commutator, compared relatively, which float64 cancellation would spoil
-    wherever Im J is small, so it is _commutator_trapezoid's, at MP_DPS
-    digits on [0, TRAPEZOID_K] at step 2 pi / (L + |dtau| + TRAPEZOID_K),
-    for L + |dtau| up to 2e3; at dtau = 0 it is exactly 0.  Returns
-    (J, error_estimate); raises QuadratureError when a component's estimate
-    misses both the absolute and the relative target, and, with estimate
-    inf, where k L or k dtau overflows on the window.
+    compares absolutely, is quad's composite Gauss-Legendre rule on
+    [0, GL_K], in numpy; missing its target raises at once, before Im J is
+    computed.  Im J carries the commutator, compared relatively, which
+    float64 cancellation would spoil wherever Im J is small, so it is
+    _commutator_trapezoid's, at MP_DPS digits on [0, TRAPEZOID_K] at step
+    2 pi / (L + |dtau| + TRAPEZOID_K); at dtau = 0 it is exactly 0.  Both
+    rules admit L + |dtau| up to 2e3.  Returns (J, error_estimate); raises
+    QuadratureError when a component's estimate misses both the absolute
+    and the relative target, and, with estimate inf and before either rule
+    runs, past quad's panel cap, which every geometry whose k L or k dtau
+    overflows is past.
     """
-
-    # sin(kL)/L; below SERIES_CUTOFF it equals k to double precision, which
-    # also covers L = 0 and subnormal L, where k*L has lost its digits.  The
-    # thermal kernel is coth(beta k / 2), by its series below 1e-8, where
-    # tanh loses relative accuracy.
-    def re_kern(k: float) -> float:
-        x = k * L
-        v = math.exp(-0.5 * k * k) * (math.sin(x) / L if x >= SERIES_CUTOFF else k)
-        if beta is not None:
-            y = 0.5 * beta * k
-            # at tiny beta y underflows to 0.0: coth is then inf, as the
-            # series' 1/y is for subnormal y, and the non-finite J a miss
-            v *= (1.0 / y + y / 3.0 if y else math.inf) if y < 1e-8 else 1.0 / math.tanh(y)
-        return v * math.cos(k * dtau)
 
     def check(part: str, value: float, err: float) -> None:
         # a non-finite value or estimate (J past the float range) is a miss
@@ -608,22 +680,8 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
                 estimate=err,
             )
 
-    if not math.isfinite(K_MAX * max(L, abs(dtau))):
-        # sin(k L) or cos(k dtau) of an overflowed product is undefined
-        raise QuadratureError(f"k L or k dtau overflows on [0, {K_MAX}] (L={L}, dtau={dtau})",
-                              estimate=math.inf)
-
-    # coth(beta k / 2) makes a bump of width about 1/beta at k = 0, which
-    # the adaptive rule can step over at large beta.  Breakpoints at 1/beta
-    # and, below k = 1, at 4/beta and 16/beta make it look there; past
-    # 16/beta what is left of the bump, exp(-16) of it, no longer hides.
-    breaks = None
-    if beta is not None and 1.0 / beta < K_MAX:
-        breaks = [1.0 / beta] + [c / beta for c in (4.0, 16.0) if c / beta < 1.0]
-    # quad appends a message to its result when it warns; the error
-    # estimate decides what happens then
-    re, re_err, _ = quad(re_kern, 0.0, K_MAX, epsabs=1e-13, epsrel=1e-11,
-                         limit=400, points=breaks, full_output=1)[:3]
+    _check_panel_cap(L, dtau)
+    re, re_err = quad(L, dtau, beta)
     check("Re", re, re_err)
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation

@@ -22,7 +22,8 @@ from . import capacity, channel, field, weyl
 GRID_COUPLINGS = (0.1, 1.0, 10.0)
 GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
 GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
-# at beta = 879 quad steps over coth's bump at k = 0 unless it breaks at k = 1/beta
+# at beta = 879 coth's bump at k = 0, about 1/beta wide, is narrower than a
+# panel of the oracle's Re J rule, which grades its panels toward k = 0 there
 THERMAL_BETAS = (0.5, 2.0, 20.0, 879.0)
 THERMAL_GEOMETRIES = ((0.05, 2.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0))
 # F and F' arguments where both thermal series converge in a few hundred terms

@@ -192,9 +192,10 @@ def test_point_query_reproduces_sweep_row():
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_quadrature_error_point_matches_the_sweep_row(beta):
     # point once printed only status and inputs here, though the sweep row
-    # keeps its statistics and c_closed: quad misses Re J's target at L = 1000
-    (row,) = run_sweep(SweepConfig(separation=1000.0, delay=0.0, beta=beta, oracle=True))
-    record = point_query(1.0, 1.0, 1000.0, 0.0, beta=beta, oracle=True)
+    # keeps its statistics and c_closed: at L = 3000, past the Re J rule's
+    # panel cap, the oracle refuses
+    (row,) = run_sweep(SweepConfig(separation=3000.0, delay=0.0, beta=beta, oracle=True))
+    record = point_query(1.0, 1.0, 3000.0, 0.0, beta=beta, oracle=True)
     assert row["status"] == record["status"] == "quadrature_error"
     assert record["field_statistics"] == {name: row[name] for name in STATISTICS_COLUMNS}
     assert record["capacity"]["c_closed"] == row["c_closed"]
@@ -329,8 +330,8 @@ def test_to_json_takes_only_str_keys(key):
 
 
 def test_sweep_survives_quadrature_failure(monkeypatch):
-    def bad_quad(func, a, b, **kwargs):
-        return 0.5, 1.0, {}
+    def bad_quad(L, dtau, beta):
+        return 0.5, 1.0
 
     def bad_trapezoid(sep, delay):
         return 0.5, 1.0
@@ -499,27 +500,27 @@ def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monk
 
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
-    # quad misses Re J's target at (1000, 1): the cross integral fails once,
-    # each later row raises the remembered failure, and J(0, 0, beta) is
-    # never asked for
+    # (3000, 1) is past the Re J rule's panel cap: the cross integral fails
+    # once, each later row raises the remembered failure, and J(0, 0, beta)
+    # is never asked for
     calls = _counted_integrals(monkeypatch)
-    text = ORACLE_COUPLING_CONFIG.format(L=1000.0, dtau=1.0) + (f"beta = {beta}\n" if beta else "")
+    text = ORACLE_COUPLING_CONFIG.format(L=3000.0, dtau=1.0) + (f"beta = {beta}\n" if beta else "")
     rows = run_sweep(parse_config_text(text))
     assert len(rows) == 16
     assert all(row["status"] == "quadrature_error" for row in rows)
     assert all(math.isnan(row["oracle_residual"]) for row in rows)
-    assert calls == [(1000.0, 1.0, beta)]
+    assert calls == [(3000.0, 1.0, beta)]
     # each raise is a new error with the first one's message and estimate
     f = SmearingSpec(coupling=1.0)
     errors = []
     for _ in range(2):
         with pytest.raises(field.QuadratureError) as excinfo:
-            field.wightman_cross_quadrature(f, f, PairGeometry(1000.0, 1.0), field.FieldStateSpec(beta))
+            field.wightman_cross_quadrature(f, f, PairGeometry(3000.0, 1.0), field.FieldStateSpec(beta))
         errors.append(excinfo.value)
     assert errors[0] is not errors[1]
-    assert str(errors[0]) == str(errors[1]) and "L=1000.0, dtau=1.0" in str(errors[0])
+    assert str(errors[0]) == str(errors[1]) and "L=3000.0, dtau=1.0" in str(errors[0])
     assert errors[0].estimate == errors[1].estimate > 0.0
-    assert calls == [(1000.0, 1.0, beta)]
+    assert calls == [(3000.0, 1.0, beta)]
 
 
 def test_matsubara_past_the_float_range_warns_nothing():
@@ -549,7 +550,7 @@ def test_subnormal_beta_is_a_quiet_domain_error(beta, capsys):
 
 
 def test_thermal_row_at_large_separation_is_typed():
-    # quad warns at L = 1000; the row once raised ValueError and ended the
+    # quad warned at L = 1000; the row once raised ValueError and ended the
     # sweep, then was quadrature_error; the closed form needs no quadrature
     for delay in (0.0, 1.0):
         row = evaluate_point(1.0, 1.0, 1000.0, delay, beta=2.0)
@@ -602,8 +603,8 @@ def test_untuned_bob_rows_report_their_own_channel_capacity(tmp_path, capsys, bo
 
 
 def test_vacuum_row_once_lost_to_quadrature_is_ok():
-    # the radial quadrature of Re J fails its error target here; the closed
-    # form does not need it
+    # the radial quadrature of Re J once failed its error target here; the
+    # closed form does not need it
     sep, delay = 214.20875074641043, -0.11863217375195079
     row = evaluate_point(1.0, 1.0, sep, delay)
     assert row["status"] == "ok"
@@ -678,11 +679,11 @@ def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
 
 
 def test_failed_oracle_keeps_the_row_statistics():
-    # quad misses Re J's error target at L = 1000, and Re J has no other
-    # route; the closed-form statistics and capacity stand, only the
-    # residual is lost
-    row = evaluate_point(1.0, 1.0, 1000.0, 0.0, oracle=True)
-    plain = evaluate_point(1.0, 1.0, 1000.0, 0.0)
+    # at L = 3000, past its panel cap, the Re J rule refuses, and Re J has
+    # no other route; the closed-form statistics and capacity stand, only
+    # the residual is lost
+    row = evaluate_point(1.0, 1.0, 3000.0, 0.0, oracle=True)
+    plain = evaluate_point(1.0, 1.0, 3000.0, 0.0)
     assert row["status"] == "quadrature_error"
     for column in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed"):
         assert math.isfinite(row[column])
@@ -692,8 +693,9 @@ def test_failed_oracle_keeps_the_row_statistics():
 
 @pytest.mark.parametrize("delay", [1.0, 8.0, 12.0])
 def test_oracle_past_the_node_cap_is_a_quadrature_error(monkeypatch, delay):
-    # at L = 1e9 the commutator's trapezoid rule would need about 5e9 nodes,
-    # so it refuses without integrating; a coarser rule once returned an
+    # at L = 1e9 the Re J rule would need about 1e9 panels and the
+    # commutator's trapezoid rule about 5e9 nodes, so the oracle refuses
+    # without integrating; a coarser Im J rule once returned an
     # aliased Im J with a small error estimate, and the row was ok with
     # oracle_residual 0.03 to 24
     def refuse(*args, **kwargs):

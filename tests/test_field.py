@@ -382,11 +382,57 @@ def test_radial_integral_subnormal_separation_is_coincident_limit(beta):
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
-def test_radial_integral_quad_warning_is_a_typed_error(beta):
-    # quad returns a fourth value, its message, when it warns; at L = 1000
-    # that once escaped as "too many values to unpack"
+def test_radial_integral_past_the_panel_cap_is_a_typed_error(beta):
+    # at L = 3000 the Re J rule needs more panels than its cap admits; at
+    # L = 1000 scipy's quad once warned, and its message escaped as "too
+    # many values to unpack"
     with pytest.raises(QuadratureError):
-        field._radial_integral(1000.0, 0.0, beta)
+        field._radial_integral(3000.0, 0.0, beta)
+
+
+def test_panel_cap_refuses_at_once(monkeypatch):
+    # unbounded panels would ask numpy for unbounded arrays: past the cap the
+    # rule raises before it reaches its nodes
+    def refuse():
+        raise AssertionError("past the panel cap the rule must not integrate")
+
+    monkeypatch.setattr(field, "_gl_rules", refuse)
+    for sep, delay in ((1e300, 0.0), (1e3, 1.5e3), (0.0, -1e308)):
+        with pytest.raises(QuadratureError) as excinfo:
+            field.quad(sep, delay, 2.0)
+        assert excinfo.value.estimate == math.inf
+
+
+# Re J by the rule against the closed form: the corner of the accepted
+# domain, far off the light cone at beta = 2, a geometry where scipy's quad
+# missed its target by a hair (estimate 1.03e-10), and (6, 6) at
+# beta = 1e3, where the panels are graded toward k = 0
+@pytest.mark.parametrize("sep, delay, beta", [(1000.0, 1000.0, None), (700.0, -900.0, 2.0),
+                                              (453.18, -400.47, 15.63), (6.0, 6.0, 1e3)])
+def test_quad_matches_the_closed_form_across_the_domain(sep, delay, beta):
+    value, estimate = field.quad(sep, delay, beta)
+    j0 = cross_real_closed(0.0, 0.0, beta)
+    assert abs(value - cross_real_closed(sep, delay, beta)) <= 1e-12 * j0
+    assert estimate <= 1e-12 * j0
+
+
+def test_gauss_legendre_rules_integrate_even_powers_to_rounding():
+    # leggauss's own 40-point weights are up to 7e-13 off, and their moments
+    # 2.4e-13 off; with them the rule's Re J was 3e-15 off at (0, 6)
+    for (nodes, weights), n in zip(field._gl_rules(), (20, 40)):
+        for k in range(n):
+            exact = 2.0 / (2 * k + 1)
+            assert abs(weights @ nodes ** (2 * k) - exact) <= 1e-14 * exact, (n, k)
+
+
+@pytest.mark.parametrize("beta", [3e-307, 1e-306])
+def test_radial_integral_at_tiny_beta_is_finite(beta):
+    # J(6, 6, beta) ~ 0.26 / beta is a finite float here, but scipy's quad
+    # overflowed in its sums and the oracle refused; the rule sums beta f
+    j, _ = field._radial_integral(6.0, 6.0, beta)
+    assert math.isclose(j.real, cross_real_closed(6.0, 6.0, beta), rel_tol=1e-12)
+    f = SmearingSpec(coupling=1.0)
+    assert field.oracle_residual(f, f, PairGeometry(6.0, 6.0), thermal(beta)) < 1e-6
 
 
 @pytest.mark.parametrize("beta", [5e-324, 1e-310])
@@ -402,7 +448,7 @@ def test_radial_integral_past_the_float_range_at_tiny_beta_is_a_typed_error(beta
 
 
 def test_radial_integral_non_finite_value_is_a_miss(monkeypatch):
-    monkeypatch.setattr(field, "quad", lambda func, a, b, **kwargs: (math.nan, 0.0, {}))
+    monkeypatch.setattr(field, "quad", lambda L, dtau, beta: (math.nan, 0.0))
     with pytest.raises(QuadratureError):
         field._radial_integral(6.0, 6.0, None)
 
@@ -417,8 +463,8 @@ def test_quadrature_error_carries_estimate(monkeypatch):
     monkeypatch.setattr(field, "_commutator_trapezoid", bad_trapezoid)
     f = SmearingSpec(coupling=1.0)
     for re_err, estimate in ((1e-12, 0.25), (1.0, 1.0)):
-        def bad_quad(func, a, b, **kwargs):
-            return 1.0, re_err, {}
+        def bad_quad(L, dtau, beta):
+            return 1.0, re_err
 
         monkeypatch.setattr(field, "quad", bad_quad)
         # the oracle remembers the geometry's failure under the last quad

@@ -53,13 +53,13 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("config, flags, digest", [
     (FIG1_CONFIG, [], "b2f48bcc96686c2d047b39528b7daff104bc12447c2980d9449c6e0333e52d0c"),
     (ORACLE_CONFIG, ["--oracle"],
-     "6e2e1cd0c4bd1be5e5c7e7a64efbce167cf7613f43f37b1a74d4c13d78850435"),
+     "1263b079998a06f9408aead86734f3bfeab2c84a6a211ef24ee22a40f0981be8"),
     (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
-     "b98c9857e8d5de4b9a519a24b7302391a4200c483164ff19dea623de91e83568"),
+     "835ac7da2aff6875a206253f0405dc199af64defc3c446ba3f210b07fcfda314"),
     (ORACLE_COUPLING_CONFIG, ["--oracle"],
-     "7e57676357be5b804e6afced591f86e11e859a815a9df613513503f137409f18"),
+     "5ec1781502b0072894efe5903f181408e5ef2ec7171bb00c886734c37c3151ea"),
     (ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
-     "19601f870f2aa90407a92d2ed758f273e8e53349e5e6ba6aeea609ff81b50c99"),
+     "0424c6802b620ca3f94c4e8eb1b2d0569cc6ce46dfb0501b8b28886f99577cf9"),
 ], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2", "oracle_coupling_csv_vacuum",
         "oracle_coupling_csv_beta2"])
 def test_sweep_bytes(tmp_path, config, flags, digest):
@@ -71,9 +71,9 @@ def test_sweep_bytes(tmp_path, config, flags, digest):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (POINT, "4ea843e6ef04a70b8036c5f0f59dde2ac390bd8ce37c7c9de4466bc79b20abfc"),
-    (POINT + ["--beta", "2"], "12b88fced203a788ab88ced967269906c8e9dd3ccd79afc120cc9d1d1c90637b"),
-    (["selftest"], "721321cc143294632077c16b693adfa79d6adc92a23292847997e06e927c9e0f"),
+    (POINT, "fadbe1d86dc7c2b47cdb3392ccd63669a769caec952f0b36046940b90eb65e59"),
+    (POINT + ["--beta", "2"], "42409c97666f4b7e39593f4374fd3649b20f671bffc7a414b44106875b6970cd"),
+    (["selftest"], "8a01dda37e380e82c21e709cb8f6e1402643d6a1a654fa6b1be82c23abce710c"),
 ], ids=["point_vacuum", "point_beta2", "selftest"])
 def test_stdout_bytes(capsys, argv, digest):
     assert main(argv) == 0

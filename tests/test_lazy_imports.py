@@ -1,6 +1,7 @@
-"""scipy.special loads on a thermal row's first call, scipy.integrate on
-the oracle's first call and mpmath on its first Im J, not at import: a
-vacuum process loads none of them.
+"""scipy.special loads on a thermal row's first call and mpmath on the
+oracle's first Im J, not at import: a vacuum process loads neither.  No
+process loads scipy.integrate: the oracle's Re J is the library's own
+Gauss-Legendre rule, in numpy.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -33,8 +34,8 @@ def run(argv):
     return out.getvalue()
 
 
-# at dtau = 0 Im J is exactly 0 and only quad runs, so this point goes
-# first: sys.modules keeps what each point loads.  Every other Im J is the
+# at dtau = 0 Im J is exactly 0 and only the Re J rule runs, so this point
+# goes first: sys.modules keeps what each point loads.  Every other Im J is the
 # 50-digit trapezoid rule's, the one user of mpmath, also at (0, 8), where
 # it cancels in float64 to 1.3e-13.
 ORACLE_POINTS = (("dtau = 0 oracle point", ["--dtau", "0"]), ("oracle point", []),
@@ -72,10 +73,11 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "point": [],
         "vacuum sweep": [],
         "beta = 2 sweep": ["scipy.special"],
-        # scipy.integrate imports scipy.special itself
-        "dtau = 0 oracle point": ["scipy.special", "scipy.integrate"],
-        "oracle point": ["scipy.special", "scipy.integrate", "mpmath"],
-        "cancelling oracle point": ["scipy.special", "scipy.integrate", "mpmath"],
+        # the thermal closed forms load scipy.special; the oracle adds only
+        # mpmath, for Im J at dtau != 0
+        "dtau = 0 oracle point": ["scipy.special"],
+        "oracle point": ["scipy.special", "mpmath"],
+        "cancelling oracle point": ["scipy.special", "mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
