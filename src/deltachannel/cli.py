@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 
 from .errors import ConfigError
@@ -75,6 +76,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     point.add_argument("--oracle", action="store_true", help="add the quadrature cross-check residual")
     point.add_argument("--optimize", action="store_true", help="add the brute-force capacity")
     point.add_argument("--output", help="write the JSON record here instead of stdout")
+    # argparse's own matcher (a private attribute, which
+    # test_cli_point_reads_a_signed_value_after_its_flag pins) reads only
+    # -123 and -1.5 as values, so "--dtau -1e3" and "--bob -0.6,0,0" would
+    # be flags missing their value.  No flag of point starts with a digit,
+    # so a token whose "-" or "-." a digit follows is a value.
+    point._negative_number_matcher = re.compile(r"-\.?\d")
 
     check = sub.add_parser("selftest", help="run the built-in invariant suite")
     check.set_defaults(run=_run_selftest)

@@ -13,9 +13,10 @@ class ConsistencyError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance.
+    """An oracle rule missed its error target, or the geometry is past the
+    oracle's reach (field.ORACLE_REACH) and no rule ran.
 
-    Carries the estimated error of the best available result.
+    Carries the rule's error estimate: inf where no rule ran.
     """
 
     def __init__(self, message: str, estimate: float):

@@ -12,12 +12,13 @@ selftest's grid.  The oracle takes one route per component of J (see
 _radial_integral): Re J, compared absolutely, by quad, a composite
 Gauss-Legendre rule in numpy; Im J, the commutator part, compared
 relatively, by a 50-digit trapezoid rule whose nodes run on fixed-point
-integer recurrences, mpmath computing only their seeds.  The couplings
-are only a prefactor, so both routes cache their J by (L, dtau, beta)
-for the last GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J,
-and oracle_j the integral or its QuadratureError, so a process
-integrates each geometry once, whether it succeeds or fails.  Everything
-is dimensionless in units of the Gaussian smearing width sigma: couplings
+integer recurrences, mpmath computing only their seeds.  Both rules admit
+L + |dtau| up to ORACLE_REACH and refuse past it.  The couplings are only
+a prefactor, so both routes cache their J by (L, dtau, beta) for the last
+GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J, and oracle_j
+the integral or its QuadratureError, so a process integrates each
+geometry once, whether it succeeds or fails.  Everything is
+dimensionless in units of the Gaussian smearing width sigma: couplings
 are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
 temperatures beta/sigma.
 """
@@ -42,16 +43,20 @@ SERIES_CUTOFF = 1e-8
 
 # Past |x| = K_MAX the Gaussian exp(-x^2/2), below 1e-347, is 0.0 in doubles.
 K_MAX = 40.0
+# The oracle's reach: both of its rules admit L + |dtau| <= ORACLE_REACH,
+# the corner of the accepted domain (L <= 1e3, |dtau| <= 1e3), and past it
+# refuse before they integrate (see _check_reach).  At the corner the Re J
+# rule takes 1910 uniform panels, about 5 ms (panels graded toward k = 0
+# add under 1030 at any finite beta), and the Im J rule about 1e4 nodes,
+# about 20 ms.
+ORACLE_REACH = 2e3
 # The oracle's Re J rule (see quad) runs on [0, GL_K]; since
 # |sin(kL)/L| <= k and coth falls, the tail it leaves is under
 # exp(-GL_K^2 / 2) ~ 5e-32 of J(0, 0, beta).  Its panels are at most
 # GL_WIDTH / (L + |dtau|) wide, two periods of the integrand's fastest
-# oscillation.  The cap admits L + |dtau| <= 2e3, the corner of the
-# accepted domain: 1910 uniform panels, about 5 ms; panels graded toward
-# k = 0 add under 1030 at any finite beta.
+# oscillation.
 GL_K = 12.0
 GL_WIDTH = 4.0 * math.pi
-GL_MAX_PANELS = math.ceil(GL_K * 2e3 / GL_WIDTH)
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 MP_DPS = 50
@@ -59,11 +64,8 @@ MP_DPS = 50
 RESIDUAL_FLOOR = 1e-12
 # The trapezoid rule runs on [0, K] with exp(-K^2/2) = 10^-(MP_DPS + 5), at
 # step h = 2 pi / (L + |dtau| + K), so it takes K (L + |dtau| + K) / pi
-# nodes at step h/2.  The cap admits L + |dtau| <= 2e3, the corner of the
-# accepted domain (L <= 1e3, |dtau| <= 1e3): about 1e4 nodes, about 20 ms.
-# Past it the rule raises QuadratureError without integrating.
+# nodes at step h/2.
 TRAPEZOID_K = math.sqrt(2.0 * math.log(10.0) * (MP_DPS + 5))
-TRAPEZOID_MAX_NODES = math.ceil(TRAPEZOID_K * (2e3 + TRAPEZOID_K) / math.pi)
 # The rule's recurrences run on integers scaled by 2^TRAPEZOID_BITS, 20
 # digits past MP_DPS: their forward error at node j, about
 # j^2 2^-TRAPEZOID_BITS ~ 1e-62 of the integrand's scale, stays far below
@@ -518,13 +520,11 @@ def _gl_rules() -> tuple:
     return tuple(rules)
 
 
-def _check_panel_cap(L: float, dtau: float) -> None:
-    # quad's uniform panels; a float, which may be inf at extreme reach
-    panels = GL_K * (L + abs(dtau)) / GL_WIDTH
-    if panels > GL_MAX_PANELS:
+def _check_reach(L: float, dtau: float) -> None:
+    # L + |dtau| may be inf, where k L or k dtau would overflow
+    if L + abs(dtau) > ORACLE_REACH:
         raise QuadratureError(
-            f"Re J rule needs {panels:.3g} panels, past its cap of {GL_MAX_PANELS} "
-            f"(L={L}, dtau={dtau})",
+            f"the oracle admits L + |dtau| <= {ORACLE_REACH:g}, got L={L}, dtau={dtau}",
             estimate=math.inf,
         )
 
@@ -541,7 +541,7 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
     k = 0 as [0, pi/beta], then doubling, so the poles stay at least two
     half-widths from every panel.  The value is the 40-point sum and
     the estimate |G40 - G20|, the 20-point rule's distance from it.
-    Raises QuadratureError, with estimate inf, past GL_MAX_PANELS, without
+    Raises QuadratureError, with estimate inf, past ORACLE_REACH, without
     integrating.
 
     sin(kL)/L is k below SERIES_CUTOFF, which also covers L = 0 and
@@ -551,7 +551,7 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
     beta -> 0, and divides by beta at the end, so J(0, 0, beta) ~ 2.5/beta
     is finite down to beta ~ 1.4e-308 and inf below.
     """
-    _check_panel_cap(L, dtau)
+    _check_reach(L, dtau)
     reach = L + abs(dtau)
     width = min(1.0, GL_WIDTH / reach) if reach else 1.0
     edges = [0.0]
@@ -594,7 +594,8 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     [0, TRAPEZOID_K] drops a tail of the same size.  The sum is taken at
     step h and at h/2 on nested nodes; the estimate is |T(h) - T(h/2)|, or
     the sum's rounding, 10^-MP_DPS h sum |f|, if that is larger.  Raises
-    QuadratureError without integrating past TRAPEZOID_MAX_NODES.
+    QuadratureError, with estimate inf, past ORACLE_REACH, without
+    integrating.
 
     The nodes k_j = j h/2 run on exact recurrences over integers scaled by
     2^TRAPEZOID_BITS, so mpmath computes only the seeds: the Gaussian as
@@ -603,17 +604,12 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
     recurrence U_j = 2 cos(t) U_{j-1} - U_{j-2}, at t = L h/2 and
     t = dtau h/2 (cos t = 1 gives U_{j-1} = j, so L = 0 takes k_j itself).
     """
+    _check_reach(L, dtau)
     import mpmath
 
     reach = L + abs(dtau) + TRAPEZOID_K
-    # nodes at step h/2 on [0, K]; a float, which may be inf at extreme reach
+    # nodes at step h/2 on [0, K]
     nodes = TRAPEZOID_K * reach / math.pi
-    if nodes > TRAPEZOID_MAX_NODES:
-        raise QuadratureError(
-            f"commutator trapezoid needs {nodes:.3g} nodes, past its cap of "
-            f"{TRAPEZOID_MAX_NODES} (L={L}, dtau={dtau})",
-            estimate=math.inf,
-        )
     h = 2.0 * math.pi / reach
     bits = TRAPEZOID_BITS
     with mpmath.workprec(bits + 32):
@@ -663,12 +659,11 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     computed.  Im J carries the commutator, compared relatively, which
     float64 cancellation would spoil wherever Im J is small, so it is
     _commutator_trapezoid's, at MP_DPS digits on [0, TRAPEZOID_K] at step
-    2 pi / (L + |dtau| + TRAPEZOID_K); at dtau = 0 it is exactly 0.  Both
-    rules admit L + |dtau| up to 2e3.  Returns (J, error_estimate); raises
-    QuadratureError when a component's estimate misses both the absolute
-    and the relative target, and, with estimate inf and before either rule
-    runs, past quad's panel cap, which every geometry whose k L or k dtau
-    overflows is past.
+    2 pi / (L + |dtau| + TRAPEZOID_K); at dtau = 0 it is exactly 0.
+    Returns (J, error_estimate); raises QuadratureError when a component's
+    estimate misses both the absolute and the relative target, and, with
+    estimate inf and before either rule runs, past ORACLE_REACH, which
+    every geometry whose k L or k dtau overflows is past.
     """
 
     def check(part: str, value: float, err: float) -> None:
@@ -680,7 +675,7 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
                 estimate=err,
             )
 
-    _check_panel_cap(L, dtau)
+    _check_reach(L, dtau)
     re, re_err = quad(L, dtau, beta)
     check("Re", re, re_err)
     if dtau == 0.0:

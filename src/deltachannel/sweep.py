@@ -53,6 +53,19 @@ COLUMNS = (
 STATISTICS_COLUMNS = COLUMNS[4:9]
 
 AXIS_NAMES = ("lambda_a", "lambda_b", "L", "dtau", "r_b")
+# each numeric key's rule, as "must ...": a fixed value and both ends of
+# its axis keep the same one
+_NONNEGATIVE = ("be >= 0", lambda v: 0.0 <= v < math.inf)
+_KEY_RULES = {
+    "eta_over_sigma": _NONNEGATIVE,
+    "lambda_a": _NONNEGATIVE,
+    "lambda_b": _NONNEGATIVE,
+    "L": _NONNEGATIVE,
+    "dtau": ("be finite", math.isfinite),
+    "r_b": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+# the SweepConfig field of a config key, where the two differ
+_FIELD_FOR_KEY = {"L": "separation", "dtau": "delay"}
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,12 @@ class AxisSpec:
             raise ConfigError(f"axis {self.name}: scale must be linear or log")
         if self.scale == "log" and self.lo <= 0.0:
             raise ConfigError(f"axis {self.name}: log spacing requires min > 0")
+        rule, ok = _KEY_RULES[self.name]
+        if not (ok(self.lo) and ok(self.hi)):
+            raise ConfigError(f"axis {self.name} must {rule}, got {self.lo!r} to {self.hi!r}")
+        # a span past the float range would overflow linspace's step
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigError(f"axis {self.name}: max - min must be finite, got {self.lo!r} to {self.hi!r}")
 
     def values(self) -> list[float]:
         if self.count == 1:
@@ -106,26 +125,25 @@ class SweepConfig:
     optimizer: bool = False
 
     def __post_init__(self):
-        for name in ("eta_over_sigma", "lambda_a", "lambda_b"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(f"{name} must be >= 0, got {v!r}")
-        if not (math.isfinite(self.separation) and self.separation >= 0.0):
-            raise ConfigError(f"L must be >= 0, got {self.separation!r}")
-        if not math.isfinite(self.delay):
-            raise ConfigError(f"dtau must be finite, got {self.delay!r}")
+        for key, (rule, ok) in _KEY_RULES.items():
+            v = getattr(self, _FIELD_FOR_KEY.get(key, key))
+            # r_b alone may be None: unused
+            if v is not None and not ok(v):
+                raise ConfigError(f"{key} must {rule}, got {v!r}")
         if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ConfigError(f"beta must be > 0, got {self.beta!r}")
         if len(self.bob_bloch) != 3 or not all(math.isfinite(c) for c in self.bob_bloch):
             raise ConfigError(f"bob_bloch must be a finite 3-vector, got {self.bob_bloch!r}")
-        r_b_used = self.r_b is not None or any(a.name == "r_b" for a in self.axes)
-        if r_b_used and all(c == 0.0 for c in self.bob_bloch):
-            raise ConfigError("r_b scaling needs a nonzero bob_bloch direction")
-        if self.r_b is not None and not 0.0 <= self.r_b <= 1.0:
-            raise ConfigError(f"r_b must lie in [0, 1], got {self.r_b!r}")
-        for axis in self.axes:
-            if axis.name == "r_b" and not 0.0 <= axis.lo <= axis.hi <= 1.0:
-                raise ConfigError(f"axis r_b must lie in [0, 1], got {axis.lo!r} to {axis.hi!r}")
+        if self.r_b is not None or any(a.name == "r_b" for a in self.axes):
+            if all(c == 0.0 for c in self.bob_bloch):
+                raise ConfigError("r_b scaling needs a nonzero bob_bloch direction")
+        else:
+            # without r_b, bob_bloch is Bob's state itself, not a direction
+            try:
+                QubitState(*self.bob_bloch)
+            except ValueError:
+                raise ConfigError(f"bob_bloch {self.bob_bloch!r} leaves the unit ball; "
+                                  "only with r_b is it a direction of any length") from None
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ConfigError("phases must be finite")
         if len(self.axes) > 2:
@@ -145,7 +163,6 @@ class SweepConfig:
 
 _SCALAR_KEYS = ("eta_over_sigma", "lambda_a", "lambda_b", "L", "dtau", "beta", "r_b",
                 "phase_a", "phase_b")
-_FIELD_FOR_KEY = {"L": "separation", "dtau": "delay"}
 
 
 def _parse_bool(value: str, where: str) -> bool:

@@ -192,8 +192,8 @@ def test_point_query_reproduces_sweep_row():
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_quadrature_error_point_matches_the_sweep_row(beta):
     # point once printed only status and inputs here, though the sweep row
-    # keeps its statistics and c_closed: at L = 3000, past the Re J rule's
-    # panel cap, the oracle refuses
+    # keeps its statistics and c_closed: at L = 3000, past the oracle's
+    # reach, the oracle refuses
     (row,) = run_sweep(SweepConfig(separation=3000.0, delay=0.0, beta=beta, oracle=True))
     record = point_query(1.0, 1.0, 3000.0, 0.0, beta=beta, oracle=True)
     assert row["status"] == record["status"] == "quadrature_error"
@@ -500,7 +500,7 @@ def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monk
 
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
-    # (3000, 1) is past the Re J rule's panel cap: the cross integral fails
+    # (3000, 1) is past the oracle's reach: the cross integral fails
     # once, each later row raises the remembered failure, and J(0, 0, beta)
     # is never asked for
     calls = _counted_integrals(monkeypatch)
@@ -679,7 +679,7 @@ def test_overflowing_coupling_product_is_the_rows_failure(tmp_path, capsys):
 
 
 def test_failed_oracle_keeps_the_row_statistics():
-    # at L = 3000, past its panel cap, the Re J rule refuses, and Re J has
+    # at L = 3000, past the oracle's reach, the Re J rule refuses, and Re J has
     # no other route; the closed-form statistics and capacity stand, only
     # the residual is lost
     row = evaluate_point(1.0, 1.0, 3000.0, 0.0, oracle=True)
@@ -699,7 +699,7 @@ def test_oracle_past_the_node_cap_is_a_quadrature_error(monkeypatch, delay):
     # aliased Im J with a small error estimate, and the row was ok with
     # oracle_residual 0.03 to 24
     def refuse(*args, **kwargs):
-        raise AssertionError("past the node cap the rule must not integrate")
+        raise AssertionError("past the oracle's reach the rule must not integrate")
 
     monkeypatch.setattr(mpmath, "exp", refuse)
     row = evaluate_point(10.0, 1.0, 1e9, delay, oracle=True)
@@ -927,6 +927,22 @@ def test_cli_usage_errors_show_the_command_given(capsys):
     assert capsys.readouterr().out.startswith("usage: deltachannel point ")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dtau", "-1e3"),
+    ("--phase-b", "-1e-3"),
+    ("--bob", "-0.6,0,0"),
+])
+def test_cli_point_reads_a_signed_value_after_its_flag(capsys, flag, value):
+    # argparse read only -123 and -1.5 as values: each of these exited 2
+    # with "expected one argument", though its "=" form ran
+    assert main(["point", flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert main(["point", f"{flag}={value}"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.err == joined.err == ""
+    assert spaced.out == joined.out
+
+
 def test_cli_reads_sys_argv_without_an_argv(monkeypatch, capsys):
     assert main(["point", "--lambda-a", "0.5"]) == 0
     given = capsys.readouterr().out
@@ -1002,19 +1018,38 @@ def test_cli_selftest_catches_corrupted_formula(monkeypatch, capsys):
     assert report["checks"][0]["passed"] is False
 
 
-@pytest.mark.parametrize("axis", [
-    "-1, 1, 3, linear",  # once exited 0, flipping Bob's state at r_b = -1
-    "0.5, 2, 3, linear",  # once stopped mid-sweep: the Bloch vector left the unit ball
+@pytest.mark.parametrize("line, message", [
+    # once exited 0, flipping Bob's state at r_b = -1
+    pytest.param("axis.r_b = -1, 1, 3, linear", "axis r_b must lie in [0, 1]",
+                 id="-1, 1, 3, linear"),
+    # once stopped mid-sweep: the Bloch vector left the unit ball
+    pytest.param("axis.r_b = 0.5, 2, 3, linear", "axis r_b must lie in [0, 1]",
+                 id="0.5, 2, 3, linear"),
+    # each of these once exited 2 only once its first bad row ran, in the
+    # library's words ("separation must be finite and >= 0")
+    ("axis.lambda_a = -1, 1, 3, linear", "axis lambda_a must be >= 0"),
+    ("axis.lambda_b = -1, 1, 3, linear", "axis lambda_b must be >= 0"),
+    ("axis.L = -1, 1, 3, linear", "axis L must be >= 0"),
+    ("bob_bloch = 2, 0, 0", "bob_bloch (2.0, 0.0, 0.0) leaves the unit ball"),
+    # both ends finite, but linspace's step overflowed with RuntimeWarnings,
+    # which an error filter raised out of main
+    ("axis.dtau = -1e308, 1e308, 3, linear", "axis dtau: max - min must be finite"),
 ])
-def test_cli_sweep_rejects_an_r_b_axis_outside_the_unit_interval(tmp_path, capsys, monkeypatch, axis):
+def test_cli_sweep_rejects_an_r_b_axis_outside_the_unit_interval(tmp_path, capsys, monkeypatch,
+                                                                  line, message):
+    # every value a config gives is checked before the first row: an axis's
+    # two ends by its key's rule, its span, and bob_bloch without r_b
     def no_row(*args, **kwargs):
         raise AssertionError("a row ran before the config was rejected")
 
     monkeypatch.setattr(sweep, "evaluate_point", no_row)
+    monkeypatch.setattr(sweep, "_resolve_bob", no_row)
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, f"schema_version = 1\naxis.r_b = {axis}\n")
-    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 2
-    assert "axis r_b must lie in [0, 1]" in capsys.readouterr().err
+    cfg = write_config(tmp_path, f"schema_version = 1\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -35,6 +35,7 @@ from deltachannel.field import (
     thermal,
     wightman_cross_quadrature,
 )
+from deltachannel.sweep import evaluate_point
 
 # Reference values, frozen from an independent quadrature run.
 NORM_SQ_UNIT = 0.025330295910584444
@@ -383,24 +384,42 @@ def test_radial_integral_subnormal_separation_is_coincident_limit(beta):
 
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_radial_integral_past_the_panel_cap_is_a_typed_error(beta):
-    # at L = 3000 the Re J rule needs more panels than its cap admits; at
-    # L = 1000 scipy's quad once warned, and its message escaped as "too
-    # many values to unpack"
+    # L = 3000 is past the oracle's reach; at L = 1000 scipy's quad once
+    # warned, and its message escaped as "too many values to unpack"
     with pytest.raises(QuadratureError):
         field._radial_integral(3000.0, 0.0, beta)
 
 
 def test_panel_cap_refuses_at_once(monkeypatch):
-    # unbounded panels would ask numpy for unbounded arrays: past the cap the
-    # rule raises before it reaches its nodes
-    def refuse():
-        raise AssertionError("past the panel cap the rule must not integrate")
+    # unbounded panels would ask numpy for unbounded arrays, and unbounded
+    # nodes would loop without end: past ORACLE_REACH both rules raise
+    # before they reach a node, just past it too, where the Re J rule's
+    # own panel cap once admitted L + |dtau| up to 2000.15 and the Im J
+    # rule's own node cap up to 2000.12
+    def refuse(*args, **kwargs):
+        raise AssertionError("past the oracle's reach no rule may integrate")
 
-    monkeypatch.setattr(field, "_gl_rules", refuse)
-    for sep, delay in ((1e300, 0.0), (1e3, 1.5e3), (0.0, -1e308)):
-        with pytest.raises(QuadratureError) as excinfo:
-            field.quad(sep, delay, 2.0)
-        assert excinfo.value.estimate == math.inf
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "_gl_rules", refuse)
+        patch.setattr(mpmath, "exp", refuse)
+        for sep, delay in ((1e300, 0.0), (1e3, 1.5e3), (0.0, -1e308), (1e3, 1000.5),
+                           (1e3, 1000.1), (2000.1, 0.0)):
+            for rule, args in ((field.quad, (sep, delay, 2.0)),
+                               (field._commutator_trapezoid, (sep, delay))):
+                with pytest.raises(QuadratureError) as excinfo:
+                    rule(*args)
+                assert excinfo.value.estimate == math.inf
+    # the corner of the accepted domain, at the reach itself, is integrated
+    # by both rules, and its --oracle row is ok
+    corner = PairGeometry(1e3, -1e3)
+    value, estimate = field.quad(1e3, -1e3, None)
+    assert abs(value - cross_real_closed(1e3, -1e3)) <= 1e-12 and estimate <= 1e-12
+    unit = SmearingSpec(coupling=1.0)
+    im_closed = -commutator_closed(unit, unit, corner) / (2.0 * pair_prefactor(unit, unit))
+    im, im_estimate = field._commutator_trapezoid(1e3, -1e3)
+    assert abs(im - im_closed) <= 1e-12 * abs(im_closed) and im_estimate <= 1e-12 * abs(im)
+    row = evaluate_point(1.0, 1.0, 1e3, -1e3, oracle=True)
+    assert row["status"] == "ok" and row["oracle_residual"] < 1e-6
 
 
 # Re J by the rule against the closed form: the corner of the accepted
