@@ -96,7 +96,7 @@ class CapacityResult:
 
     q_ea_lower is the entanglement-assisted lower bound, exactly half the
     closed form.  nu_eff is the coherence w = nu_b * r_perp of
-    kept_and_nu_eff, the part of Bob's Bloch vector that the channel
+    capacity_and_nu_eff, the part of Bob's Bloch vector that the channel
     contracts and the signal rotates.  iterations counts the search's
     entropy evaluations: one per theta grid point, and one Holevo
     evaluation of the ensemble found.
@@ -139,40 +139,58 @@ def holevo_chi(params: ChannelParams, ens: Ensemble) -> float:
     return von_neumann_entropy(avg_out.density_matrix()) - mean_member_entropy
 
 
-def kept_and_nu_eff(nu_b: float, phase_b: float, bob: QubitState) -> tuple[float, float]:
-    """(p, w): the two lengths of Bob's Bloch vector that the channel sees.
+def bob_lengths(phase_b: float, bob: QubitState) -> tuple[float, float]:
+    """(p, r_perp): the two lengths of Bob's Bloch vector that the channel sees.
 
     p = x cos(phase_b) - y sin(phase_b) is the component along Bob's flip
     axis, which passes unchanged; the rest, of length
-    r_perp = min(sqrt(|v|^2 - p^2), 1), is contracted to w = nu_b r_perp
-    (nu_eff) and turned by the signal.  Bob's output at amplitude theta has
-    length hypot(p, w sqrt(cos^2 2 delta + theta^2 sin^2 2 delta)).
+    r_perp = min(sqrt(|v|^2 - p^2), 1), is contracted by nu_b and turned by
+    the signal.  No coupling enters, so a sweep takes them once per Bob.
     """
     p = bob.x * math.cos(phase_b) - bob.y * math.sin(phase_b)
-    r_perp = min(math.sqrt(max(bob.norm_sq - p * p, 0.0)), 1.0)
-    return p, min(max(nu_b, 0.0), 1.0) * r_perp
+    return p, min(math.sqrt(max(bob.norm_sq - p * p, 0.0)), 1.0)
 
 
-def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: QubitState) -> float:
-    """Classical capacity in bits of the channel with these four inputs.
+def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -> tuple[float, float]:
+    """(capacity_closed_form, w) from Bob's bob_lengths (p, r_perp): per
+    coupling only the contraction and two entropies.
 
-    C = h(hypot(p, w |cos 2 delta|)) - h(hypot(p, w)), with (p, w) from
-    kept_and_nu_eff and h(u) = H(1/2 + u / 2).  ChannelParams makes base
-    orthogonal to slope, so the output entropy g(theta) is even as well as
-    concave, and the inputs theta = -1 and +1 with weights 1/2 are optimal:
-    C = g(0) - g(1).  nu_b = 0 is admitted as the underflow image of very
-    strong coupling.
+    w = nu_b r_perp (nu_eff) is the coherence that the channel contracts and
+    the signal turns; Bob's output at amplitude theta has length
+    hypot(p, w sqrt(cos^2 2 delta + theta^2 sin^2 2 delta)).
     """
     if not -1e-12 <= nu_b <= 1.0 + 1e-12:
         raise ValueError(f"nu_b = {nu_b!r} outside [0, 1]")
     if not math.isfinite(delta_ab):
         raise ValueError("delta_ab must be finite")
-    p, w = kept_and_nu_eff(nu_b, phase_b, bob)
+    w = min(max(nu_b, 0.0), 1.0) * r_perp
     contracted = math.hypot(p, w * abs(math.cos(2.0 * delta_ab)))
     c = binary_entropy(0.5 + 0.5 * contracted) - binary_entropy(0.5 + 0.5 * math.hypot(p, w))
     if c < -1e-12:
         raise ConsistencyError(f"closed-form capacity came out negative: {c!r}")
-    return max(c, 0.0)
+    return max(c, 0.0), w
+
+
+def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: QubitState) -> float:
+    """Classical capacity in bits of the channel with these four inputs.
+
+    C = h(hypot(p, w |cos 2 delta|)) - h(hypot(p, w)), with p of
+    bob_lengths, w of capacity_and_nu_eff and h(u) = H(1/2 + u / 2).  ChannelParams makes base
+    orthogonal to slope, so the output entropy g(theta) is even as well as
+    concave, and the inputs theta = -1 and +1 with weights 1/2 are optimal:
+    C = g(0) - g(1).  nu_b = 0 is admitted as the underflow image of very
+    strong coupling.
+
+    Precision limit: C reads delta_ab only through cos 2 delta, and the
+    rounding of delta_ab moves 2 delta by up to ulp(delta_ab), about
+    2.2e-16 |delta_ab|.  So C loses digits as |delta_ab| grows; past about
+    1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps none, and C is
+    a value in [0, 1] set by the rounding of delta_ab alone.  No error is
+    raised: at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
+    delta_ab = 5.3e297 and C = 0.353.  Computed as capacity_and_nu_eff on
+    bob_lengths.
+    """
+    return capacity_and_nu_eff(nu_b, delta_ab, *bob_lengths(phase_b, bob))[0]
 
 
 def tune_bob_phase(bob: QubitState) -> float:
@@ -180,7 +198,7 @@ def tune_bob_phase(bob: QubitState) -> float:
 
     Solves cos(alpha) = -y/h, sin(alpha) = x/h with h = sqrt(x^2 + y^2) and
     returns pi - alpha (the n = 1 branch of phase + alpha = n pi).  That
-    zeroes p of kept_and_nu_eff, so all of Bob's Bloch vector carries the
+    zeroes p of bob_lengths, so all of Bob's Bloch vector carries the
     signal, w = nu_b r_b, and capacity_closed_form is at its maximum over
     phase_b (the paper's optimality claim; the tests scan phases for it).
     A state with x = y = 0 has nothing to tune; returns 0.0.
@@ -239,14 +257,15 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     # report the honest route through channel.apply, not the search's arithmetic
     c_bruteforce = holevo_chi(params, ensemble)
 
-    stats, bob = params.stats, params.bob_initial
-    c_closed = capacity_closed_form(stats.nu_b, stats.delta_ab, params.phase_b, bob)
+    stats = params.stats
+    c_closed, nu_eff = capacity_and_nu_eff(stats.nu_b, stats.delta_ab,
+                                           *bob_lengths(params.phase_b, params.bob_initial))
     return CapacityResult(
         c_closed=c_closed,
         c_bruteforce=c_bruteforce,
         best_ensemble=ensemble,
         q_ea_lower=c_closed / 2.0,
-        nu_eff=kept_and_nu_eff(stats.nu_b, params.phase_b, bob)[1],
+        nu_eff=nu_eff,
         iterations=THETA_POINTS + 1,
         gap=abs(c_closed - c_bruteforce),
     )

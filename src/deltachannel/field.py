@@ -17,7 +17,12 @@ L + |dtau| up to ORACLE_REACH and refuse past it.  The couplings are only
 a prefactor, so both routes cache their J by (L, dtau, beta) for the last
 GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J, and oracle_j
 the integral or its QuadratureError, so a process integrates each
-geometry once, whether it succeeds or fails.  Everything is
+geometry once, whether it succeeds or fails.  The statistics split the
+same way: geometry_terms holds what a geometry gives every coupling (Re J
+and commutator_terms' factors), norm_scale a state's J(0, 0, beta), and
+statistics_from_terms does the coupling arithmetic on them, so a sweep
+takes a state's J(0, 0, beta) once and a geometry's terms once per run
+of rows at that geometry.  Everything is
 dimensionless in units of the Gaussian smearing width sigma: couplings
 are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
 temperatures beta/sigma.
@@ -28,6 +33,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +148,13 @@ class SmearingSpec:
     coupling: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
-            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling!r}")
+        check_nonnegative("coupling", self.coupling)
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """The rule of a coupling, a separation or a sweep's factor: finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,7 @@ class PairGeometry:
     delay: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.separation) and self.separation >= 0.0):
-            raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
+        check_nonnegative("separation", self.separation)
         if not math.isfinite(self.delay):
             raise ValueError("delay must be finite")
 
@@ -217,7 +227,11 @@ def thermal(beta: float) -> FieldStateSpec:
 
 def pair_prefactor(f_a: SmearingSpec, f_b: SmearingSpec) -> float:
     """coupling_A * coupling_B / (4 pi^2): each smeared two-point value is this times a J."""
-    return f_a.coupling * f_b.coupling / FOUR_PI_SQ
+    return _prefactor(f_a.coupling, f_b.coupling)
+
+
+def _prefactor(coupling_a: float, coupling_b: float) -> float:
+    return coupling_a * coupling_b / FOUR_PI_SQ
 
 
 def norm_sq_closed(f: SmearingSpec) -> float:
@@ -226,10 +240,52 @@ def norm_sq_closed(f: SmearingSpec) -> float:
     Past coupling ~1.3e154 the square overflows; the norm is then inf, its
     limit, and the nu = exp(-2 ||Ef||^2) built on it is 0.0.
     """
+    return _norm_sq(f.coupling)
+
+
+def _norm_sq(coupling: float) -> float:
     try:
-        return f.coupling**2 / FOUR_PI_SQ
+        return coupling**2 / FOUR_PI_SQ
     except OverflowError:
         return math.inf
+
+
+class CommutatorTerms(NamedTuple):
+    """The factors of commutator_closed that no coupling touches."""
+
+    delay: float
+    a: float
+    e_near: float
+    ratio: float
+    far: bool
+
+
+def commutator_terms(geom: PairGeometry) -> CommutatorTerms:
+    """The geometry's factors of commutator_closed: a = |dtau|, e_near,
+    and the ratio -expm1(-x) / x, or -expm1(-x) / L where x overflows (far)."""
+    L, dt = geom.separation, geom.delay
+    a = abs(dt)
+    x = 2.0 * a * L
+    try:
+        e_near = math.exp(-0.5 * (a - L) ** 2)
+    except OverflowError:
+        e_near = 0.0
+    if x == math.inf:
+        return CommutatorTerms(dt, a, e_near, -math.expm1(-x) / L, True)
+    return CommutatorTerms(dt, a, e_near, -math.expm1(-x) / x if x else 1.0, False)
+
+
+def commutator_from_terms(pref: float, terms: CommutatorTerms) -> float:
+    """commutator_closed at prefactor pref on a geometry's commutator_terms."""
+    delay, a, e_near, ratio, far = terms
+    if not e_near:
+        return 0.0
+    if far:
+        magnitude = pref * SQRT_HALF_PI * e_near * ratio
+    else:
+        magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
+    # an exact or underflowed zero is +0.0 for either sign of the delay
+    return math.copysign(magnitude, delay) if magnitude else 0.0
 
 
 def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) -> float:
@@ -244,25 +300,12 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     subnormal x, so small and subnormal L keep full relative accuracy.
     Where x overflows (a ~ L ~ 1e154) the bracket over L is e_near / L.
     Where e_near underflows to 0.0, or (a - L)^2 overflows (|a - L| past
-    ~1.3e154), Delta is its limit +0.0, also where 2 a is inf.
+    ~1.3e154), Delta is its limit +0.0, also where 2 a is inf.  The
+    geometry's factors come from commutator_terms and the product from
+    commutator_from_terms, so that a sweep takes the first once per
+    geometry.
     """
-    L, dt = geom.separation, geom.delay
-    pref = pair_prefactor(f_a, f_b)
-    a = abs(dt)
-    x = 2.0 * a * L
-    try:
-        e_near = math.exp(-0.5 * (a - L) ** 2)
-    except OverflowError:
-        e_near = 0.0
-    if not e_near:
-        return 0.0
-    if x == math.inf:
-        magnitude = pref * SQRT_HALF_PI * e_near * (-math.expm1(-x) / L)
-    else:
-        ratio = -math.expm1(-x) / x if x else 1.0
-        magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
-    # an exact or underflowed zero is +0.0 for either sign of the delay
-    return math.copysign(magnitude, dt) if magnitude else 0.0
+    return commutator_from_terms(pair_prefactor(f_a, f_b), commutator_terms(geom))
 
 
 def dawson(x: float) -> float:
@@ -782,6 +825,49 @@ def oracle_residual(
     return residual(f_a, f_b, geom, state, w_cross, self_norm_j(state))
 
 
+class GeometryTerms(NamedTuple):
+    """What one geometry in one state gives the statistics at every coupling:
+    Re J(L, dtau, beta) and the commutator's factors."""
+
+    re_j: float
+    commutator: CommutatorTerms
+
+
+def geometry_terms(geom: PairGeometry, state: FieldStateSpec = VACUUM) -> GeometryTerms:
+    return GeometryTerms(cross_real_closed(geom.separation, geom.delay, state.beta),
+                         commutator_terms(geom))
+
+
+def norm_scale(state: FieldStateSpec = VACUUM) -> float:
+    """J(0, 0, beta), which takes a vacuum norm to the state's: exactly 1.0
+    in the vacuum, where the product leaves every norm's bits as they are."""
+    return cross_real_closed(0.0, 0.0, state.beta) if state.is_thermal else 1.0
+
+
+def statistics_from_terms(
+    coupling_a: float,
+    coupling_b: float,
+    terms: GeometryTerms,
+    j0: float,
+) -> FieldStatistics:
+    """assemble_statistics at these couplings, on a geometry's
+    geometry_terms and a state's norm_scale j0: the coupling arithmetic
+    alone, no series and no exp of the geometry."""
+    n_a = _norm_sq(coupling_a) * j0
+    n_b = _norm_sq(coupling_b) * j0
+    pref = _prefactor(coupling_a, coupling_b)
+    re_w = pref * terms.re_j
+    # ||E(f_A +- f_B)||^2 >= 0 since |Re J| <= J(0, 0, beta); at equal
+    # couplings near L = 0 rounding can leave it an ulp below zero
+    return FieldStatistics(
+        nu_a=math.exp(-2.0 * n_a),
+        nu_b=math.exp(-2.0 * n_b),
+        nu_ab_plus=math.exp(-2.0 * max(n_a + n_b + 2.0 * re_w, 0.0)),
+        nu_ab_minus=math.exp(-2.0 * max(n_a + n_b - 2.0 * re_w, 0.0)),
+        delta_ab=commutator_from_terms(pref, terms.commutator),
+    )
+
+
 def assemble_statistics(
     f_a: SmearingSpec,
     f_b: SmearingSpec,
@@ -795,22 +881,9 @@ def assemble_statistics(
     closed form, so no integral runs: Re W through cross_real_closed, the
     vacuum norms through norm_sq_closed, and a thermal norm as the vacuum
     one times J(0, 0, beta) = cross_real_closed(0, 0, beta).  The
-    commutator is state independent, so delta_ab always comes from
-    commutator_closed.  The quadrature is the oracle for all of them.
+    commutator is state independent, so delta_ab is commutator_closed's
+    value in every state.  The quadrature is the oracle for all of them.
+    Built as statistics_from_terms on geometry_terms and norm_scale.
     """
-    n_a = norm_sq_closed(f_a)
-    n_b = norm_sq_closed(f_b)
-    if state.is_thermal:
-        j0 = cross_real_closed(0.0, 0.0, state.beta)
-        n_a, n_b = n_a * j0, n_b * j0
-    re_w = pair_prefactor(f_a, f_b) * cross_real_closed(geom.separation, geom.delay, state.beta)
-    delta = commutator_closed(f_a, f_b, geom)
-    # ||E(f_A +- f_B)||^2 >= 0 since |Re J| <= J(0, 0, beta); at equal
-    # couplings near L = 0 rounding can leave it an ulp below zero
-    return FieldStatistics(
-        nu_a=math.exp(-2.0 * n_a),
-        nu_b=math.exp(-2.0 * n_b),
-        nu_ab_plus=math.exp(-2.0 * max(n_a + n_b + 2.0 * re_w, 0.0)),
-        nu_ab_minus=math.exp(-2.0 * max(n_a + n_b - 2.0 * re_w, 0.0)),
-        delta_ab=delta,
-    )
+    return statistics_from_terms(f_a.coupling, f_b.coupling, geometry_terms(geom, state),
+                                 norm_scale(state))

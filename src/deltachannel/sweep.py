@@ -6,6 +6,19 @@ shortest round-trip float formatting and a fixed column order, so a given
 config always produces byte-identical output; the CLI writes it.  The JSON
 writer walks a document once and writes the bytes of
 json.dumps(doc, indent=2, allow_nan=False), with NaN as null.
+
+A sweep splits each row's work by what it depends on:
+- per sweep, once: the field state and its J(0, 0, beta), and Bob's state
+  with the two lengths (p, r_perp) that the capacity reads at phase_b;
+  on an r_b axis Bob is resolved per row instead;
+- per geometry: PairGeometry's validation, the cached Re J and the
+  commutator's geometry factors, taken again only when (L, dtau) differs
+  from the previous row's, so that in row-major order each inner
+  coupling line is one run of a single geometry;
+- per row: the coupling products, the validated FieldStatistics, the
+  capacity's contraction and two entropies, and the row dict.
+evaluate_point and point_query run the same row kernel on a one-row grid,
+so each reproduces its sweep row bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .capacity import capacity_bruteforce, capacity_closed_form, kept_and_nu_eff
+from .capacity import bob_lengths, capacity_and_nu_eff, capacity_bruteforce
 from .channel import ChannelParams, QubitState, apply
 from .errors import ConfigError, ConsistencyError, QuadratureError
 from .field import (
@@ -26,8 +39,11 @@ from .field import (
     PairGeometry,
     SmearingSpec,
     VACUUM,
-    assemble_statistics,
+    check_nonnegative,
+    geometry_terms,
+    norm_scale,
     oracle_residual,
+    statistics_from_terms,
     thermal,
 )
 
@@ -268,6 +284,77 @@ def _resolve_bob(bob_bloch: tuple[float, float, float], r_b: float | None) -> Qu
     return QubitState(*(r_b * c / norm for c in bob_bloch))
 
 
+class _Rows:
+    """One sweep's row kernel: the per-sweep invariants, set_bob's Bob, the
+    last geometry's terms, and the per-row arithmetic of the module
+    docstring."""
+
+    __slots__ = ("eta", "state", "j0", "phase_a", "phase_b", "oracle", "optimizer",
+                 "bob", "p", "r_perp", "place", "geom", "terms")
+
+    def __init__(self, eta_over_sigma: float, beta: float | None, phase_a: float,
+                 phase_b: float, oracle: bool, optimizer: bool):
+        check_nonnegative("eta_over_sigma", eta_over_sigma)
+        if not (math.isfinite(phase_a) and math.isfinite(phase_b)):
+            raise ValueError("phases must be finite")
+        self.eta = eta_over_sigma
+        self.state = VACUUM if beta is None else thermal(beta)
+        self.j0 = norm_scale(self.state)
+        self.phase_a, self.phase_b = phase_a, phase_b
+        self.oracle, self.optimizer = oracle, optimizer
+        # the (L, dtau) of geom; terms are its geometry_terms, None until taken
+        self.place = None
+
+    def set_bob(self, bob: QubitState) -> None:
+        self.bob = bob
+        self.p, self.r_perp = bob_lengths(self.phase_b, bob)
+
+    def row(self, lambda_a: float, lambda_b: float, separation: float,
+            delay: float) -> tuple[dict, FieldStatistics | None, float]:
+        """(row, its FieldStatistics, Bob's nu_eff w); a domain_error row
+        gives None and NaN."""
+        row = dict.fromkeys(COLUMNS, math.nan)
+        row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
+        check_nonnegative("lambda_a", lambda_a)
+        check_nonnegative("lambda_b", lambda_b)
+        if (separation, delay) != self.place:
+            self.geom = PairGeometry(separation, delay)
+            self.place, self.terms = (separation, delay), None
+        computed: dict = {}
+        try:
+            if self.terms is None:
+                # Re J can overflow (beta ~ 1e21 with |dtau +- L| past beta):
+                # terms stay None, so every row of that geometry fails alike
+                self.terms = geometry_terms(self.geom, self.state)
+            # a product of valid factors can still overflow: that is the row's failure
+            c_a, c_b = lambda_a * self.eta, lambda_b * self.eta
+            check_nonnegative("coupling", c_a)
+            check_nonnegative("coupling", c_b)
+            stats = statistics_from_terms(c_a, c_b, self.terms, self.j0)
+            c_closed, w = capacity_and_nu_eff(stats.nu_b, stats.delta_ab, self.p, self.r_perp)
+            computed.update(vars(stats), c_closed=c_closed)
+            if self.optimizer:
+                result = capacity_bruteforce(ChannelParams(stats, self.phase_a, self.phase_b, self.bob))
+                computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
+            if self.oracle:
+                computed["oracle_residual"] = oracle_residual(
+                    SmearingSpec(c_a), SmearingSpec(c_b), self.geom, self.state)
+        except QuadratureError:
+            row["status"] = "quadrature_error"
+        except (OverflowError, ValueError, ConsistencyError):
+            row["status"] = "domain_error"
+            return row, None, math.nan
+        row.update(computed)
+        return row, stats, w
+
+
+def _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
+             phase_a, phase_b, oracle, optimizer) -> tuple[dict, FieldStatistics | None, float]:
+    rows = _Rows(eta_over_sigma, beta, phase_a, phase_b, oracle, optimizer)
+    rows.set_bob(bob)
+    return rows.row(lambda_a, lambda_b, separation, delay)
+
+
 def evaluate_point(
     lambda_a: float,
     lambda_b: float,
@@ -281,7 +368,8 @@ def evaluate_point(
     oracle: bool = False,
     optimizer: bool = False,
 ) -> dict:
-    """One sweep row as a column -> value mapping.
+    """One sweep row as a column -> value mapping: run_sweep's row
+    arithmetic on a one-row grid.
 
     Failures past input validation never raise.  An --oracle integral that
     misses its error target sets status quadrature_error and blanks only
@@ -289,36 +377,8 @@ def evaluate_point(
     An overflow or an out-of-domain value sets status domain_error with
     every computed column NaN.
     """
-    row = dict.fromkeys(COLUMNS, math.nan)
-    row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
-    factors = (("lambda_a", lambda_a), ("lambda_b", lambda_b), ("eta_over_sigma", eta_over_sigma))
-    for name, value in factors:
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    if not (math.isfinite(phase_a) and math.isfinite(phase_b)):
-        raise ValueError("phases must be finite")
-    geom = PairGeometry(separation, delay)
-    state = VACUUM if beta is None else thermal(beta)
-    computed: dict = {}
-    try:
-        # a product of valid factors can still overflow: that is the row's failure
-        f_a = SmearingSpec(coupling=lambda_a * eta_over_sigma)
-        f_b = SmearingSpec(coupling=lambda_b * eta_over_sigma)
-        stats = assemble_statistics(f_a, f_b, geom, state)
-        computed.update(vars(stats),
-                        c_closed=capacity_closed_form(stats.nu_b, stats.delta_ab, phase_b, bob))
-        if optimizer:
-            result = capacity_bruteforce(ChannelParams(stats, phase_a, phase_b, bob))
-            computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
-        if oracle:
-            computed["oracle_residual"] = oracle_residual(f_a, f_b, geom, state)
-    except QuadratureError:
-        row["status"] = "quadrature_error"
-    except (OverflowError, ValueError, ConsistencyError):
-        row["status"] = "domain_error"
-        return row
-    row.update(computed)
-    return row
+    return _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
+                    phase_a, phase_b, oracle, optimizer)[0]
 
 
 def grid_overrides(cfg: SweepConfig) -> list[dict]:
@@ -329,23 +389,25 @@ def grid_overrides(cfg: SweepConfig) -> list[dict]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """Evaluate the whole grid in order; the rows, unformatted and unwritten."""
-    return [
-        evaluate_point(
-            lambda_a=overrides.get("lambda_a", cfg.lambda_a),
-            lambda_b=overrides.get("lambda_b", cfg.lambda_b),
-            separation=overrides.get("L", cfg.separation),
-            delay=overrides.get("dtau", cfg.delay),
-            eta_over_sigma=cfg.eta_over_sigma,
-            beta=cfg.beta,
-            bob=_resolve_bob(cfg.bob_bloch, overrides.get("r_b", cfg.r_b)),
-            phase_a=cfg.phase_a,
-            phase_b=cfg.phase_b,
-            oracle=cfg.oracle,
-            optimizer=cfg.optimizer,
-        )
-        for overrides in grid_overrides(cfg)
-    ]
+    """Evaluate the whole grid in order; the rows, unformatted and unwritten.
+
+    Bob is resolved once, unless r_b is an axis; row-major order makes
+    each line of an inner coupling axis one run of a single geometry."""
+    rows = _Rows(cfg.eta_over_sigma, cfg.beta, cfg.phase_a, cfg.phase_b, cfg.oracle, cfg.optimizer)
+    bob_axis = any(axis.name == "r_b" for axis in cfg.axes)
+    if not bob_axis:
+        rows.set_bob(_resolve_bob(cfg.bob_bloch, cfg.r_b))
+    out = []
+    for overrides in grid_overrides(cfg):
+        if bob_axis:
+            rows.set_bob(_resolve_bob(cfg.bob_bloch, overrides["r_b"]))
+        out.append(rows.row(
+            overrides.get("lambda_a", cfg.lambda_a),
+            overrides.get("lambda_b", cfg.lambda_b),
+            overrides.get("L", cfg.separation),
+            overrides.get("dtau", cfg.delay),
+        )[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +497,8 @@ def point_query(
     """
     bob_state = QubitState(*bob)
     alice_state = QubitState(*alice)
-    row = evaluate_point(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
-                         bob_state, phase_a, phase_b, oracle, optimizer)
+    row, stats, nu_eff = _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
+                                  bob_state, phase_a, phase_b, oracle, optimizer)
     record: dict = {"schema_version": SCHEMA_VERSION, "status": row["status"]}
     record["inputs"] = {
         "lambda_a": lambda_a,
@@ -453,7 +515,6 @@ def point_query(
     if row["status"] == "domain_error":
         return record
     record["field_statistics"] = {name: row[name] for name in STATISTICS_COLUMNS}
-    stats = FieldStatistics(**record["field_statistics"])
     params = ChannelParams(stats, phase_a, phase_b, bob_state)
     record["combined_coefficients"] = {
         "c_keep": 0.5 + 0.5 * params.a,
@@ -461,11 +522,12 @@ def point_query(
         "c_comm_imag": -0.5 * params.b,
     }
     out = apply(params, alice_state)
-    record["eigenvalues"] = {"p_plus": out.eigenvalues[0], "p_minus": out.eigenvalues[1]}
+    p_plus, p_minus = out.eigenvalues
+    record["eigenvalues"] = {"p_plus": p_plus, "p_minus": p_minus}
     capacity_block = {
         "c_closed": row["c_closed"],
         "q_ea_lower": row["c_closed"] / 2.0,
-        "nu_eff": kept_and_nu_eff(stats.nu_b, phase_b, bob_state)[1],
+        "nu_eff": nu_eff,
     }
     if optimizer:
         capacity_block["c_bruteforce"] = row["c_bruteforce"]

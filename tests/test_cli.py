@@ -160,20 +160,135 @@ def test_grid_row_major_order():
     assert [p["lambda_a"] for p in points] == [0.5, 0.5, 1.25, 1.25, 2.0, 2.0]
 
 
-def test_sweep_rows_match_single_point_evaluation():
-    cfg = parse_config_text(BASE_CONFIG)
-    rows = run_sweep(cfg)
-    lone = evaluate_point(
-        lambda_a=1.25, lambda_b=0.1, separation=6.0, delay=6.0,
-        phase_a=0.3, phase_b=0.7,
+# each axis's values are drawn inside its key's rule
+AXIS_RANGES = {
+    "lambda_a": st.floats(0.0, 1e3),
+    "lambda_b": st.floats(0.0, 1e3),
+    "L": st.floats(0.0, 12.0),
+    "dtau": st.floats(-12.0, 12.0),
+    "r_b": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def sweep_configs(draw):
+    """A one- or two-axis sweep, either nesting order, on a random field
+    state, eta, phases and Bob: a unit-ball state, or a direction with r_b
+    fixed or as an axis."""
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(AXIS_RANGES)), min_size=1, max_size=2,
+                              unique=True)):
+        lo, hi = sorted(draw(st.tuples(AXIS_RANGES[name], AXIS_RANGES[name])))
+        scale = draw(st.sampled_from(["linear", "log"] if lo > 0.0 else ["linear"]))
+        axes.append(AxisSpec(name, lo, hi, draw(st.integers(1, 3)), scale))
+    direction = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(any))
+    r_b = draw(st.none() | AXIS_RANGES["r_b"])
+    if r_b is None and all(axis.name != "r_b" for axis in axes):
+        direction = tuple(c / max(1.0, math.sqrt(sum(c * c for c in direction))) for c in direction)
+    return SweepConfig(
+        eta_over_sigma=draw(st.floats(0.0, 3.0)),
+        lambda_a=draw(AXIS_RANGES["lambda_a"]),
+        lambda_b=draw(AXIS_RANGES["lambda_b"]),
+        separation=draw(AXIS_RANGES["L"]),
+        delay=draw(AXIS_RANGES["dtau"]),
+        beta=draw(st.none() | st.floats(0.1, 100.0)),
+        bob_bloch=direction,
+        r_b=r_b,
+        phase_a=draw(st.floats(-7.0, 7.0)),
+        phase_b=draw(st.floats(-7.0, 7.0)),
+        axes=tuple(axes),
     )
-    row = rows[2]
-    for column in COLUMNS:
-        left, right = row[column], lone[column]
-        if isinstance(left, float):
-            assert repr(left) == repr(right)
+
+
+def _line(name, lo, hi, count=3):
+    return AxisSpec(name, lo, hi, count, "linear")
+
+
+@given(cfg=sweep_configs(), status=st.none())
+@example(cfg=parse_config_text(BASE_CONFIG), status="ok")
+# the coupling product overflows
+@example(cfg=SweepConfig(lambda_a=1e160, lambda_b=1e160, axes=(_line("dtau", -6.0, 6.0),)),
+         status="domain_error")
+# one coupling's norm overflows: its nu is 0.0, not an error
+@example(cfg=SweepConfig(lambda_a=1e155, beta=2.0, axes=(_line("L", 0.0, 6.0),)), status="ok")
+# past the oracle's reach: the statistics and c_closed stay
+@example(cfg=SweepConfig(separation=3000.0, delay=0.0, oracle=True,
+                         axes=(_line("lambda_a", 0.5, 2.0),)), status="quadrature_error")
+@example(cfg=SweepConfig(delay=0.0, axes=(_line("L", 0.0, 6.0), _line("lambda_b", 0.1, 10.0))),
+         status="ok")
+@example(cfg=SweepConfig(delay=-6.0, bob_bloch=(1.0, 1.0, 0.0), phase_b=0.7,
+                         axes=(_line("lambda_a", 0.1, 10.0), _line("r_b", 0.0, 1.0))), status="ok")
+# Re J overflows at this geometry: each of its rows fails, none raises
+@example(cfg=SweepConfig(separation=1e22, delay=0.0, beta=1e21,
+                         axes=(_line("lambda_a", 0.5, 2.0),)), status="domain_error")
+@example(cfg=SweepConfig(separation=5e-324, beta=2.0,
+                         axes=(_line("lambda_b", 0.1, 10.0), _line("dtau", -6.0, 6.0))), status="ok")
+def test_sweep_rows_match_single_point_evaluation(cfg, status):
+    # a sweep takes Bob, the field state and each geometry's terms once and
+    # reuses them across rows; each row must still be the bits of its own
+    # one-row evaluation
+    rows = run_sweep(cfg)
+    grid = grid_overrides(cfg)
+    assert len(rows) == len(grid)
+    for overrides, row in zip(grid, rows):
+        inputs = dict(
+            lambda_a=overrides.get("lambda_a", cfg.lambda_a),
+            lambda_b=overrides.get("lambda_b", cfg.lambda_b),
+            separation=overrides.get("L", cfg.separation),
+            delay=overrides.get("dtau", cfg.delay),
+            eta_over_sigma=cfg.eta_over_sigma, beta=cfg.beta,
+            phase_a=cfg.phase_a, phase_b=cfg.phase_b, oracle=cfg.oracle,
+            optimizer=cfg.optimizer,
+        )
+        bob = sweep._resolve_bob(cfg.bob_bloch, overrides.get("r_b", cfg.r_b))
+        lone = evaluate_point(bob=bob, **inputs)
+        for column in COLUMNS:
+            left, right = row[column], lone[column]
+            if isinstance(left, float):
+                assert repr(left) == repr(right)
+            else:
+                assert left == right
+        # a domain_error blanks every computed column, any other row keeps them
+        kept = [row[name] for name in (*STATISTICS_COLUMNS, "c_closed")]
+        if row["status"] == "domain_error":
+            assert all(map(math.isnan, kept))
         else:
-            assert left == right
+            assert all(map(math.isfinite, kept))
+        if status is not None:
+            assert row["status"] == status
+    # point reports the last row's statistics and capacity
+    record = point_query(bob=bob.bloch, **inputs)
+    assert record["status"] == row["status"]
+    if row["status"] != "domain_error":
+        for name in STATISTICS_COLUMNS:
+            assert repr(record["field_statistics"][name]) == repr(row[name])
+        assert repr(record["capacity"]["c_closed"]) == repr(row["c_closed"])
+
+
+@pytest.mark.parametrize("axes, geometries, bobs", [
+    # a coupling line is one run of one geometry and one Bob
+    pytest.param("axis.lambda_a = 0.1, 1000, 24, log", 1, 1, id="coupling-line"),
+    pytest.param("axis.L = 0, 8, 3, linear\naxis.dtau = 0, 8, 3, linear", 9, 1, id="geometry-grid"),
+    # a geometry comes back only after the other two: each return is a new run
+    pytest.param("axis.lambda_a = 0.1, 1000, 3, log\naxis.dtau = 2, 6, 3, linear", 9, 1,
+                 id="dtau-inside-couplings"),
+    pytest.param("axis.dtau = 2, 6, 3, linear\naxis.lambda_a = 0.1, 1000, 4, log", 3, 1,
+                 id="couplings-inside-dtau"),
+    pytest.param("axis.r_b = 0, 1, 5, linear", 1, 5, id="r_b-axis"),
+])
+def test_sweep_resolves_geometry_and_bob_only_when_they_change(monkeypatch, axes, geometries, bobs):
+    calls = {"geometry": 0, "bob": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sweep, "geometry_terms", counted("geometry", sweep.geometry_terms))
+    monkeypatch.setattr(sweep, "_resolve_bob", counted("bob", sweep._resolve_bob))
+    run_sweep(parse_config_text(f"schema_version = 1\nbob_bloch = 0.6, 0, 0.8\n{axes}\n"))
+    assert calls == {"geometry": geometries, "bob": bobs}
 
 
 def test_point_query_reproduces_sweep_row():
