@@ -22,6 +22,7 @@ so each reproduces its sweep row bit for bit.
 """
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import operator
@@ -258,11 +259,18 @@ def parse_config_text(text: str) -> SweepConfig:
 
 def parse_config(path: str) -> SweepConfig:
     try:
-        # utf-8-sig drops the byte-order mark that some editors write first
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    # drop the byte-order mark that some editors write first; the offset in
+    # a decoding error still counts the file's bytes from its start
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = bom + exc.start
+        raise ConfigError(f"config {path!r} is not UTF-8: byte {data[at]:#04x} at offset {at}") from None
     return parse_config_text(text)
 
 

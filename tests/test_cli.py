@@ -4,6 +4,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import re
+import stat
 import warnings
 
 import mpmath
@@ -31,6 +34,7 @@ from deltachannel.sweep import (
     format_csv,
     format_json,
     grid_overrides,
+    parse_config,
     parse_config_text,
     point_query,
     run_sweep,
@@ -948,6 +952,71 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 7
 
 
+def _coupling_line(tmp_path, rows):
+    path = tmp_path / f"line{rows}.cfg"
+    path.write_text(f"schema_version = 1\naxis.lambda_a = 0.5, 2.0, {rows}, linear\n", encoding="utf-8")
+    return str(path)
+
+
+def test_cli_sweep_overwrites_an_output_in_place(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    stdout = {}
+    for rows in (2, 24):
+        assert main(["sweep", "--config", _coupling_line(tmp_path, rows)]) == 0
+        stdout[rows] = capsys.readouterr().out.encode("utf-8")
+    assert len(stdout[24]) > len(stdout[2])
+    out.touch()
+    linked, alias = tmp_path / "linked.csv", tmp_path / "alias.csv"
+    os.link(out, linked)
+    alias.symlink_to(out)
+    # shorter over longer cuts the stale tail; longer over shorter, written
+    # through the symlink, grows it
+    for old, new, target in ((24, 2, out), (2, 24, alias)):
+        out.write_bytes(stdout[old])
+        out.chmod(0o640)
+        before = out.stat()
+        assert main(["sweep", "--config", _coupling_line(tmp_path, new), "--output", str(target)]) == 0
+        after = out.stat()
+        assert alias.is_symlink()
+        assert out.read_bytes() == stdout[new] == linked.read_bytes()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == stat.S_IMODE(before.st_mode) == 0o640
+
+
+def test_cli_rewrites_an_existing_output_without_truncating_it(tmp_path, capsys, monkeypatch):
+    # truncating a file that holds data costs ext4 about 100 us, more than
+    # the write itself; the old tail is cut after the write instead
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"x" * 100_000)
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr("deltachannel.cli.os.open", spy)
+    assert main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--output", str(out)]) == 0
+    ((path, flags),) = [(path, flags) for path, flags in opened if path == str(out)]
+    assert not flags & os.O_TRUNC
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 7
+
+
+@pytest.mark.skipif(not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+                    reason="the null device is not a character device here")
+@pytest.mark.parametrize("command", [
+    ["sweep", "--config", None],
+    ["point"],
+    ["selftest", "--only", "capacity_optimizer"],
+])
+def test_cli_writes_to_a_character_device(tmp_path, capsys, command):
+    # a device's st_size is 0, so the old tail is never cut: ftruncate
+    # fails on a device with EINVAL
+    argv = [write_config(tmp_path, BASE_CONFIG) if arg is None else arg for arg in command]
+    assert main([*argv, "--output", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_sweep_stdout_json(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     code = main(["sweep", "--config", cfg, "--format", "json"])
@@ -1080,6 +1149,21 @@ def test_cli_sweep_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
     assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
     assert rows[0] == rows[1]
     assert len(rows[0].splitlines()) == 7
+
+
+def test_parse_config_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # a raw UnicodeDecodeError once reached library callers, and the CLI's
+    # message named neither the file nor the offset in it
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(prefix + b"schema_version = 1\nL = \xff\n")
+        offset = len(prefix) + 23
+        with pytest.raises(ConfigError, match=re.escape(f"{str(path)!r} is not UTF-8: byte 0xff at offset {offset}") + "$"):
+            parse_config(str(path))
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and f"offset {offset}" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_sweep_flags_override_config_keys(tmp_path, capsys):
