@@ -183,10 +183,13 @@ def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: Qubi
 
     Precision limit: C reads delta_ab only through cos 2 delta, and the
     rounding of delta_ab moves 2 delta by up to ulp(delta_ab), about
-    2.2e-16 |delta_ab|.  So C loses digits as |delta_ab| grows; past about
-    1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps none, and C is
-    a value in [0, 1] set by the rounding of delta_ab alone.  No error is
-    raised: at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
+    2.2e-16 |delta_ab|.  So C's error grows as about 1e-16 |delta_ab|:
+    against an 80-digit reference on the Fig-1 geometry, |Delta C| reached
+    1.0e-6 for |delta_ab| in [1e8, 1e10) and 2.3e-4 in [1e10, 1e12).  Past
+    about 1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps no digit,
+    and C is a value in [0, 1] set by the rounding of delta_ab alone.  No
+    error is raised (ROADMAP.md's per-row accuracy item plans a refusal):
+    at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
     delta_ab = 5.3e297 and C = 0.353.  Computed as capacity_and_nu_eff on
     bob_lengths.
     """

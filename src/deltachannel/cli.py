@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 selftest failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -33,8 +34,20 @@ def _check_output_dir(path: str | None) -> None:
         raise ConfigError(f"output directory {parent!r} does not exist")
 
 
-def _emit(payload: str, path: str | None) -> None:
-    """Write payload to stdout, or over the file at path in place.
+def _open_output(path: str | None):
+    """The file at path, opened for _emit to write over in place, or for
+    None (stdout) a context that gives None.  A directory or unwritable
+    target raises OSError here, so a sweep opens its output before any row
+    runs.  O_BINARY (Windows only) keeps the C runtime from turning LF into
+    CRLF."""
+    if path is None:
+        return contextlib.nullcontext()
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    return open(os.open(path, flags, 0o666), "wb")
+
+
+def _emit(payload: str, handle) -> None:
+    """Write payload to stdout (handle None), or over an _open_output file.
 
     The file is not truncated to zero first: on ext4 (mounted with
     discard) that alone costs 70-90 us when the file holds data, and
@@ -42,18 +55,15 @@ def _emit(payload: str, path: str | None) -> None:
     the old bytes and cutting a longer old tail takes 5-12 us.  The final
     bytes, inode, mode and links are those open(path, "w") leaves.
     Truncation fails on devices and pipes, whose st_size is 0, so it runs
-    only when the old file is longer.  O_BINARY (Windows only) keeps the
-    C runtime from turning LF into CRLF.
+    only when the old file is longer.
     """
-    if path is None:
+    if handle is None:
         sys.stdout.write(payload)
         return
     data = payload.encode("utf-8")
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(path, flags, 0o666), "wb") as handle:
-        handle.write(data)
-        if os.fstat(handle.fileno()).st_size > len(data):
-            handle.truncate()
+    handle.write(data)
+    if os.fstat(handle.fileno()).st_size > len(data):
+        handle.truncate()
 
 
 @functools.cache
@@ -121,8 +131,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         optimizer=cfg.optimizer or args.optimize,
     )
     _check_output_dir(cfg.output)
-    rows = run_sweep(cfg)
-    _emit(format_csv(rows) if cfg.format == "csv" else format_json(rows), cfg.output)
+    # a target that cannot be written fails before a long grid runs
+    with _open_output(cfg.output) as handle:
+        rows = run_sweep(cfg)
+        _emit(format_csv(rows) if cfg.format == "csv" else format_json(rows), handle)
     return EXIT_OK
 
 
@@ -142,7 +154,8 @@ def _run_point(args: argparse.Namespace) -> int:
         oracle=args.oracle,
         optimizer=args.optimize,
     )
-    _emit(to_json(record), args.output)
+    with _open_output(args.output) as handle:
+        _emit(to_json(record), handle)
     return EXIT_OK
 
 
@@ -152,7 +165,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
     payload = to_json(report)
     sys.stdout.write(payload)
     if args.output is not None:
-        _emit(payload, args.output)
+        with _open_output(args.output) as handle:
+            _emit(payload, handle)
     return EXIT_OK if report["passed"] else EXIT_SELFTEST_FAIL
 
 

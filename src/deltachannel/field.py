@@ -16,16 +16,15 @@ integer recurrences, mpmath computing only their seeds.  Both rules admit
 L + |dtau| up to ORACLE_REACH and refuse past it.  The couplings are only
 a prefactor, so both routes cache their J by (L, dtau, beta) for the last
 GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J, and oracle_j
-the integral or its QuadratureError, so a process integrates each
-geometry once, whether it succeeds or fails.  The statistics split the
-same way: geometry_terms holds what a geometry gives every coupling (Re J
-and commutator_terms' factors), norm_scale a state's J(0, 0, beta), and
-statistics_from_terms does the coupling arithmetic on them, so a sweep
-takes a state's J(0, 0, beta) once and a geometry's terms once per run
-of rows at that geometry.  Everything is
-dimensionless in units of the Gaussian smearing width sigma: couplings
-are lambda_tilde/sigma, distances L/sigma, delays dtau/sigma, inverse
-temperatures beta/sigma.
+the integral, so a process integrates each geometry once.  J(0, 0, beta)
+is each route's value at (0, 0, beta).  The statistics split the same
+way: geometry_terms holds what a geometry gives every coupling (Re J and
+commutator_terms' factors), and statistics_from_terms does the coupling
+arithmetic on them and a state's J(0, 0, beta), so a sweep takes the
+latter once and a geometry's terms once per run of rows at that
+geometry.  Everything is dimensionless in units of the Gaussian smearing
+width sigma: couplings are lambda_tilde/sigma, distances L/sigma, delays
+dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -124,9 +123,8 @@ TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
 # do, but with an L or dtau axis inside a coupling axis each geometry comes
 # back only after all the others, so the cache must hold the whole (L, dtau)
 # grid, here up to 64 x 64.  A larger grid integrates every row, as two
-# entries would.  An entry takes about 120 bytes in the first cache and 240
-# in the second (320 for a remembered QuadratureError), so both caches full
-# stay under 2 MB.
+# entries would.  An entry, its key's floats included, takes about 240
+# bytes in either cache, so both caches full stay under 2 MB.
 GEOMETRY_CACHE_SIZE = 4096
 
 
@@ -730,25 +728,12 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _remembered_j(L: float, dtau: float, beta: float | None):
-    # _radial_integral's J, or its QuadratureError's message and estimate:
-    # not the error itself, whose traceback would grow at each raise
-    try:
-        return _radial_integral(L, dtau, beta)[0], None
-    except QuadratureError as exc:
-        return None, (str(exc), exc.estimate)
-
-
 def oracle_j(L: float, dtau: float, beta: float | None) -> complex:
     """J(L, dtau, beta) by _radial_integral, integrated once per geometry
-    per process: the last GEOMETRY_CACHE_SIZE outcomes are cached, a
-    QuadratureError's too, which is raised afresh, with the same message
-    and estimate, at each call.  -0.0 and 0.0 share a key and give the
-    same bits."""
-    j, failure = _remembered_j(L, dtau, beta)
-    if failure:
-        raise QuadratureError(*failure)
-    return j
+    per process: the last GEOMETRY_CACHE_SIZE values are cached.  A
+    QuadratureError is not: past ORACLE_REACH each call is refused before
+    either rule runs.  -0.0 and 0.0 share a key and give the same bits."""
+    return _radial_integral(L, dtau, beta)[0]
 
 
 def wightman_cross_quadrature(
@@ -765,15 +750,10 @@ def wightman_cross_quadrature(
     return pair_prefactor(f_a, f_b) * oracle_j(geom.separation, geom.delay, state.beta)
 
 
-def self_norm_j(state: FieldStateSpec) -> float:
-    """J(0, 0, beta) by quadrature: ||Ef||^2 = pair_prefactor(f, f) * J(0, 0, beta).
-    oracle_j's entry at (0, 0, beta), so integrated once per state."""
-    return oracle_j(0.0, 0.0, state.beta).real
-
-
 def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:
-    """||Ef||^2 by quadrature; the degenerate (L=0, dtau=0) cross value."""
-    return pair_prefactor(f, f) * self_norm_j(state)
+    """||Ef||^2 by quadrature: pair_prefactor(f, f) * J(0, 0, beta), the
+    degenerate (L=0, dtau=0) cross value, integrated once per state."""
+    return pair_prefactor(f, f) * oracle_j(0.0, 0.0, state.beta).real
 
 
 def residual(
@@ -822,7 +802,7 @@ def oracle_residual(
     """residual against one cross integral and one J(0, 0, beta) integral,
     in every state: a sweep row's oracle_residual."""
     w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
-    return residual(f_a, f_b, geom, state, w_cross, self_norm_j(state))
+    return residual(f_a, f_b, geom, state, w_cross, oracle_j(0.0, 0.0, state.beta).real)
 
 
 class GeometryTerms(NamedTuple):
@@ -838,12 +818,6 @@ def geometry_terms(geom: PairGeometry, state: FieldStateSpec = VACUUM) -> Geomet
                          commutator_terms(geom))
 
 
-def norm_scale(state: FieldStateSpec = VACUUM) -> float:
-    """J(0, 0, beta), which takes a vacuum norm to the state's: exactly 1.0
-    in the vacuum, where the product leaves every norm's bits as they are."""
-    return cross_real_closed(0.0, 0.0, state.beta) if state.is_thermal else 1.0
-
-
 def statistics_from_terms(
     coupling_a: float,
     coupling_b: float,
@@ -851,8 +825,9 @@ def statistics_from_terms(
     j0: float,
 ) -> FieldStatistics:
     """assemble_statistics at these couplings, on a geometry's
-    geometry_terms and a state's norm_scale j0: the coupling arithmetic
-    alone, no series and no exp of the geometry."""
+    geometry_terms and a state's j0 = cross_real_closed(0, 0, beta), exactly
+    1.0 in the vacuum: the coupling arithmetic alone, no series and no exp
+    of the geometry."""
     n_a = _norm_sq(coupling_a) * j0
     n_b = _norm_sq(coupling_b) * j0
     pref = _prefactor(coupling_a, coupling_b)
@@ -883,7 +858,7 @@ def assemble_statistics(
     one times J(0, 0, beta) = cross_real_closed(0, 0, beta).  The
     commutator is state independent, so delta_ab is commutator_closed's
     value in every state.  The quadrature is the oracle for all of them.
-    Built as statistics_from_terms on geometry_terms and norm_scale.
+    Built as statistics_from_terms on geometry_terms and J(0, 0, beta).
     """
     return statistics_from_terms(f_a.coupling, f_b.coupling, geometry_terms(geom, state),
-                                 norm_scale(state))
+                                 cross_real_closed(0.0, 0.0, state.beta))

@@ -115,7 +115,7 @@ def test_criterion_01_integrates_whatever_the_oracle_cached(monkeypatch):
         rows = run_sweep(parse_config_text(ORACLE_GRID_CONFIG + beta))
         assert all(row["status"] == "ok" for row in rows)
     # a sweep's J(0, 0, beta) is its (0, 0) row's cross J
-    assert field._remembered_j.cache_info().currsize == 2 * 9
+    assert field.oracle_j.cache_info().currsize == 2 * 9
     calls = []
     integral = field._radial_integral
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import deltachannel.cli as cli
 import deltachannel.field as field
 import deltachannel.sweep as sweep
 import deltachannel.weyl as weyl
@@ -139,6 +140,8 @@ def test_sweep_config_validation():
         SweepConfig(r_b=0.5, bob_bloch=(0.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
         SweepConfig(r_b=1.5)
+    with pytest.raises(ConfigError, match="finite 3-vector"):
+        SweepConfig(bob_bloch=(math.nan, 0.0, 1.0))
 
 
 def test_axis_values_spacing():
@@ -448,6 +451,11 @@ def test_to_json_takes_only_str_keys(key):
         to_json({"inputs": {key: 0.0}})
 
 
+def test_to_json_refuses_a_value_it_cannot_write():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        to_json({"x": object()})
+
+
 def test_sweep_survives_quadrature_failure(monkeypatch):
     def bad_quad(L, dtau, beta):
         return 0.5, 1.0
@@ -619,16 +627,21 @@ def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monk
 
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
-    # (3000, 1) is past the oracle's reach: the cross integral fails
-    # once, each later row raises the remembered failure, and J(0, 0, beta)
-    # is never asked for
-    calls = _counted_integrals(monkeypatch)
+    # (3000, 1) is past the oracle's reach: every row's cross integral is
+    # refused before either rule runs, and J(0, 0, beta) is never integrated
+    calls = []
+    for name in ("_gl_rules", "_commutator_trapezoid"):
+        def spy(*args, rule=getattr(field, name), name=name):
+            calls.append(name)
+            return rule(*args)
+
+        monkeypatch.setattr(field, name, spy)
     text = ORACLE_COUPLING_CONFIG.format(L=3000.0, dtau=1.0) + (f"beta = {beta}\n" if beta else "")
     rows = run_sweep(parse_config_text(text))
     assert len(rows) == 16
     assert all(row["status"] == "quadrature_error" for row in rows)
     assert all(math.isnan(row["oracle_residual"]) for row in rows)
-    assert calls == [(3000.0, 1.0, beta)]
+    assert calls == []
     # each raise is a new error with the first one's message and estimate
     f = SmearingSpec(coupling=1.0)
     errors = []
@@ -639,7 +652,7 @@ def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
     assert errors[0] is not errors[1]
     assert str(errors[0]) == str(errors[1]) and "L=3000.0, dtau=1.0" in str(errors[0])
     assert errors[0].estimate == errors[1].estimate > 0.0
-    assert calls == [(3000.0, 1.0, beta)]
+    assert calls == []
 
 
 def test_matsubara_past_the_float_range_warns_nothing():
@@ -906,7 +919,12 @@ def test_oracle_residual_column():
 
 def test_undefined_oracle_term_makes_the_residual_nan(monkeypatch):
     # the builtin max once dropped a NaN term and reported the others
-    monkeypatch.setattr(field, "self_norm_j", lambda state: math.nan)
+    oracle_j = field.oracle_j
+
+    def undefined_norm(L, dtau, beta):
+        return complex(math.nan) if (L, dtau) == (0.0, 0.0) else oracle_j(L, dtau, beta)
+
+    monkeypatch.setattr(field, "oracle_j", undefined_norm)
     for beta in (None, 2.0):
         row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=beta, oracle=True)
         assert math.isnan(row["oracle_residual"])
@@ -1097,6 +1115,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+def test_cli_sweep_finds_an_output_it_cannot_write_before_any_row(tmp_path, capsys, monkeypatch):
+    # a directory as --output once exited 3 only after every row, here each
+    # a brute-force optimization, had run
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["sweep", "--config", cfg, "--optimize", "--output", str(tmp_path)]) == 3
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_usage_errors_show_the_command_given(capsys):
     # a command's flags are read by its own parser, which names itself
     assert main(["point", "--bogus", "1"]) == 2
@@ -1233,6 +1262,10 @@ def test_cli_selftest_catches_corrupted_formula(monkeypatch, capsys):
     # both ends finite, but linspace's step overflowed with RuntimeWarnings,
     # which an error filter raised out of main
     ("axis.dtau = -1e308, 1e308, 3, linear", "axis dtau: max - min must be finite"),
+    ("axis.L = 0, 1, 3, cubic", "axis L: scale must be linear or log"),
+    ("beta = -1", "beta must be > 0, got -1.0"),
+    ("phase_b = nan", "phase_b must be finite, got nan"),
+    ("phase_a = inf", "phase_a must be finite, got inf"),
 ])
 def test_cli_sweep_rejects_an_r_b_axis_outside_the_unit_interval(tmp_path, capsys, monkeypatch,
                                                                   line, message):

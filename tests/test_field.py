@@ -486,8 +486,8 @@ def test_quadrature_error_carries_estimate(monkeypatch):
             return 1.0, re_err
 
         monkeypatch.setattr(field, "quad", bad_quad)
-        # the oracle remembers the geometry's failure under the last quad
-        field._remembered_j.cache_clear()
+        # the oracle caches a geometry's J, never its failure
+        field.oracle_j.cache_clear()
         with pytest.raises(QuadratureError) as excinfo:
             wightman_cross_quadrature(f, f, PairGeometry(6.0, 6.0))
         assert excinfo.value.estimate == estimate
@@ -568,9 +568,9 @@ def test_oracle_j_cache_keeps_the_sign_of_zero_delay_harmless():
 
     for beta in (None, 2.0):
         for sep in (0.0, 5e-324, 2.5):
-            field._remembered_j.cache_clear()
+            field.oracle_j.cache_clear()
             negative = field.oracle_j(sep, -0.0, beta)
-            field._remembered_j.cache_clear()
+            field.oracle_j.cache_clear()
             positive = field.oracle_j(sep, 0.0, beta)
             assert bits(negative) == bits(positive)
             assert bits(field.oracle_j(sep, -0.0, beta)) == bits(positive)
@@ -679,6 +679,8 @@ def test_smearing_spec_rejects_bad_inputs():
 def test_pair_geometry_from_specs():
     with pytest.raises(ValueError):
         PairGeometry(-1.0, 0.0)
+    with pytest.raises(ValueError, match="delay must be finite"):
+        PairGeometry(1.0, math.inf)
 
 
 def test_field_statistics_validation():
