@@ -2,12 +2,16 @@
 
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
-statistics never integrate.  The vacuum closed forms need only math and
-numpy, the Dawson function being this module's own (see dawson);
-scipy.special is imported on a thermal series' first call and mpmath on
-the oracle's first Im J, neither with this module (see
-_commutator_trapezoid).  residual is the one rule that compares the two,
-for a sweep row's oracle_residual (through oracle_residual) and for
+statistics never integrate.  The closed forms need only math and numpy:
+the Dawson function, erfcx and the Hurwitz zeta function are this module's
+own (see dawson, _erfcx and _hurwitz_zeta), and erf is math's.  Only the
+thermal image route needs scipy.special, for the Faddeeva function wofz,
+and imports it on its first call; an argument takes that route only where
+it needs fewer terms than the Matsubara route, which is never at
+beta <= 2.745 (see kms_sine_transform).  mpmath is imported on the
+oracle's first Im J (see _commutator_trapezoid).  Neither loads with this
+module.  residual is the one rule that compares the closed forms with the
+oracle, for a sweep row's oracle_residual (through oracle_residual) and for
 selftest's grid.  The oracle takes one route per component of J (see
 _radial_integral): Re J, compared absolutely, by quad, a composite
 Gauss-Legendre rule in numpy; Im J, the commutator part, compared
@@ -116,6 +120,20 @@ FAR_X = 12.0
 FAR_DECAY = 80.0
 IMAGE_CUT = 12.0
 TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
+# erfcx and the Hurwitz zeta function (see _erfcx and _hurwitz_zeta).
+# Below ERFCX_ASYMPTOTIC_MIN erfc(y), above 5e-296, is a normal float; past
+# it the asymptotic series leaves out under 3e-21.  DEKKER_SPLIT is 2^27 + 1.
+# From ZETA_DIRECT on, Euler-Maclaurin with the Bernoulli numbers B_2 ...
+# B_24, exact as (numerator, denominator), leaves out under 4e-18 of
+# zeta(p, ZETA_DIRECT) for every p in TAIL_POWERS.
+ERFCX_ASYMPTOTIC_MIN = 26.0
+DEKKER_SPLIT = 134217729.0
+ZETA_DIRECT = 20
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730))
+# B_2j / (2j)!, each correctly rounded (int / int is)
+_EULER_MACLAURIN = tuple(n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(_BERNOULLI, 1))
 
 # Entries of each per-geometry cache, cross_real_closed's and the oracle's
 # (see oracle_j).  A sweep runs its last axis innermost: with a coupling axis
@@ -124,7 +142,8 @@ TAIL_POWERS = (2, 4, 6, 8, 10, 12, 14, 16)
 # back only after all the others, so the cache must hold the whole (L, dtau)
 # grid, here up to 64 x 64.  A larger grid integrates every row, as two
 # entries would.  An entry, its key's floats included, takes about 240
-# bytes in either cache, so both caches full stay under 2 MB.
+# bytes in either cache, so both caches full stay under 2 MB.  _hurwitz_zeta
+# keeps as many starts, about 410 bytes each, of which a process meets few.
 GEOMETRY_CACHE_SIZE = 4096
 
 
@@ -417,16 +436,24 @@ def kms_sine_transform(
       P(x, a) = (pi/4) exp(-x^2/2) [erfcx((a - x)/sqrt2) - erfcx((a + x)/sqrt2)],
       through erfcx(-u) = 2 exp(u^2) - erfcx(u) where x > a (A&S 7.1);
       past m = M, P is expanded in 1/a^2 (Gaussian Hermite moments times
-      Hurwitz zeta(2j, M + 1)).  Fast where beta is small.
+      Hurwitz zeta(2j, M + 1)).  Fast where beta is small.  erf is
+      math.erf, erfcx _erfcx (math.erfc times a split exp(y^2), or its
+      asymptotic series) and zeta _hurwitz_zeta (a direct sum and an
+      Euler-Maclaurin tail).
     - images ("images"): coth = 1 + 2 sum_n exp(-n beta k) gives
       F = sqrt2 D(x/sqrt2) + 2 sum_n h(x, n beta) with
       h(x, c) = sqrt(pi/2) Im w((x + i c)/sqrt2), w the Faddeeva function
-      (A&S 7.1); past n = N, h is expanded in 1/c^2 (Laplace moments times
-      zeta(2j, N + 1) / beta^2j).  Fast where beta is large.
+      (A&S 7.1), scipy.special's wofz; past n = N, h is expanded in 1/c^2
+      (Laplace moments times _hurwitz_zeta(2j, N + 1) / beta^2j).  Fast
+      where beta is large.
     Each argument takes the route that needs fewer terms for it alone, and
     the arguments that share a route share one sum, which takes as many
     terms as its tail needs for all of them; both routes agree to rounding
-    where both run.  route puts every argument in one group on that route.
+    where both run.  The Matsubara route needs at most MATSUBARA_CUT
+    beta / (2 pi) terms and the images at least 2 IMAGE_CUT / beta, so
+    every argument takes the Matsubara route while
+    beta^2 <= 4 pi IMAGE_CUT / MATSUBARA_CUT = 48 pi / 20 (beta <= 2.7459).
+    route puts every argument in one group on that route.
     """
     x = np.asarray(x, dtype=float)
     if route not in (None, "matsubara", "images"):
@@ -456,15 +483,64 @@ def _term_counts(near: float, far: float, beta: float) -> tuple[float, float]:
 
 
 def _tail_coefficients(scale: float, start: int, shift: int) -> list[float]:
-    # scale^p zeta(p, start) at degree p - 1 + shift, for p in TAIL_POWERS.
-    # scipy.special loads on a thermal row's first call, here and in
-    # _matsubara and _images: no vacuum route needs it.
-    from scipy.special import zeta
-
+    # scale^p zeta(p, start) at degree p - 1 + shift, for p in TAIL_POWERS
     coef = [0.0] * (TAIL_POWERS[-1] + shift)
-    for p, z in zip(TAIL_POWERS, zeta(np.array(TAIL_POWERS, dtype=float), start).tolist()):
+    for p, z in zip(TAIL_POWERS, _hurwitz_zeta(start)):
         coef[p - 1 + shift] = scale**p * z
     return coef
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _hurwitz_zeta(start: int) -> tuple[float, ...]:
+    """Hurwitz zeta(p, start) = sum_{k >= 0} (start + k)^-p for each p in
+    TAIL_POWERS and an integer start >= 1, within 3e-16 relative (2.6e-16
+    the worst over every start from 2 to 1001, against mpmath).
+
+    One pass per p: the terms below a = max(start, ZETA_DIRECT), then the
+    Euler-Maclaurin tail from a (Abramowitz & Stegun 23.1.30),
+    a^(1-p) / (p - 1) + a^-p / 2 + sum_j B_2j / (2j)! (p)_(2j-1) a^(1-p-2j),
+    with (p)_n the rising factorial, summed with math.fsum.  The last
+    GEOMETRY_CACHE_SIZE starts are cached: a series takes as many terms as
+    its arguments need, so few starts recur across geometries.
+    """
+    a = float(max(start, ZETA_DIRECT))
+    out = []
+    for p in TAIL_POWERS:
+        terms = [float(k) ** -p for k in range(start, ZETA_DIRECT)]
+        terms += (a ** (1 - p) / (p - 1), 0.5 * a**-p)
+        rising, power = p, a ** (-p - 1)
+        for j, weight in enumerate(_EULER_MACLAURIN, 1):
+            terms.append(weight * rising * power)
+            rising *= (p + 2 * j - 1) * (p + 2 * j)
+            power /= a * a
+        out.append(math.fsum(terms))
+    return tuple(out)
+
+
+def _erfcx(y: float) -> float:
+    """The scaled complementary error function exp(y^2) erfc(y) for y >= 0,
+    within 6e-16 relative (5.3e-16 the worst of 40,000 draws, log-uniform on
+    [1e-8, 1e4] and uniform on [0, 30], against 50-digit mpmath).
+
+    - y < ERFCX_ASYMPTOTIC_MIN: math.erfc(y) exp(y^2), y split by Dekker's
+      DEKKER_SPLIT into hi + lo with hi^2 exact, so that the exp takes
+      y^2 = hi^2 + lo (2 hi + lo) in two parts and keeps the digits a rounded
+      y^2 would lose to it (up to 676 ulp, at y = 26);
+    - past it (1 / (y sqrt(pi))) sum_n (-1)^n (2n - 1)!! / (2y^2)^n,
+      A&S 7.1.23, which is 0.0 at +inf.
+    NaN stays NaN.
+    """
+    if y < ERFCX_ASYMPTOTIC_MIN:
+        c = DEKKER_SPLIT * y
+        hi = c - (c - y)
+        lo = y - hi
+        return math.exp(hi * hi) * math.exp(lo * (hi + y)) * math.erfc(y)
+    # NaN lands here too, and stays NaN
+    v = 0.5 / (y * y)
+    s = 1.0
+    for k in range(15, 0, -2):
+        s = 1.0 - k * v * s
+    return s / (y * SQRT_PI)
 
 
 def _hermite_e(x, coef: list) -> np.ndarray:
@@ -481,8 +557,6 @@ def _hermite_e(x, coef: list) -> np.ndarray:
 
 
 def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.ndarray:
-    from scipy.special import erf, erfcx
-
     col = ax[:, None]
     step = 2.0 * math.pi / beta
     a = step * np.arange(1, m + 1)
@@ -490,11 +564,16 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
     # x^2 and the tail's Hermite moments finite, so the tail is 0, not 0 * inf
     ax_clip = np.minimum(ax, K_MAX)
     gauss = np.exp(-0.5 * ax_clip * ax_clip)
-    g = gauss[:, None]
-    # below beta ~ 3.5e-308 a is inf, and so is an |x| past the float range:
-    # their difference is NaN, which the caller's domain check rejects
-    with np.errstate(invalid="ignore"):
-        lower = g * erfcx(np.abs(a - col) / SQRT2)
+    mags, steps = ax.tolist(), a.tolist()
+
+    def scaled(sign: float) -> np.ndarray:
+        # exp(-x^2/2) erfcx(|a + sign |x|| / sqrt2) for each |x| and a; erfcx
+        # is at most 1, so where the Gaussian is 0.0 (|x| past 38.6) so is the
+        # row, and erfcx is not called
+        return np.array([[g * _erfcx(abs(ak + sign * v) / SQRT2) for ak in steps] if g
+                         else [0.0] * m for g, v in zip(gauss.tolist(), mags)])
+
+    lower = scaled(-1.0)
     if step < far:
         # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative;
         # far off the light cone the exponent may overflow to -inf, whose exp,
@@ -502,7 +581,7 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
         with np.errstate(over="ignore"):
             below = 2.0 * np.exp(np.minimum(a * (0.5 * a - col), 0.0)) - lower
         lower = np.where(a < col, below, lower)
-    upper = g * erfcx((a + col) / SQRT2)
+    upper = scaled(1.0)
     tail = _tail_coefficients(beta / (2.0 * math.pi), m + 1, int(derivative))
     moments = SQRT_HALF_PI * _hermite_e(ax_clip, tail)
     # below beta ~ 3.5e-308 the step 2 pi / beta is inf, so the terms are
@@ -513,11 +592,13 @@ def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.n
             # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
             terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
             return (terms - 4.0 * gauss * moments) / beta
-        terms = math.pi * (erf(ax / SQRT2) + (lower - upper).sum(axis=1))
+        erf = np.array([math.erf(v / SQRT2) for v in mags])
+        terms = math.pi * (erf + (lower - upper).sum(axis=1))
         return np.sign(x) * (terms + 4.0 * gauss * moments) / beta
 
 
 def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
+    # scipy.special loads on this route's first call: no other route needs it
     from scipy.special import wofz
 
     z = (x[:, None] + 1j * beta * np.arange(1, n + 1)) / SQRT2

@@ -314,6 +314,64 @@ def test_kms_sine_transform_rejects_unknown_route():
         field.kms_sine_transform(np.array([1.0]), 2.0, route="quad")
 
 
+# J(0, 0, beta) on both sides of the switch at x = 0, beta^2 = 48 pi / 20
+# (beta ~ 2.7459): Matsubara below it, images above
+J0_BETAS = (0.01, 0.1, 0.75, 2.0, 2.745, 2.75, 10.0, 1e3)
+
+
+def test_thermal_self_norm_matches_50_digit_reference():
+    routes = set()
+    for beta in J0_BETAS:
+        m, n = field._term_counts(0.0, 0.0, beta)
+        routes.add("matsubara" if m <= n else "images")
+        reference = thermal_re_j_reference(0.0, 0.0, beta)
+        # the worst over 41 log-spaced beta on [0.01, 1e3] is 2.41e-15, at 0.75
+        assert abs(cross_real_closed(0.0, 0.0, beta) - reference) <= 2.5e-15 * reference, beta
+    assert routes == {"matsubara", "images"}
+
+
+def _erfcx_reference(y):
+    with mpmath.workdps(50):
+        y = mpmath.mpf(y)
+        return mpmath.exp(y * y) * mpmath.erfc(y)
+
+
+def test_erfcx_matches_50_digit_reference():
+    from scipy.special import erfcx
+
+    draw = random.Random(20261020)
+    edge = field.ERFCX_ASYMPTOTIC_MIN
+    ys = [0.0, 5e-324, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 1e3]
+    ys += [10.0 ** draw.uniform(-8.0, 4.0) for _ in range(1000)]
+    ours = [field._erfcx(y) for y in ys]
+    assert max(float(abs(v - _erfcx_reference(y)) / _erfcx_reference(y))
+               for y, v in zip(ys, ours)) <= 4.3e-16
+    assert max(abs(v - float(erfcx(y))) / float(erfcx(y)) for y, v in zip(ys, ours)) <= 9e-16
+    assert field._erfcx(0.0) == field._erfcx(5e-324) == 1.0
+    assert field._erfcx(math.inf) == 0.0
+    assert math.isnan(field._erfcx(math.nan))
+
+
+def test_hurwitz_zeta_matches_mpmath():
+    # every start up to 24, across ZETA_DIRECT, and a log-uniform sample up to
+    # 1001, the largest start either route takes where
+    # test_thermal_series_agree_where_both_run compares them
+    draw = random.Random(20261020)
+    starts = list(range(2, 25)) + [round(10.0 ** draw.uniform(math.log10(25.0), 3.0))
+                                   for _ in range(40)] + [1001]
+    worst = 0.0
+    for q in starts:
+        for p, value in zip(field.TAIL_POWERS, field._hurwitz_zeta(q)):
+            # mpmath's zeta(p, q) cancels about p log10(q) digits
+            with mpmath.workdps(50 + math.ceil(p * math.log10(q))):
+                reference = mpmath.zeta(p, q)
+                worst = max(worst, float(abs(value - reference) / reference))
+    assert worst <= 2.3e-16
+    with mpmath.workdps(50):
+        for j, weight in enumerate(field._EULER_MACLAURIN, 1):
+            assert weight == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""scipy.special loads on a thermal row's first call and mpmath on the
-oracle's first Im J, not at import: a vacuum process loads neither.  No
-process loads scipy.integrate: the oracle's Re J is the library's own
-Gauss-Legendre rule, in numpy.
+"""scipy.special loads only on the thermal image route's first call, for
+wofz, and mpmath on the oracle's first Im J, not at import: a vacuum
+process loads neither, and no process at beta <= 2.745, where every
+argument takes the Matsubara route, loads any scipy module, --oracle or
+not.  No process loads scipy.integrate: the oracle's Re J is the library's
+own Gauss-Legendre rule, in numpy.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -24,7 +26,9 @@ from deltachannel import cli
 
 
 def loaded():
-    return [name for name in ("scipy.special", "scipy.integrate", "mpmath") if name in sys.modules]
+    # "scipy" is in sys.modules as soon as any scipy module is
+    names = ("scipy", "scipy.special", "scipy.integrate", "mpmath")
+    return [name for name in names if name in sys.modules]
 
 
 def run(argv):
@@ -40,16 +44,23 @@ def run(argv):
 # it cancels in float64 to 1.3e-13.
 ORACLE_POINTS = (("dtau = 0 oracle point", ["--dtau", "0"]), ("oracle point", []),
                  ("cancelling oracle point", ["--L", "0", "--dtau", "8"]))
+vacuum, beta_2, beta_100 = sys.argv[1:]
 seen = {"import": loaded()}
 run(["point"])
 seen["point"] = loaded()
-for name, cfg in zip(("vacuum sweep", "beta = 2 sweep"), sys.argv[1:]):
+for name, cfg in (("vacuum sweep", vacuum), ("beta = 2 sweep", beta_2)):
     run(["sweep", "--config", cfg])
     seen[name] = loaded()
+# J(0, 0, beta) takes the Matsubara route up to beta = 2.7459
+run(["point", "--beta", "2.745", "--L", "0", "--dtau", "0"])
+seen["beta = 2.745 point"] = loaded()
 status = {}
 for name, argv in ORACLE_POINTS:
     status[name] = json.loads(run(["point", "--oracle", "--beta", "2", *argv]))["status"]
     seen[name] = loaded()
+# the image route goes last: its wofz loads scipy.special for the rest of the process
+run(["sweep", "--config", beta_100])
+seen["beta = 100 sweep"] = loaded()
 print(json.dumps({"seen": seen, "status": status}))
 """
 
@@ -58,7 +69,7 @@ CONFIG = "schema_version = 1\naxis.L = 0, 12, 3, linear\naxis.dtau = 0, 12, 3, l
 
 def test_only_the_oracle_loads_the_integrators(tmp_path):
     configs = []
-    for name, extra in (("vacuum", ""), ("thermal", "beta = 2\n")):
+    for name, extra in (("vacuum", ""), ("beta_2", "beta = 2\n"), ("beta_100", "beta = 100\n")):
         path = tmp_path / f"{name}.cfg"
         path.write_text(CONFIG + extra, encoding="utf-8")
         configs.append(str(path))
@@ -72,12 +83,14 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "import": [],
         "point": [],
         "vacuum sweep": [],
-        "beta = 2 sweep": ["scipy.special"],
-        # the thermal closed forms load scipy.special; the oracle adds only
-        # mpmath, for Im J at dtau != 0
-        "dtau = 0 oracle point": ["scipy.special"],
-        "oracle point": ["scipy.special", "mpmath"],
-        "cancelling oracle point": ["scipy.special", "mpmath"],
+        "beta = 2 sweep": [],
+        "beta = 2.745 point": [],
+        # the oracle adds only mpmath, for Im J at dtau != 0
+        "dtau = 0 oracle point": [],
+        "oracle point": ["mpmath"],
+        "cancelling oracle point": ["mpmath"],
+        # the one remaining use of scipy: the image route's wofz
+        "beta = 100 sweep": ["scipy", "scipy.special", "mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
