@@ -2,13 +2,14 @@
 
 Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
-statistics never integrate.  The closed forms need only math and numpy:
-the Dawson function, erfcx and the Hurwitz zeta function are this module's
-own (see dawson, _erfcx and _hurwitz_zeta), and erf is math's.  Only the
-thermal image route needs scipy.special, for the Faddeeva function wofz,
-and imports it on its first call; an argument takes that route only where
-it needs fewer terms than the Matsubara route, which is never at
-beta <= 2.745 (see kms_sine_transform).  mpmath is imported on the
+statistics never integrate.  The closed forms are scalar math: the Dawson
+function, erfcx and the Hurwitz zeta function are this module's own (see
+dawson, _erfcx and _hurwitz_zeta), and erf is math's; numpy only takes
+the Gauss-Legendre mean's dot product and holds the Faddeeva function's
+arguments.  Only the thermal image series needs scipy.special, for that
+function, wofz, and imports it on its first call; an argument takes that
+series only where it needs fewer terms than the Matsubara series, which
+is never at beta <= 2.745 (see kms_sine_transform).  mpmath is imported on the
 oracle's first Im J (see _commutator_trapezoid).  Neither loads with this
 module.  residual is the one rule that compares the closed forms with the
 oracle, for a sweep row's oracle_residual (through oracle_residual) and for
@@ -406,7 +407,10 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     GEOMETRY_CACHE_SIZE values are cached, so a sweep computes J(0, 0, beta)
     and each geometry's Re J once, and a row's residual reuses its
     statistics' values; -0.0 and 0.0 share a key and give the same bits.
+    Re J is even in the delay, bit for bit: every route runs on |dtau|,
+    where Gauss-Legendre would add its nodes in the other order at -dtau.
     """
+    dtau = abs(dtau)
     e = L / SQRT2
     if beta is None:
         b = dtau / SQRT2
@@ -417,19 +421,16 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
         d_prime = [1.0 - 2.0 * x * dawson(x) for x in (b + e * _GL_NODES).tolist()]
         return 0.5 * float(_GL_WEIGHTS @ d_prime)
     if e >= DAWSON_SMALL_EPS:
-        f_plus, f_minus = kms_sine_transform(np.array([dtau + L, dtau - L]), beta).tolist()
-        return (f_plus - f_minus) / (2.0 * L)
-    x = dtau + L * _GL_NODES
-    return 0.5 * float(_GL_WEIGHTS @ kms_sine_transform(x, beta, derivative=True))
+        return (kms_sine_transform(dtau + L, beta) - kms_sine_transform(dtau - L, beta)) / (2.0 * L)
+    f_prime = [kms_sine_transform(x, beta, derivative=True) for x in (dtau + L * _GL_NODES).tolist()]
+    return 0.5 * float(_GL_WEIGHTS @ f_prime)
 
 
-def kms_sine_transform(
-    x: np.ndarray, beta: float, derivative: bool = False, route: str | None = None
-) -> np.ndarray:
-    """F(x) = int_0^inf exp(-k^2/2) coth(beta k/2) sin(k x) dk, or F'(x), on a 1-D array.
+def kms_sine_transform(x: float, beta: float, derivative: bool = False) -> float:
+    """F(x) = int_0^inf exp(-k^2/2) coth(beta k/2) sin(k x) dk, or F'(x).
 
     Two series give F without quadrature:
-    - Matsubara ("matsubara"): the partial fractions
+    - Matsubara (_matsubara): the partial fractions
       coth(z) = 1/z + sum_m 2z / (z^2 + pi^2 m^2) (Abramowitz & Stegun 4.5)
       give F = (pi/beta) erf(x/sqrt2) + (4/beta) sum_m P(x, a_m) with
       a_m = 2 pi m / beta and
@@ -440,46 +441,31 @@ def kms_sine_transform(
       math.erf, erfcx _erfcx (math.erfc times a split exp(y^2), or its
       asymptotic series) and zeta _hurwitz_zeta (a direct sum and an
       Euler-Maclaurin tail).
-    - images ("images"): coth = 1 + 2 sum_n exp(-n beta k) gives
+    - images (_images): coth = 1 + 2 sum_n exp(-n beta k) gives
       F = sqrt2 D(x/sqrt2) + 2 sum_n h(x, n beta) with
       h(x, c) = sqrt(pi/2) Im w((x + i c)/sqrt2), w the Faddeeva function
       (A&S 7.1), scipy.special's wofz; past n = N, h is expanded in 1/c^2
       (Laplace moments times _hurwitz_zeta(2j, N + 1) / beta^2j).  Fast
       where beta is large.
-    Each argument takes the route that needs fewer terms for it alone, and
-    the arguments that share a route share one sum, which takes as many
-    terms as its tail needs for all of them; both routes agree to rounding
-    where both run.  The Matsubara route needs at most MATSUBARA_CUT
-    beta / (2 pi) terms and the images at least 2 IMAGE_CUT / beta, so
-    every argument takes the Matsubara route while
-    beta^2 <= 4 pi IMAGE_CUT / MATSUBARA_CUT = 48 pi / 20 (beta <= 2.7459).
-    route puts every argument in one group on that route.
+    x takes the series that needs fewer terms for it (see _term_counts),
+    sized for it alone; both agree to rounding where both run.  The
+    Matsubara series needs at most MATSUBARA_CUT beta / (2 pi) terms and
+    the images at least 2 IMAGE_CUT / beta, so every x takes the Matsubara
+    series while beta^2 <= 4 pi IMAGE_CUT / MATSUBARA_CUT = 48 pi / 20
+    (beta <= 2.7459).  Each series sums on |x| and gives F the sign of x,
+    so F(-x) = -F(x) and F'(-x) = F'(x) bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    if route not in (None, "matsubara", "images"):
-        raise ValueError(f"unknown route {route!r}; choose matsubara or images")
-    ax = np.abs(x)
-    mags = ax.tolist()
-    groups: dict[str, list[int]] = {}
-    for i, v in enumerate(mags):
-        m, n = _term_counts(v, v, beta)
-        groups.setdefault(route or ("matsubara" if m <= n else "images"), []).append(i)
-    out = np.empty_like(x)
-    for name, idx in groups.items():
-        far = max(mags[i] for i in idx)
-        m, n = _term_counts(min(mags[i] for i in idx), far, beta)
-        if name == "matsubara":
-            out[idx] = _matsubara(x[idx], ax[idx], far, beta, math.ceil(m), derivative)
-        else:
-            out[idx] = _images(x[idx], beta, math.ceil(n), derivative)
-    return out
+    m, n = _term_counts(abs(x), beta)
+    if m <= n:
+        return _matsubara(x, beta, math.ceil(m), derivative)
+    return _images(x, beta, math.ceil(n), derivative)
 
 
-def _term_counts(near: float, far: float, beta: float) -> tuple[float, float]:
-    # (Matsubara, images) terms for arguments with |x| in [near, far], as
-    # floats: at extreme beta the one that is not taken is inf
-    reach = MATSUBARA_CUT if near < FAR_X else FAR_DECAY / near
-    return reach / (2.0 * math.pi) * beta, IMAGE_CUT * (far + 2.0) / beta
+def _term_counts(ax: float, beta: float) -> tuple[float, float]:
+    # (Matsubara, images) terms at |x| = ax, as floats: at extreme beta the
+    # one that is not taken is inf
+    reach = MATSUBARA_CUT if ax < FAR_X else FAR_DECAY / ax
+    return reach / (2.0 * math.pi) * beta, IMAGE_CUT * (ax + 2.0) / beta
 
 
 def _tail_coefficients(scale: float, start: int, shift: int) -> list[float]:
@@ -543,76 +529,63 @@ def _erfcx(y: float) -> float:
     return s / (y * SQRT_PI)
 
 
-def _hermite_e(x, coef: list) -> np.ndarray:
-    # sum_k coef[k] He_k(v) for each v in x, by Clenshaw's recurrence on
-    # He_{k+1} = v He_k - k He_{k-1}; v may be complex.  x has 2 or 6
-    # elements, where numpy's hermeval costs more than the whole series.
-    out = []
-    for v in x.tolist():
-        b1 = b2 = 0.0
-        for k in range(len(coef) - 1, 0, -1):
-            b1, b2 = coef[k] + v * b1 - (k + 1) * b2, b1
-        out.append(coef[0] + v * b1 - b2)
-    return np.array(out)
+def _hermite_e(v, coef: list):
+    # sum_k coef[k] He_k(v) by Clenshaw's recurrence on
+    # He_{k+1} = v He_k - k He_{k-1}; v may be complex
+    b1 = b2 = 0.0
+    for k in range(len(coef) - 1, 0, -1):
+        b1, b2 = coef[k] + v * b1 - (k + 1) * b2, b1
+    return coef[0] + v * b1 - b2
 
 
-def _matsubara(x, ax, far: float, beta: float, m: int, derivative: bool) -> np.ndarray:
-    col = ax[:, None]
+def _matsubara(x: float, beta: float, m: int, derivative: bool) -> float:
+    ax = abs(x)
     step = 2.0 * math.pi / beta
-    a = step * np.arange(1, m + 1)
     # past |x| = K_MAX the Gaussian is 0.0 in doubles; clipping there keeps
     # x^2 and the tail's Hermite moments finite, so the tail is 0, not 0 * inf
-    ax_clip = np.minimum(ax, K_MAX)
-    gauss = np.exp(-0.5 * ax_clip * ax_clip)
-    mags, steps = ax.tolist(), a.tolist()
-
-    def scaled(sign: float) -> np.ndarray:
-        # exp(-x^2/2) erfcx(|a + sign |x|| / sqrt2) for each |x| and a; erfcx
-        # is at most 1, so where the Gaussian is 0.0 (|x| past 38.6) so is the
-        # row, and erfcx is not called
-        return np.array([[g * _erfcx(abs(ak + sign * v) / SQRT2) for ak in steps] if g
-                         else [0.0] * m for g, v in zip(gauss.tolist(), mags)])
-
-    lower = scaled(-1.0)
-    if step < far:
-        # where a < |x| the argument of erfcx((a - |x|)/sqrt2) is negative;
-        # far off the light cone the exponent may overflow to -inf, whose exp,
-        # 0, is the limit
-        with np.errstate(over="ignore"):
-            below = 2.0 * np.exp(np.minimum(a * (0.5 * a - col), 0.0)) - lower
-        lower = np.where(a < col, below, lower)
-    upper = scaled(1.0)
+    clip = min(ax, K_MAX)
+    gauss = math.exp(-0.5 * clip * clip)
+    terms = []
+    for k in range(1, m + 1):
+        a = step * k
+        # exp(-x^2/2) erfcx(|a -+ |x|| / sqrt2); erfcx is at most 1, so where
+        # the Gaussian is 0.0 (|x| past 38.6) so is each, and erfcx is not called
+        lower = gauss * _erfcx(abs(a - ax) / SQRT2) if gauss else 0.0
+        upper = gauss * _erfcx((a + ax) / SQRT2) if gauss else 0.0
+        if a < ax:
+            # the argument of erfcx((a - |x|)/sqrt2) is negative; far off the
+            # light cone the exponent is below -745, and its exp, 0, the limit
+            lower = 2.0 * math.exp(a * (0.5 * a - ax)) - lower
+        # each derivative term is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
+        terms.append(a * (lower + upper) if derivative else lower - upper)
     tail = _tail_coefficients(beta / (2.0 * math.pi), m + 1, int(derivative))
-    moments = SQRT_HALF_PI * _hermite_e(ax_clip, tail)
+    moments = SQRT_HALF_PI * _hermite_e(clip, tail)
     # below beta ~ 3.5e-308 the step 2 pi / beta is inf, so the terms are
-    # 0 * inf and F / beta overflows: the NaN or inf is the caller's domain
-    # error, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if derivative:
-            # each of the m terms is sqrt(pi/2) exp(-x^2/2) - (pi a/4) (lower + upper)
-            terms = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * ((lower + upper) @ a)
-            return (terms - 4.0 * gauss * moments) / beta
-        erf = np.array([math.erf(v / SQRT2) for v in mags])
-        terms = math.pi * (erf + (lower - upper).sum(axis=1))
-        return np.sign(x) * (terms + 4.0 * gauss * moments) / beta
+    # 0 * inf and F / beta overflows: the NaN or inf is the caller's domain error
+    if derivative:
+        s = 2.0 * SQRT_HALF_PI * (2 * m + 1) * gauss - math.pi * math.fsum(terms)
+        return (s - 4.0 * gauss * moments) / beta
+    s = math.pi * (math.erf(ax / SQRT2) + math.fsum(terms))
+    return math.copysign(1.0, x) * (s + 4.0 * gauss * moments) / beta
 
 
-def _images(x: np.ndarray, beta: float, n: int, derivative: bool) -> np.ndarray:
-    # scipy.special loads on this route's first call: no other route needs it
+def _images(x: float, beta: float, n: int, derivative: bool) -> float:
+    # scipy.special loads on this series' first call: no other series needs it
     from scipy.special import wofz
 
-    z = (x[:, None] + 1j * beta * np.arange(1, n + 1)) / SQRT2
-    w = wofz(z)
-    d = np.array([dawson(v) for v in (x / SQRT2).tolist()])
+    ax = abs(x)
+    z = [complex(ax / SQRT2, beta * k / SQRT2) for k in range(1, n + 1)]
+    w = wofz(np.array(z)).tolist()
+    d = dawson(ax / SQRT2)
     tail = _tail_coefficients(1.0 / beta, n + 1, 0)
     if derivative:
-        terms = (1.0 - SQRT_PI * (z * w).imag).sum(axis=1)
+        terms = math.fsum(1.0 - SQRT_PI * (zk * wk).imag for zk, wk in zip(z, w))
         # d/dx Im p(ix) = Re p'(ix), and He_k' = k He_{k-1}
-        moments = _hermite_e(1j * x, [k * c for k, c in enumerate(tail)][1:]).real
-        return 1.0 - SQRT2 * x * d + 2.0 * (terms + moments)
-    terms = SQRT_HALF_PI * w.imag.sum(axis=1)
-    moments = _hermite_e(1j * x, tail).imag
-    return SQRT2 * d + 2.0 * (terms + moments)
+        moments = _hermite_e(complex(0.0, ax), [k * c for k, c in enumerate(tail)][1:]).real
+        return 1.0 - SQRT2 * ax * d + 2.0 * (terms + moments)
+    terms = SQRT_HALF_PI * math.fsum(wk.imag for wk in w)
+    moments = _hermite_e(complex(0.0, ax), tail).imag
+    return math.copysign(1.0, x) * (SQRT2 * d + 2.0 * (terms + moments))
 
 
 # ---------------------------------------------------------------------------

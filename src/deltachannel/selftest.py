@@ -26,7 +26,8 @@ GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
 # panel of the oracle's Re J rule, which grades its panels toward k = 0 there
 THERMAL_BETAS = (0.5, 2.0, 20.0, 879.0)
 THERMAL_GEOMETRIES = ((0.05, 2.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0))
-# F and F' arguments where both thermal series converge in a few hundred terms
+# F and F' arguments where both thermal series converge in a few hundred
+# terms; each series is summed at the size kms_sine_transform gives it
 ROUTE_ARGUMENTS = (0.0, 0.5, 3.0, 8.0)
 FIELD_TOL = 1e-6
 ROUTE_TOL = 1e-12
@@ -90,17 +91,17 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     vacuum_points = len(residuals)
     unit = specs[1:2]
     routes = 0.0
-    x = np.array(ROUTE_ARGUMENTS)
     for beta in THERMAL_BETAS:
         state = field.thermal(beta)
         j0 = field._radial_integral(0.0, 0.0, beta)[0].real
         for sep, delay in THERMAL_GEOMETRIES:
             score(state, sep, delay, unit, j0)
-        for derivative in (False, True):
-            matsubara, images = (field.kms_sine_transform(x, beta, derivative, route)
-                                 for route in ("matsubara", "images"))
-            difference = float(np.max(np.abs(matsubara - images)))
-            routes = max(routes, difference / field.cross_real_closed(0.0, 0.0, beta))
+        for x in ROUTE_ARGUMENTS:
+            m, n = map(math.ceil, field._term_counts(x, beta))
+            for derivative in (False, True):
+                difference = abs(field._matsubara(x, beta, m, derivative)
+                                 - field._images(x, beta, n, derivative))
+                routes = max(routes, difference / field.cross_real_closed(0.0, 0.0, beta))
     # np.max keeps a NaN residual, which fails the check
     worst = float(np.max(residuals))
     detail = {

@@ -550,12 +550,12 @@ def test_thermal_oracle_row_integrates_each_geometry_once(monkeypatch):
 
 def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
     # the residual reuses the statistics' Re J, and J(0, 0, 2) stays cached
-    # beside each row's own Re J: one series per row
+    # beside each row's own Re J: one F at each end of the row's quotient
     series = field.kms_sine_transform
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1:])
+        calls.append(args)
         return series(*args, **kwargs)
 
     field.cross_real_closed(0.0, 0.0, 2.0)
@@ -564,7 +564,7 @@ def test_thermal_oracle_row_sums_its_series_once(monkeypatch):
         calls.clear()
         row = evaluate_point(10.0, 1.0, sep, delay, beta=2.0, oracle=True)
         assert row["status"] == "ok"
-        assert calls == [(2.0,)]
+        assert calls == [(delay + sep, 2.0), (delay - sep, 2.0)]
 
 
 def _counted_integrals(monkeypatch) -> list:
@@ -702,9 +702,9 @@ def test_thermal_row_far_out_on_the_light_cone_sums_few_terms(monkeypatch, sep, 
     # series once took about 3.18 beta Matsubara terms (0.5 s and 298 MB at
     # beta = 1e6, a MemoryError at 1e8); each argument now takes its own route
     terms = []
-    for name, position in (("_matsubara", 4), ("_images", 2)):
-        def counted(*args, _series=getattr(field, name), _position=position):
-            terms.append(args[_position])
+    for name in ("_matsubara", "_images"):
+        def counted(*args, _series=getattr(field, name)):
+            terms.append(args[2])
             return _series(*args)
         monkeypatch.setattr(field, name, counted)
     field.cross_real_closed.cache_clear()

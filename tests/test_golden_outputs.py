@@ -73,7 +73,7 @@ def test_sweep_bytes(tmp_path, config, flags, digest):
 @pytest.mark.parametrize("argv, digest", [
     (POINT, "fadbe1d86dc7c2b47cdb3392ccd63669a769caec952f0b36046940b90eb65e59"),
     (POINT + ["--beta", "2"], "42409c97666f4b7e39593f4374fd3649b20f671bffc7a414b44106875b6970cd"),
-    (["selftest"], "c8a211369c485092548124109a3fd77e8fd66ff43c3f129b68a5a14837ce85cd"),
+    (["selftest"], "e733eddecab91a251cb6075ce869b818add3dbcdbde6e3da73c7fce2c132c16e"),
 ], ids=["point_vacuum", "point_beta2", "selftest"])
 def test_stdout_bytes(capsys, argv, digest):
     assert main(argv) == 0
