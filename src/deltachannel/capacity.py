@@ -4,7 +4,8 @@ The channel is entanglement breaking, so its one-shot Holevo maximum is
 its capacity (Shor 2002; Horodecki, Shor & Ruskai 2003), and
 capacity_closed_form gives that maximum for every channel in the family.
 A deterministic brute-force search is its independent oracle: it must
-meet the closed form from below, never exceed it.
+meet the closed form from below, never exceed it.  Being entanglement
+breaking, each channel has zero unassisted quantum capacity.
 
 The search runs on the signal amplitude theta in [-1, 1], not on the
 Bloch sphere: the channel is affine in theta, so an ensemble's Holevo
@@ -27,12 +28,6 @@ from .errors import ConsistencyError
 
 LN2 = math.log(2.0)
 CLOSED_FORM_SLACK = 1e-9
-
-#: Unassisted quantum capacity of every channel in this family.  The
-#: channels are entanglement breaking (see the Choi PPT certification in
-#: the tests), and entanglement-breaking channels carry no quantum
-#: information without assistance.
-UNASSISTED_QUANTUM_CAPACITY = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +137,15 @@ def holevo_chi(params: ChannelParams, ens: Ensemble) -> float:
 def bob_lengths(phase_b: float, bob: QubitState) -> tuple[float, float]:
     """(p, r_perp): the two lengths of Bob's Bloch vector that the channel sees.
 
+    With v = (x, y, z) Bob's bloch_on_ball, as ChannelParams reads it,
     p = x cos(phase_b) - y sin(phase_b) is the component along Bob's flip
     axis, which passes unchanged; the rest, of length
     r_perp = min(sqrt(|v|^2 - p^2), 1), is contracted by nu_b and turned by
     the signal.  No coupling enters, so a sweep takes them once per Bob.
     """
-    p = bob.x * math.cos(phase_b) - bob.y * math.sin(phase_b)
-    return p, min(math.sqrt(max(bob.norm_sq - p * p, 0.0)), 1.0)
+    x, y, z = bob.bloch_on_ball
+    p = x * math.cos(phase_b) - y * math.sin(phase_b)
+    return p, min(math.sqrt(max(x * x + y * y + z * z - p * p, 0.0)), 1.0)
 
 
 def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -> tuple[float, float]:

@@ -55,6 +55,14 @@ class QubitState:
         return self.x * self.x + self.y * self.y + self.z * self.z
 
     @property
+    def bloch_on_ball(self) -> tuple[float, float, float]:
+        """The Bloch vector, moved onto the unit sphere from past it."""
+        if self.norm_sq <= 1.0:
+            return self.bloch
+        scale = 1.0 / math.sqrt(self.norm_sq)
+        return self.x * scale, self.y * scale, self.z * scale
+
+    @property
     def r(self) -> float:
         """Bloch vector length, clipped into [0, 1]."""
         return min(math.sqrt(self.norm_sq), 1.0)
@@ -85,7 +93,7 @@ class ChannelParams:
     component of Bob's Bloch vector v along n passes unchanged, the rest
     contracts by a, and the signal adds theta * b * (n x v).  A Bob state
     that QubitState admits past the unit sphere, |v|^2 in (1, 1 + BLOCH_TOL],
-    is moved onto it first, so that every output is a QubitState too.
+    is moved onto it (bloch_on_ball) first, so every output is a QubitState too.
     """
 
     stats: FieldStatistics
@@ -104,10 +112,7 @@ class ChannelParams:
         a = self.stats.nu_b * math.cos(two_delta)
         b = self.stats.nu_b * math.sin(two_delta)
         c, s = math.cos(self.phase_b), math.sin(self.phase_b)
-        x, y, z = self.bob_initial.bloch
-        if self.bob_initial.norm_sq > 1.0:
-            scale = 1.0 / math.sqrt(self.bob_initial.norm_sq)
-            x, y, z = x * scale, y * scale, z * scale
+        x, y, z = self.bob_initial.bloch_on_ball
         kept = (1.0 - a) * (x * c - y * s)
         for name, value in (
             ("a", a),

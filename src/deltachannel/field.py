@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -741,8 +740,8 @@ def _commutator_trapezoid(L: float, dtau: float) -> tuple[float, float]:
         return float(fine), float(max(abs(unit * (odd - even)), rounding))
 
 
-def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex, float]:
-    """Dimensionless radial integral J with error estimate.
+def _radial_integral(L: float, dtau: float, beta: float | None) -> complex:
+    """Dimensionless radial integral J, each part checked against its estimate.
 
     J = int_0^inf dk exp(-k^2/2) * sin(kL)/L * [coth(beta k/2)]_re * exp(-ik dtau)
 
@@ -755,7 +754,7 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     float64 cancellation would spoil wherever Im J is small, so it is
     _commutator_trapezoid's, at MP_DPS digits on [0, TRAPEZOID_K] at step
     2 pi / (L + |dtau| + TRAPEZOID_K); at dtau = 0 it is exactly 0.
-    Returns (J, error_estimate); raises QuadratureError when a component's
+    Raises QuadratureError, carrying the estimate, when a component's
     estimate misses both the absolute and the relative target, and, with
     estimate inf and before either rule runs, past ORACLE_REACH, which
     every geometry whose k L or k dtau overflows is past.
@@ -775,10 +774,10 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> tuple[complex
     check("Re", re, re_err)
     if dtau == 0.0:
         # the imaginary integrand is identically zero, not a cancellation
-        return complex(re, 0.0), re_err
+        return complex(re, 0.0)
     im, im_err = _commutator_trapezoid(L, dtau)
     check("Im", im, im_err)
-    return complex(re, im), max(re_err, im_err)
+    return complex(re, im)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -787,7 +786,7 @@ def oracle_j(L: float, dtau: float, beta: float | None) -> complex:
     per process: the last GEOMETRY_CACHE_SIZE values are cached.  A
     QuadratureError is not: past ORACLE_REACH each call is refused before
     either rule runs.  -0.0 and 0.0 share a key and give the same bits."""
-    return _radial_integral(L, dtau, beta)[0]
+    return _radial_integral(L, dtau, beta)
 
 
 def wightman_cross_quadrature(
@@ -796,17 +795,18 @@ def wightman_cross_quadrature(
     geom: PairGeometry,
     state: FieldStateSpec = VACUUM,
 ) -> complex:
-    """Smeared two-point value W(f_A, f_B) by radial quadrature (oracle_j).
+    """Smeared two-point value W(f_A, f_B) = pair_prefactor * oracle_j.
 
     Im W(f_A, f_B) = -Delta(f_A, f_B)/2 holds for every state: the thermal
-    kernel enhances only the real (symmetric) part.
+    kernel enhances only the real (symmetric) part.  No library path calls
+    it: residual takes J.
     """
     return pair_prefactor(f_a, f_b) * oracle_j(geom.separation, geom.delay, state.beta)
 
 
 def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:
     """||Ef||^2 by quadrature: pair_prefactor(f, f) * J(0, 0, beta), the
-    degenerate (L=0, dtau=0) cross value, integrated once per state."""
+    degenerate (L=0, dtau=0) cross value.  No library path calls it."""
     return pair_prefactor(f, f) * oracle_j(0.0, 0.0, state.beta).real
 
 
@@ -815,34 +815,31 @@ def residual(
     f_b: SmearingSpec,
     geom: PairGeometry,
     state: FieldStateSpec,
-    w_cross: complex,
+    j: complex,
     j0: float,
 ) -> float:
-    """Largest disagreement between the closed forms and the quadrature
-    values w_cross = W(f_A, f_B) and j0 = J(0, 0, beta).
+    """Largest disagreement between the closed forms and the oracle's
+    j = J(L, dtau, beta) and j0 = J(0, 0, beta).
 
     The commutator, relatively; both norms, relatively, from the one
     J(0, 0, beta); and Re W(f_A, f_B) as the absolute difference in Re J
-    over J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b), so a zero
-    crossing of Re J cannot inflate it.  In the vacuum J(0, 0) = 1.  A
-    relative term divides by at least RESIDUAL_FLOOR.  A norm whose closed
-    form and quadrature overflow to the same infinity agrees; any other
-    undefined term makes the residual NaN.
+    over J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b): no zero
+    crossing of Re J inflates it, and no coupling, even a subnormal one,
+    scales it away.  In the vacuum J(0, 0) = 1.  A relative term divides by
+    at least RESIDUAL_FLOOR.  A norm whose closed form and quadrature
+    overflow to the same infinity agrees; any other undefined term makes
+    the residual NaN.
     """
     d_closed = commutator_closed(f_a, f_b, geom)
-    terms = [abs(d_closed - (-2.0 * w_cross.imag)) / max(abs(d_closed), RESIDUAL_FLOOR)]
+    d_quad = -2.0 * (pair_prefactor(f_a, f_b) * j.imag)
+    terms = [abs(d_closed - d_quad) / max(abs(d_closed), RESIDUAL_FLOOR)]
     j0_closed = cross_real_closed(0.0, 0.0, state.beta)
     for f in (f_a, f_b):
         closed = norm_sq_closed(f) * j0_closed
         quad = pair_prefactor(f, f) * j0
         terms.append(0.0 if closed == quad else abs(closed - quad) / max(closed, RESIDUAL_FLOOR))
-    pref = pair_prefactor(f_a, f_b)
-    # below the smallest normal float W = pref J keeps fewer than 53 bits,
-    # and W / pref no longer carries Re J (off by 0.27 at couplings 20 and
-    # 5e-324)
-    if pref >= sys.float_info.min:
-        re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
-        terms.append(abs(re_j - w_cross.real / pref) / j0_closed)
+    re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
+    terms.append(abs(re_j - j.real) / j0_closed)
     # the builtin max alone can drop a NaN term
     return math.nan if any(map(math.isnan, terms)) else float(max(terms))
 
@@ -853,10 +850,10 @@ def oracle_residual(
     geom: PairGeometry,
     state: FieldStateSpec = VACUUM,
 ) -> float:
-    """residual against one cross integral and one J(0, 0, beta) integral,
-    in every state: a sweep row's oracle_residual."""
-    w_cross = wightman_cross_quadrature(f_a, f_b, geom, state)
-    return residual(f_a, f_b, geom, state, w_cross, oracle_j(0.0, 0.0, state.beta).real)
+    """residual against the oracle's J(L, dtau, beta) and J(0, 0, beta), in
+    every state: a sweep row's oracle_residual."""
+    return residual(f_a, f_b, geom, state, oracle_j(geom.separation, geom.delay, state.beta),
+                    oracle_j(0.0, 0.0, state.beta).real)
 
 
 class GeometryTerms(NamedTuple):

@@ -66,8 +66,8 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     """Closed forms vs quadrature over the fixed coupling/geometry grid,
     scored by field.residual, the rule of a sweep row's oracle_residual.
     J depends on the geometry alone, so J(0, 0) and each geometry are
-    integrated once, and each integral is scaled by pair_prefactor for
-    every coupling pair, as wightman_cross_quadrature scales it.  Then per
+    integrated once, and residual takes each J for every coupling pair,
+    since the couplings are only its prefactor.  Then per
     beta J(0, 0, beta) and a few thermal geometries at unit couplings, one
     integral each; and the Matsubara and image series must agree where
     both converge."""
@@ -76,15 +76,14 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
 
     def score(state, sep, delay, couplings, j0):
         geom = field.PairGeometry(sep, delay)
-        j, _ = field._radial_integral(sep, delay, state.beta)
-        residuals.extend(
-            field.residual(f_a, f_b, geom, state, field.pair_prefactor(f_a, f_b) * j, j0)
-            for f_a in couplings for f_b in couplings)
+        j = field._radial_integral(sep, delay, state.beta)
+        residuals.extend(field.residual(f_a, f_b, geom, state, j, j0)
+                         for f_a in couplings for f_b in couplings)
 
     # J(0, 0, beta) and each geometry's J straight from the integral, not
     # from oracle_j's cache, so that the check integrates them whatever ran
     # before
-    j0 = field._radial_integral(0.0, 0.0, None)[0].real
+    j0 = field._radial_integral(0.0, 0.0, None).real
     for sep in GRID_SEPARATIONS:
         for delay in GRID_DELAYS:
             score(field.VACUUM, sep, delay, specs, j0)
@@ -93,7 +92,7 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     routes = 0.0
     for beta in THERMAL_BETAS:
         state = field.thermal(beta)
-        j0 = field._radial_integral(0.0, 0.0, beta)[0].real
+        j0 = field._radial_integral(0.0, 0.0, beta).real
         for sep, delay in THERMAL_GEOMETRIES:
             score(state, sep, delay, unit, j0)
         for x in ROUTE_ARGUMENTS:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import codecs
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -418,14 +417,10 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 # serialization
 # ---------------------------------------------------------------------------
 
-# every column but the last, status, as a tuple: the float cells of a row
-_FLOAT_CELLS = operator.itemgetter(*COLUMNS[:-1])
-
-
 def format_csv(rows: list[dict]) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
-        lines.append(",".join(map(repr, map(float, _FLOAT_CELLS(row)))) + "," + row["status"])
+        lines.append(",".join([repr(float(row[c])) for c in COLUMNS[:-1]] + [row["status"]]))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltachannel.capacity import (
-    UNASSISTED_QUANTUM_CAPACITY,
     CapacityResult,
     Ensemble,
     binary_entropy,
@@ -318,10 +317,6 @@ def test_capacity_result_guards():
     with pytest.raises(ConsistencyError):
         CapacityResult(c_closed=1.5, c_bruteforce=0.4, best_ensemble=ens,
                        q_ea_lower=0.75, nu_eff=0.9, iterations=1, gap=1.1)
-
-
-def test_unassisted_quantum_capacity_is_zero():
-    assert UNASSISTED_QUANTUM_CAPACITY == 0.0
 
 
 def test_chi_additivity_consequence_single_letter(rng):

@@ -23,6 +23,7 @@ from deltachannel.field import (
     SmearingSpec,
     assemble_statistics,
 )
+from deltachannel.selftest import OPTIMIZER_TOL
 
 from conftest import bloch_radius_oracle, density_matrix, draw_ball, draw_statistics, oracle_apply
 
@@ -232,4 +233,15 @@ def test_states_at_the_tolerance_edge_never_raise(rng):
             apply(params, alice)
         choi_matrix(params)
         holevo_chi(params, Ensemble(members))
-        capacity_bruteforce(params)
+        # the closed form reads the Bob that the channel moves onto the sphere
+        assert capacity_bruteforce(params).gap <= OPTIMIZER_TOL
+    # at these edge states c_closed once read Bob past the sphere and the
+    # search on the sphere: gap 1.13e-12 and 1.23e-12
+    stats = assemble_statistics(SmearingSpec(coupling=148.4), SmearingSpec(coupling=1.0),
+                                PairGeometry(6.0, 6.0))
+    for direction in ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8)):
+        bob = QubitState(*(c * (1.0 + 4.9e-13) for c in direction))
+        result = capacity_bruteforce(ChannelParams(stats, 0.0, 0.3, bob))
+        assert result.gap <= OPTIMIZER_TOL
+        unit = capacity_bruteforce(ChannelParams(stats, 0.0, 0.3, QubitState(*direction)))
+        assert result.c_closed == unit.c_closed

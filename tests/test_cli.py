@@ -940,6 +940,40 @@ def test_rows_and_selftest_share_one_residual(monkeypatch):
     assert math.isnan(check["detail"]["max_residual"])
 
 
+@pytest.mark.parametrize("beta", [None, 2.0])
+@pytest.mark.parametrize("couplings", [(1.0, 1.0), (20.0, 5e-324), (1e-160, 1e-160)])
+def test_oracle_residual_sees_a_re_j_error_at_every_coupling(monkeypatch, couplings, beta):
+    # the residual once took W = pref J and divided pref back out, and
+    # skipped Re J below the smallest normal pref: an oracle Re J(6, 6) off
+    # by 1e-3 read 1.75e-16 at couplings (20, 5e-324) and 4.9e-312 at
+    # (1e-160, 1e-160)
+    oracle_j = field.oracle_j
+
+    def off(L, dtau, beta):
+        j = oracle_j(L, dtau, beta)
+        return j + 1e-3 if (L, dtau) == (6.0, 6.0) else j
+
+    monkeypatch.setattr(field, "oracle_j", off)
+    f_a, f_b = (SmearingSpec(coupling=c) for c in couplings)
+    got = field.oracle_residual(f_a, f_b, PairGeometry(6.0, 6.0), field.FieldStateSpec(beta))
+    assert abs(got - 1e-3 / field.cross_real_closed(0.0, 0.0, beta)) <= 1e-12
+
+
+def test_oracle_paths_do_not_scale_j_by_the_couplings(monkeypatch, tmp_path, capsys):
+    # residual takes J itself: the W views are for the tests and tracing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle compares J, not W = pref J")
+
+    monkeypatch.setattr(field, "wightman_cross_quadrature", refuse)
+    monkeypatch.setattr(field, "norm_sq_quadrature", refuse)
+    cfg = write_config(tmp_path, BASE_CONFIG + "beta = 2\n")
+    assert main(["sweep", "--config", cfg, "--oracle"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",ok") for row in rows)
+    assert main(["selftest", "--only", "field_oracle_grid"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
 @pytest.mark.parametrize("separation", [5e-324, 1e-20])
 def test_small_separation_row_is_ok_and_agrees_with_oracle(separation):
     # a subnormal L once raised "delta_ab must be finite" and aborted the

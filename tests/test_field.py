@@ -189,7 +189,7 @@ def test_cross_real_closed_limits():
 
 def test_cross_real_closed_agrees_with_quadrature():
     for sep, delay in ((0.0, 0.0), (1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (0.01, 2.0), (3.0, -12.0)):
-        j, _ = field._radial_integral(sep, delay, None)
+        j = field._radial_integral(sep, delay, None)
         assert abs(cross_real_closed(sep, delay) - j.real) <= 1e-12
 
 
@@ -446,15 +446,15 @@ def test_radial_integral_resolves_the_thermal_bump_at_large_beta():
     # with one breakpoint, at 1/beta, quad's estimate stayed near 1e-12
     # while Re J(0, 0, beta) was off by up to 2.7e-6 (beta = 797)
     for beta in [797.0, *np.geomspace(1.0, 1e4, 41)]:
-        j, _ = field._radial_integral(0.0, 0.0, float(beta))
+        j = field._radial_integral(0.0, 0.0, float(beta))
         assert abs(j.real - field.cross_real_closed(0.0, 0.0, float(beta))) < 1e-10, beta
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_radial_integral_subnormal_separation_is_coincident_limit(beta):
     # sin(kL)/L at subnormal L is quantised noise; its L -> 0 value is k
-    at_zero, _ = field._radial_integral(0.0, 1.0, beta)
-    subnormal, _ = field._radial_integral(5e-324, 1.0, beta)
+    at_zero = field._radial_integral(0.0, 1.0, beta)
+    subnormal = field._radial_integral(5e-324, 1.0, beta)
     assert subnormal == at_zero
 
 
@@ -524,7 +524,7 @@ def test_gauss_legendre_rules_integrate_even_powers_to_rounding():
 def test_radial_integral_at_tiny_beta_is_finite(beta):
     # J(6, 6, beta) ~ 0.26 / beta is a finite float here, but scipy's quad
     # overflowed in its sums and the oracle refused; the rule sums beta f
-    j, _ = field._radial_integral(6.0, 6.0, beta)
+    j = field._radial_integral(6.0, 6.0, beta)
     assert math.isclose(j.real, cross_real_closed(6.0, 6.0, beta), rel_tol=1e-12)
     f = SmearingSpec(coupling=1.0)
     assert field.oracle_residual(f, f, PairGeometry(6.0, 6.0), thermal(beta)) < 1e-6
@@ -694,7 +694,7 @@ def test_assemble_statistics_vacuum_runs_no_integral(monkeypatch):
 
     f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
     geom = PairGeometry(6.0, 6.0)
-    j, _ = field._radial_integral(6.0, 6.0, None)
+    j = field._radial_integral(6.0, 6.0, None)
     monkeypatch.setattr(field, "quad", no_integral)
     monkeypatch.setattr(mpmath, "quad", no_integral)
     stats = assemble_statistics(f_a, f_b, geom)
@@ -711,8 +711,8 @@ def test_assemble_statistics_thermal_integrates_nothing(monkeypatch):
     state = thermal(2.0)
     f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
     geom = PairGeometry(4.0, 4.0)
-    j0, _ = field._radial_integral(0.0, 0.0, 2.0)
-    j, _ = field._radial_integral(4.0, 4.0, 2.0)
+    j0 = field._radial_integral(0.0, 0.0, 2.0)
+    j = field._radial_integral(4.0, 4.0, 2.0)
     for name in ("quad", "_radial_integral", "_commutator_trapezoid"):
         monkeypatch.setattr(field, name, no_integral)
     monkeypatch.setattr(mpmath, "quad", no_integral)
