@@ -13,11 +13,13 @@ is never at beta <= 2.745 (see kms_sine_transform).  mpmath is imported on the
 oracle's first Im J (see _commutator_trapezoid).  Neither loads with this
 module.  residual is the one rule that compares the closed forms with the
 oracle, for a sweep row's oracle_residual (through oracle_residual) and for
-selftest's grid.  The oracle takes one route per component of J (see
-_radial_integral): Re J, compared absolutely, by quad, a composite
-Gauss-Legendre rule in numpy; Im J, the commutator part, compared
-relatively, by a 50-digit trapezoid rule whose nodes run on fixed-point
-integer recurrences, mpmath computing only their seeds.  Both rules admit
+selftest's grid; it compares J alone, so it depends on the geometry and
+the state, never on the couplings.  The oracle takes one route per
+component of J (see _radial_integral): Re J, compared absolutely, by
+quad, a composite Gauss-Legendre rule in numpy; Im J, the commutator
+part, compared relatively, by a 50-digit trapezoid rule whose nodes
+run on fixed-point integer recurrences, mpmath computing only their
+seeds.  Both rules admit
 L + |dtau| up to ORACLE_REACH and refuse past it.  The couplings are only
 a prefactor, so both routes cache their J by (L, dtau, beta) for the last
 GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J, and oracle_j
@@ -69,7 +71,7 @@ GL_WIDTH = 4.0 * math.pi
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 MP_DPS = 50
-# denominator floor of every relative closed-form check (see residual)
+# denominator floor of residual's commutator term, the one that can vanish
 RESIDUAL_FLOOR = 1e-12
 # The trapezoid rule runs on [0, K] with exp(-K^2/2) = 10^-(MP_DPS + 5), at
 # step h = 2 pi / (L + |dtau| + K), so it takes K (L + |dtau| + K) / pi
@@ -810,49 +812,33 @@ def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float
     return pair_prefactor(f, f) * oracle_j(0.0, 0.0, state.beta).real
 
 
-def residual(
-    f_a: SmearingSpec,
-    f_b: SmearingSpec,
-    geom: PairGeometry,
-    state: FieldStateSpec,
-    j: complex,
-    j0: float,
-) -> float:
+def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -> float:
     """Largest disagreement between the closed forms and the oracle's
     j = J(L, dtau, beta) and j0 = J(0, 0, beta).
 
-    The commutator, relatively; both norms, relatively, from the one
-    J(0, 0, beta); and Re W(f_A, f_B) as the absolute difference in Re J
-    over J(0, 0, beta), which is Delta Re W / sqrt(n_a n_b): no zero
-    crossing of Re J inflates it, and no coupling, even a subnormal one,
-    scales it away.  In the vacuum J(0, 0) = 1.  A relative term divides by
-    at least RESIDUAL_FLOOR.  A norm whose closed form and quadrature
-    overflow to the same infinity agrees; any other undefined term makes
-    the residual NaN.
+    The couplings reach every field scalar only through the prefactor
+    pair_prefactor on J, so the residual compares J alone and counts every
+    term at every coupling.  The commutator at unit prefactor against
+    -2 Im J, relatively, dividing by at least RESIDUAL_FLOOR; J(0, 0, beta),
+    relatively; and Re J, absolutely over J(0, 0, beta), which is
+    Delta Re W / sqrt(n_a n_b): no zero crossing of Re J inflates it.  In
+    the vacuum J(0, 0) = 1.  An undefined term makes the residual NaN.
     """
-    d_closed = commutator_closed(f_a, f_b, geom)
-    d_quad = -2.0 * (pair_prefactor(f_a, f_b) * j.imag)
-    terms = [abs(d_closed - d_quad) / max(abs(d_closed), RESIDUAL_FLOOR)]
+    terms = geometry_terms(geom, state)
+    d_closed = commutator_from_terms(1.0, terms.commutator)
+    d_quad = -2.0 * j.imag
     j0_closed = cross_real_closed(0.0, 0.0, state.beta)
-    for f in (f_a, f_b):
-        closed = norm_sq_closed(f) * j0_closed
-        quad = pair_prefactor(f, f) * j0
-        terms.append(0.0 if closed == quad else abs(closed - quad) / max(closed, RESIDUAL_FLOOR))
-    re_j = cross_real_closed(geom.separation, geom.delay, state.beta)
-    terms.append(abs(re_j - j.real) / j0_closed)
+    errors = (abs(d_closed - d_quad) / max(abs(d_closed), RESIDUAL_FLOOR),
+              abs(j0_closed - j0) / j0_closed,
+              abs(terms.re_j - j.real) / j0_closed)
     # the builtin max alone can drop a NaN term
-    return math.nan if any(map(math.isnan, terms)) else float(max(terms))
+    return math.nan if any(map(math.isnan, errors)) else float(max(errors))
 
 
-def oracle_residual(
-    f_a: SmearingSpec,
-    f_b: SmearingSpec,
-    geom: PairGeometry,
-    state: FieldStateSpec = VACUUM,
-) -> float:
+def oracle_residual(geom: PairGeometry, state: FieldStateSpec = VACUUM) -> float:
     """residual against the oracle's J(L, dtau, beta) and J(0, 0, beta), in
-    every state: a sweep row's oracle_residual."""
-    return residual(f_a, f_b, geom, state, oracle_j(geom.separation, geom.delay, state.beta),
+    every state: a sweep row's oracle_residual, the same at every coupling."""
+    return residual(geom, state, oracle_j(geom.separation, geom.delay, state.beta),
                     oracle_j(0.0, 0.0, state.beta).real)
 
 

@@ -1,15 +1,16 @@
 """The registry of independent checks, run by `deltachannel selftest` and the tests.
 
 Four checks mirror the package's core guarantees: the field closed forms
-against the quadrature oracle over a fixed grid, the correlator identities
-on random statistics (and the channel map against them), channel
-trace/positivity/diagonalization soundness, and brute-force capacity
-against the closed form.  Each check's grid or seed and its tolerance are
+against the quadrature oracle over a fixed geometry grid, the correlator
+identities on random statistics (and the channel map against them),
+channel trace/positivity/diagonalization soundness, and brute-force
+capacity against the closed form.  Each check's grid or seed and its tolerance are
 stated here once; the acceptance tests run these checks and assert on
 their details.  Every check recomputes its quantities rather than trusting
 the library's internal cross-checks, so a corrupted formula fails even if
 its own guard was corrupted with it.  The field check scores its grid by
-field.residual, the same rule as a sweep row's oracle_residual.
+field.residual, the same rule as a sweep row's oracle_residual, once per
+geometry: the residual compares J, so no coupling enters it.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import capacity, channel, field, weyl
 
-GRID_COUPLINGS = (0.1, 1.0, 10.0)
 GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
 GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
 # at beta = 879 coth's bump at k = 0, about 1/beta wide, is narrower than a
@@ -63,22 +63,17 @@ def random_bloch(rng: np.random.Generator) -> channel.QubitState:
 # ---------------------------------------------------------------------------
 
 def _check_field_oracle_grid() -> tuple[bool, dict]:
-    """Closed forms vs quadrature over the fixed coupling/geometry grid,
-    scored by field.residual, the rule of a sweep row's oracle_residual.
-    J depends on the geometry alone, so J(0, 0) and each geometry are
-    integrated once, and residual takes each J for every coupling pair,
-    since the couplings are only its prefactor.  Then per
-    beta J(0, 0, beta) and a few thermal geometries at unit couplings, one
-    integral each; and the Matsubara and image series must agree where
-    both converge."""
-    specs = [field.SmearingSpec(coupling=lam) for lam in GRID_COUPLINGS]
+    """Closed forms vs quadrature over the fixed geometry grid, scored by
+    field.residual, the rule of a sweep row's oracle_residual.  The
+    residual compares J, which the couplings only scale, so J(0, 0) and
+    each vacuum geometry are integrated and scored once.  Then per beta
+    J(0, 0, beta) and a few thermal geometries, one integral each; and the
+    Matsubara and image series must agree where both converge."""
     residuals = []
 
-    def score(state, sep, delay, couplings, j0):
-        geom = field.PairGeometry(sep, delay)
+    def score(state, sep, delay, j0):
         j = field._radial_integral(sep, delay, state.beta)
-        residuals.extend(field.residual(f_a, f_b, geom, state, j, j0)
-                         for f_a in couplings for f_b in couplings)
+        residuals.append(field.residual(field.PairGeometry(sep, delay), state, j, j0))
 
     # J(0, 0, beta) and each geometry's J straight from the integral, not
     # from oracle_j's cache, so that the check integrates them whatever ran
@@ -86,15 +81,14 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     j0 = field._radial_integral(0.0, 0.0, None).real
     for sep in GRID_SEPARATIONS:
         for delay in GRID_DELAYS:
-            score(field.VACUUM, sep, delay, specs, j0)
+            score(field.VACUUM, sep, delay, j0)
     vacuum_points = len(residuals)
-    unit = specs[1:2]
     routes = 0.0
     for beta in THERMAL_BETAS:
         state = field.thermal(beta)
         j0 = field._radial_integral(0.0, 0.0, beta).real
         for sep, delay in THERMAL_GEOMETRIES:
-            score(state, sep, delay, unit, j0)
+            score(state, sep, delay, j0)
         for x in ROUTE_ARGUMENTS:
             m, n = map(math.ceil, field._term_counts(x, beta))
             for derivative in (False, True):
@@ -105,8 +99,7 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     worst = float(np.max(residuals))
     detail = {
         "max_residual": worst,
-        # each coupling's norm, and each (geometry, coupling pair)'s cross value
-        "points": len(specs) + vacuum_points,
+        "points": vacuum_points,
         "thermal_points": len(residuals) - vacuum_points,
         "route_max_difference": routes,
     }

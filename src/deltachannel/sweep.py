@@ -37,7 +37,6 @@ from .errors import ConfigError, ConsistencyError, QuadratureError
 from .field import (
     FieldStatistics,
     PairGeometry,
-    SmearingSpec,
     VACUUM,
     check_nonnegative,
     cross_real_closed,
@@ -340,8 +339,7 @@ class _Rows:
                 result = capacity_bruteforce(ChannelParams(stats, self.phase_a, self.phase_b, self.bob))
                 computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
             if self.oracle:
-                computed["oracle_residual"] = oracle_residual(
-                    SmearingSpec(c_a), SmearingSpec(c_b), self.geom, self.state)
+                computed["oracle_residual"] = oracle_residual(self.geom, self.state)
         except QuadratureError:
             row["status"] = "quadrature_error"
         except (OverflowError, ValueError, ConsistencyError):

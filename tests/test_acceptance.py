@@ -93,8 +93,8 @@ def test_criterion_01_closed_form_vs_quadrature_grid(monkeypatch):
     started = time.perf_counter()
     detail = _registry_detail("field_oracle_grid")
     elapsed = time.perf_counter() - started
-    assert detail["points"] == 147
-    # J(0, 0) once for the three norms, then each of the 16 geometries once
+    assert detail["points"] == len(GRID_SEPARATIONS) * len(GRID_DELAYS)
+    # J(0, 0) once, then each of the 16 geometries once
     assert calls[0] == (0.0, 0.0, None)
     assert len(set(calls[:17])) == 17 and all(beta is None for *_, beta in calls[:17])
     # then per beta J(0, 0, beta) and each thermal geometry once

@@ -773,7 +773,7 @@ def test_coupling_past_overflow_takes_its_limit(lambda_a, beta):
     assert below["nu_a"] == below["nu_ab_plus"] == below["nu_ab_minus"] == 0.0
     assert row["nu_b"] == below["nu_b"]
     assert math.isfinite(row["delta_ab"]) and math.isfinite(row["c_closed"])
-    # both norm routes overflow to inf there, which the oracle counts as agreement
+    # the residual takes no coupling, so the overflowed norm does not reach it
     checked = evaluate_point(lambda_a, 1.0, 6.0, 6.0, beta=beta, oracle=True)
     assert checked["status"] == "ok"
     assert 0.0 <= checked["oracle_residual"] < 1e-12
@@ -941,31 +941,42 @@ def test_rows_and_selftest_share_one_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
-@pytest.mark.parametrize("couplings", [(1.0, 1.0), (20.0, 5e-324), (1e-160, 1e-160)])
+@pytest.mark.parametrize("couplings", [(1.0, 1.0), (20.0, 5e-324), (1e-160, 1e-160),
+                                       (1e-7, 1e-7), (0.0, 0.0)])
 def test_oracle_residual_sees_a_re_j_error_at_every_coupling(monkeypatch, couplings, beta):
-    # the residual once took W = pref J and divided pref back out, and
-    # skipped Re J below the smallest normal pref: an oracle Re J(6, 6) off
-    # by 1e-3 read 1.75e-16 at couplings (20, 5e-324) and 4.9e-312 at
-    # (1e-160, 1e-160)
+    # the residual once scaled its terms by the couplings, which hid an
+    # error in any part of J at small ones: an oracle Re J(6, 6) off by 1e-3
+    # read 4.9e-312 at couplings (1e-160, 1e-160); Im J(6, 6) off by 1e-3
+    # read 5.3e-8 at (1e-7, 1e-7) and 0.0 at (0, 0) with beta = 2; and
+    # J(0, 0, beta) off by 1e-3 read 2.5e-7 at (1e-7, 1e-7)
     oracle_j = field.oracle_j
+    j0 = field.cross_real_closed(0.0, 0.0, beta)
+    errors = (
+        # Re J is compared absolutely over J(0, 0, beta), the rest relatively
+        ((6.0, 6.0), lambda j: j + 1e-3, 1e-3 / j0),
+        ((6.0, 6.0), lambda j: complex(j.real, j.imag * (1.0 + 1e-3)), 1e-3),
+        ((0.0, 0.0), lambda j: j * (1.0 + 1e-3), 1e-3),
+    )
+    for place, corrupt, expected in errors:
+        def off(L, dtau, beta, place=place, corrupt=corrupt):
+            j = oracle_j(L, dtau, beta)
+            return corrupt(j) if (L, dtau) == place else j
 
-    def off(L, dtau, beta):
-        j = oracle_j(L, dtau, beta)
-        return j + 1e-3 if (L, dtau) == (6.0, 6.0) else j
-
-    monkeypatch.setattr(field, "oracle_j", off)
-    f_a, f_b = (SmearingSpec(coupling=c) for c in couplings)
-    got = field.oracle_residual(f_a, f_b, PairGeometry(6.0, 6.0), field.FieldStateSpec(beta))
-    assert abs(got - 1e-3 / field.cross_real_closed(0.0, 0.0, beta)) <= 1e-12
+        monkeypatch.setattr(field, "oracle_j", off)
+        row = evaluate_point(*couplings, 6.0, 6.0, beta=beta, oracle=True)
+        assert row["status"] == "ok"
+        assert abs(row["oracle_residual"] - expected) <= 1e-12
 
 
 def test_oracle_paths_do_not_scale_j_by_the_couplings(monkeypatch, tmp_path, capsys):
-    # residual takes J itself: the W views are for the tests and tracing
+    # residual takes J itself and no coupling: the W views are for the
+    # tests and tracing, and the coupling helpers for the statistics' users
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle compares J, not W = pref J")
 
-    monkeypatch.setattr(field, "wightman_cross_quadrature", refuse)
-    monkeypatch.setattr(field, "norm_sq_quadrature", refuse)
+    for name in ("wightman_cross_quadrature", "norm_sq_quadrature", "pair_prefactor",
+                 "norm_sq_closed"):
+        monkeypatch.setattr(field, name, refuse)
     cfg = write_config(tmp_path, BASE_CONFIG + "beta = 2\n")
     assert main(["sweep", "--config", cfg, "--oracle"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]

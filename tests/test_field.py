@@ -526,8 +526,7 @@ def test_radial_integral_at_tiny_beta_is_finite(beta):
     # overflowed in its sums and the oracle refused; the rule sums beta f
     j = field._radial_integral(6.0, 6.0, beta)
     assert math.isclose(j.real, cross_real_closed(6.0, 6.0, beta), rel_tol=1e-12)
-    f = SmearingSpec(coupling=1.0)
-    assert field.oracle_residual(f, f, PairGeometry(6.0, 6.0), thermal(beta)) < 1e-6
+    assert field.oracle_residual(PairGeometry(6.0, 6.0), thermal(beta)) < 1e-6
 
 
 @pytest.mark.parametrize("beta", [5e-324, 1e-310])
@@ -537,9 +536,8 @@ def test_radial_integral_past_the_float_range_at_tiny_beta_is_a_typed_error(beta
     # at 1e-310 J came back NaN with a NaN estimate, which passed as met
     with pytest.raises(QuadratureError):
         field._radial_integral(6.0, 6.0, beta)
-    f = SmearingSpec(coupling=1.0)
     with pytest.raises(QuadratureError):
-        field.oracle_residual(f, f, PairGeometry(6.0, 6.0), thermal(beta))
+        field.oracle_residual(PairGeometry(6.0, 6.0), thermal(beta))
 
 
 def test_radial_integral_non_finite_value_is_a_miss(monkeypatch):

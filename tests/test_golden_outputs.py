@@ -6,10 +6,12 @@ the digest here and says why in CHANGES.md.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 
 import pytest
 
+from deltachannel import field
 from deltachannel.cli import main
 
 # the Fig-1 config of the README
@@ -53,13 +55,13 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("config, flags, digest", [
     (FIG1_CONFIG, [], "b2f48bcc96686c2d047b39528b7daff104bc12447c2980d9449c6e0333e52d0c"),
     (ORACLE_CONFIG, ["--oracle"],
-     "1263b079998a06f9408aead86734f3bfeab2c84a6a211ef24ee22a40f0981be8"),
+     "5b44bd6579347352ccf50975ae567caea5a5169eae0c74534618e8923bd91815"),
     (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
-     "835ac7da2aff6875a206253f0405dc199af64defc3c446ba3f210b07fcfda314"),
+     "e6ba34730bffb28f2c79a0fe451a5d45c6f7b7f14222d0caaf06e4b33a244ffc"),
     (ORACLE_COUPLING_CONFIG, ["--oracle"],
-     "5ec1781502b0072894efe5903f181408e5ef2ec7171bb00c886734c37c3151ea"),
+     "09c960f9b40665af8f49f60d8ceedb0fcc334add301cbd3e547ae8c522cb6fcd"),
     (ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
-     "0424c6802b620ca3f94c4e8eb1b2d0569cc6ce46dfb0501b8b28886f99577cf9"),
+     "e2dd1e024b3e38be47fbb1d3822911d7eca0282d9e12dc9377ee0ba0f04d372c"),
 ], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2", "oracle_coupling_csv_vacuum",
         "oracle_coupling_csv_beta2"])
 def test_sweep_bytes(tmp_path, config, flags, digest):
@@ -71,10 +73,26 @@ def test_sweep_bytes(tmp_path, config, flags, digest):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (POINT, "fadbe1d86dc7c2b47cdb3392ccd63669a769caec952f0b36046940b90eb65e59"),
-    (POINT + ["--beta", "2"], "42409c97666f4b7e39593f4374fd3649b20f671bffc7a414b44106875b6970cd"),
-    (["selftest"], "e733eddecab91a251cb6075ce869b818add3dbcdbde6e3da73c7fce2c132c16e"),
+    (POINT, "5a919ca32e9c645a62ee396fb490f6ba2afb5214de7104e1791ffa64b276a07e"),
+    (POINT + ["--beta", "2"], "349fdb93e5c878a92a77fece299094ba98c23e826dc9d62df8f5554e5e66058a"),
+    (["selftest"], "af6720e3a912a1ca967a46f158fbe32d46317220fd665466cd0c3865c812a5e2"),
 ], ids=["point_vacuum", "point_beta2", "selftest"])
 def test_stdout_bytes(capsys, argv, digest):
     assert main(argv) == 0
     assert _digest(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_oracle_coupling_rows_carry_their_geometry_residual(tmp_path, beta):
+    # the residual compares J alone, so all 256 rows of the one geometry
+    # carry its bits; when the couplings scaled its terms these rows held
+    # 48 distinct values in the vacuum and 16 at beta = 2
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(ORACLE_COUPLING_CONFIG + (f"beta = {beta}\n" if beta else ""), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out), "--oracle"]) == 0
+    with out.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 256 and {(row["L"], row["dtau"]) for row in rows} == {("6.0", "6.0")}
+    expected = field.oracle_residual(field.PairGeometry(6.0, 6.0), field.FieldStateSpec(beta))
+    assert {float(row["oracle_residual"]).hex() for row in rows} == {expected.hex()}
