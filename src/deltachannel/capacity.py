@@ -44,6 +44,16 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log(x) + (1.0 - x) * math.log1p(-x)) / LN2
 
 
+def _h(u: float) -> float:
+    """h(u) = binary_entropy(1/2 + u / 2) bit for bit, for a length u >= 0."""
+    x = 0.5 + 0.5 * u
+    if not x < 1.0:
+        if x <= 1.0 + 1e-12:
+            return 0.0
+        raise ValueError(f"binary_entropy argument {x!r} outside [0, 1]")
+    return -(x * math.log(x) + (1.0 - x) * math.log1p(-x)) / LN2
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy in bits of a 2x2 density matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -161,8 +171,7 @@ def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -
     if not math.isfinite(delta_ab):
         raise ValueError("delta_ab must be finite")
     w = min(max(nu_b, 0.0), 1.0) * r_perp
-    contracted = math.hypot(p, w * abs(math.cos(2.0 * delta_ab)))
-    c = binary_entropy(0.5 + 0.5 * contracted) - binary_entropy(0.5 + 0.5 * math.hypot(p, w))
+    c = _h(math.hypot(p, w * abs(math.cos(2.0 * delta_ab)))) - _h(math.hypot(p, w))
     if c < -1e-12:
         raise ConsistencyError(f"closed-form capacity came out negative: {c!r}")
     return max(c, 0.0), w
@@ -185,8 +194,8 @@ def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: Qubi
     1.0e-6 for |delta_ab| in [1e8, 1e10) and 2.3e-4 in [1e10, 1e12).  Past
     about 1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps no digit,
     and C is a value in [0, 1] set by the rounding of delta_ab alone.  No
-    error is raised (ROADMAP.md's per-row accuracy item plans a refusal):
-    at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
+    error is raised (ROADMAP.md's "c_closed to relative accuracy" item
+    plans a refusal): at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
     delta_ab = 5.3e297 and C = 0.353.  Computed as capacity_and_nu_eff on
     bob_lengths.
     """

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import os
 import re
@@ -15,7 +14,8 @@ import sys
 
 from .errors import ConfigError
 from .selftest import selftest
-from .sweep import format_csv, format_json, parse_config, parse_triple, point_query, run_sweep, to_json
+from .sweep import (FORMATS, format_csv, format_json, parse_config, parse_triple, point_query,
+                    run_sweep, to_json)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -82,7 +82,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sweep.set_defaults(run=_run_sweep)
     sweep.add_argument("--config", required=True, help="path to a key = value config file")
     sweep.add_argument("--output", help="result file path (overrides the config)")
-    sweep.add_argument("--format", choices=("csv", "json"), help="result format (overrides the config)")
+    sweep.add_argument("--format", choices=FORMATS, help="result format (overrides the config)")
     sweep.add_argument("--oracle", action="store_true", help="add quadrature cross-check residuals")
     sweep.add_argument("--optimize", action="store_true", help="run the brute-force optimizer per point")
 
@@ -121,15 +121,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    # a flag given on the command line overrides its config key
-    cfg = dataclasses.replace(
-        cfg,
-        output=cfg.output if args.output is None else args.output,
-        format=cfg.format if args.format is None else args.format,
-        oracle=cfg.oracle or args.oracle,
-        optimizer=cfg.optimizer or args.optimize,
-    )
+    # a flag given on the command line overrides its config key; a flag
+    # left out (None, or a switch not set) leaves the key as it is
+    flags = {"output": args.output, "format": args.format,
+             "oracle": args.oracle or None, "optimizer": args.optimize or None}
+    cfg = parse_config(args.config, **{k: v for k, v in flags.items() if v is not None})
     _check_output_dir(cfg.output)
     # a target that cannot be written fails before a long grid runs
     with _open_output(cfg.output) as handle:

@@ -209,10 +209,13 @@ class FieldStatistics:
     delta_ab: float
 
     def __post_init__(self):
-        for name in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        # a chained comparison is false for NaN and +-inf as well
+        if not (0.0 <= self.nu_a <= 1.0 and 0.0 <= self.nu_b <= 1.0
+                and 0.0 <= self.nu_ab_plus <= 1.0 and 0.0 <= self.nu_ab_minus <= 1.0):
+            for name in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus"):
+                v = getattr(self, name)
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         if not math.isfinite(self.delta_ab):
             raise ValueError("delta_ab must be finite")
 

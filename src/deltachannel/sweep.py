@@ -12,19 +12,24 @@ A sweep splits each row's work by what it depends on:
   with the two lengths (p, r_perp) that the capacity reads at phase_b;
   on an r_b axis Bob is resolved per row instead;
 - per geometry: PairGeometry's validation, the cached Re J and the
-  commutator's geometry factors, taken again only when (L, dtau) differs
-  from the previous row's, so that in row-major order each inner
-  coupling line is one run of a single geometry;
+  commutator's geometry factors, and with --oracle the residual (or its
+  QuadratureError), taken again only when (L, dtau) differs from the
+  previous row's, so that in row-major order each inner coupling line is
+  one run of a single geometry;
 - per row: the coupling products, the validated FieldStatistics, the
-  capacity's contraction and two entropies, and the row dict.
+  capacity's contraction and two entropies, and then the row dict, built
+  once in column order from the values computed.
 evaluate_point and point_query run the same row kernel on a one-row grid,
-so each reproduces its sweep row bit for bit.
+so each reproduces its sweep row bit for bit.  format_csv writes the
+rows column by column: each numeric column is read out and formatted in
+one pass, and the cells are then joined row by row.
 """
 from __future__ import annotations
 
 import codecs
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -68,6 +73,7 @@ COLUMNS = (
 STATISTICS_COLUMNS = COLUMNS[4:9]
 
 AXIS_NAMES = ("lambda_a", "lambda_b", "L", "dtau", "r_b")
+FORMATS = ("csv", "json")
 # each numeric config key's rule, as "must ...": a fixed value and both
 # ends of its axis keep the same one
 _NONNEGATIVE = ("be >= 0", lambda v: 0.0 <= v < math.inf)
@@ -119,8 +125,8 @@ class AxisSpec:
         if self.count == 1:
             return [float(self.lo)]
         if self.scale == "log":
-            return [float(v) for v in np.geomspace(self.lo, self.hi, self.count)]
-        return [float(v) for v in np.linspace(self.lo, self.hi, self.count)]
+            return np.geomspace(self.lo, self.hi, self.count).tolist()
+        return np.linspace(self.lo, self.hi, self.count).tolist()
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,7 @@ class SweepConfig:
             if axis.name in seen:
                 raise ConfigError(f"axis {axis.name!r} given twice")
             seen.add(axis.name)
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
 
@@ -200,8 +206,11 @@ def parse_triple(text: str, where: str) -> tuple[float, float, float]:
     return tuple(_parse_float(p.strip(), where) for p in parts)
 
 
-def parse_config_text(text: str) -> SweepConfig:
-    """Parse the flat key = value config grammar into a SweepConfig."""
+def parse_config_text(text: str, **overrides) -> SweepConfig:
+    """Parse the flat key = value config grammar into a SweepConfig.
+
+    overrides are SweepConfig fields that replace the config's values, as
+    the CLI's flags do; every key of the text is still checked."""
     fields: dict = {}
     axes: list[AxisSpec] = []
     seen: set[str] = set()
@@ -227,7 +236,12 @@ def parse_config_text(text: str) -> SweepConfig:
             fields["bob_bloch"] = parse_triple(value, where)
         elif key in ("oracle", "optimizer"):
             fields[key] = _parse_bool(value, where)
-        elif key in ("format", "output"):
+        elif key == "format":
+            # checked here, so that a --format flag never hides a bad key
+            if value not in FORMATS:
+                raise ConfigError(f"{where}: format must be csv or json, got {value!r}")
+            fields[key] = value
+        elif key == "output":
             fields[key] = value
         elif key.startswith("axis."):
             name = key[len("axis."):]
@@ -248,10 +262,10 @@ def parse_config_text(text: str) -> SweepConfig:
         raise ConfigError(
             f"unsupported schema_version {schema_version!r}; this build reads {SCHEMA_VERSION}"
         )
-    return SweepConfig(axes=tuple(axes), **fields)
+    return SweepConfig(axes=tuple(axes), **{**fields, **overrides})
 
 
-def parse_config(path: str) -> SweepConfig:
+def parse_config(path: str, **overrides) -> SweepConfig:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -265,7 +279,7 @@ def parse_config(path: str) -> SweepConfig:
     except UnicodeDecodeError as exc:
         at = bom + exc.start
         raise ConfigError(f"config {path!r} is not UTF-8: byte {data[at]:#04x} at offset {at}") from None
-    return parse_config_text(text)
+    return parse_config_text(text, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +300,17 @@ def _resolve_bob(bob_bloch: tuple[float, float, float], r_b: float | None) -> Qu
     return QubitState(*(r_b * c / norm for c in bob_bloch))
 
 
+# a domain_error row: every computed cell NaN; the row fills in its inputs
+_DOMAIN_ERROR_ROW = dict.fromkeys(COLUMNS, math.nan) | {"status": "domain_error"}
+
+
 class _Rows:
     """One sweep's row kernel: the per-sweep invariants, set_bob's Bob, the
-    last geometry's terms, and the per-row arithmetic of the module
-    docstring."""
+    last geometry's terms and oracle residual, and the per-row arithmetic
+    of the module docstring."""
 
     __slots__ = ("eta", "state", "j0", "phase_a", "phase_b", "oracle", "optimizer",
-                 "bob", "p", "r_perp", "place", "geom", "terms")
+                 "bob", "p", "r_perp", "place", "geom", "terms", "checked")
 
     def __init__(self, eta_over_sigma: float, beta: float | None, phase_a: float,
                  phase_b: float, oracle: bool, optimizer: bool):
@@ -304,7 +322,8 @@ class _Rows:
         self.j0 = cross_real_closed(0.0, 0.0, beta)
         self.phase_a, self.phase_b = phase_a, phase_b
         self.oracle, self.optimizer = oracle, optimizer
-        # the (L, dtau) of geom; terms are its geometry_terms, None until taken
+        # the (L, dtau) of geom; terms are its geometry_terms and checked its
+        # (oracle_residual, status), each None until taken
         self.place = None
 
     def set_bob(self, bob: QubitState) -> None:
@@ -315,14 +334,13 @@ class _Rows:
             delay: float) -> tuple[dict, FieldStatistics | None, float]:
         """(row, its FieldStatistics, Bob's nu_eff w); a domain_error row
         gives None and NaN."""
-        row = dict.fromkeys(COLUMNS, math.nan)
-        row.update(lambda_a=lambda_a, lambda_b=lambda_b, L=separation, dtau=delay, status="ok")
         check_nonnegative("lambda_a", lambda_a)
         check_nonnegative("lambda_b", lambda_b)
         if (separation, delay) != self.place:
             self.geom = PairGeometry(separation, delay)
-            self.place, self.terms = (separation, delay), None
-        computed: dict = {}
+            self.place, self.terms, self.checked = (separation, delay), None, None
+        c_bruteforce = gap = residual = math.nan
+        status = "ok"
         try:
             if self.terms is None:
                 # Re J can overflow (beta ~ 1e21 with |dtau +- L| past beta):
@@ -334,19 +352,26 @@ class _Rows:
             check_nonnegative("coupling", c_b)
             stats = statistics_from_terms(c_a, c_b, self.terms, self.j0)
             c_closed, w = capacity_and_nu_eff(stats.nu_b, stats.delta_ab, self.p, self.r_perp)
-            computed.update(vars(stats), c_closed=c_closed)
             if self.optimizer:
                 result = capacity_bruteforce(ChannelParams(stats, self.phase_a, self.phase_b, self.bob))
-                computed.update(c_bruteforce=result.c_bruteforce, gap=result.gap)
+                c_bruteforce, gap = result.c_bruteforce, result.gap
             if self.oracle:
-                computed["oracle_residual"] = oracle_residual(self.geom, self.state)
-        except QuadratureError:
-            row["status"] = "quadrature_error"
+                if self.checked is None:
+                    # the residual reads no coupling: one per geometry, and
+                    # a QuadratureError fails every row of it alike
+                    try:
+                        self.checked = oracle_residual(self.geom, self.state), "ok"
+                    except QuadratureError:
+                        self.checked = math.nan, "quadrature_error"
+                residual, status = self.checked
         except (OverflowError, ValueError, ConsistencyError):
-            row["status"] = "domain_error"
-            return row, None, math.nan
-        row.update(computed)
-        return row, stats, w
+            return ({**_DOMAIN_ERROR_ROW, "lambda_a": lambda_a, "lambda_b": lambda_b,
+                     "L": separation, "dtau": delay}, None, math.nan)
+        return {"lambda_a": lambda_a, "lambda_b": lambda_b, "L": separation, "dtau": delay,
+                "nu_a": stats.nu_a, "nu_b": stats.nu_b, "nu_ab_plus": stats.nu_ab_plus,
+                "nu_ab_minus": stats.nu_ab_minus, "delta_ab": stats.delta_ab,
+                "c_closed": c_closed, "c_bruteforce": c_bruteforce, "gap": gap,
+                "oracle_residual": residual, "status": status}, stats, w
 
 
 def _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
@@ -415,11 +440,16 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 # serialization
 # ---------------------------------------------------------------------------
 
+# a row's numeric cells, in column order
+_NUMERIC_CELLS = operator.itemgetter(*COLUMNS[:-1])
+
+
 def format_csv(rows: list[dict]) -> str:
-    lines = [",".join(COLUMNS)]
-    for row in rows:
-        lines.append(",".join([repr(float(row[c])) for c in COLUMNS[:-1]] + [row["status"]]))
-    return "\n".join(lines) + "\n"
+    """The rows as CSV: a header, then each numeric cell as repr(float(v))
+    and the status.  Each numeric column is formatted in one pass."""
+    columns = [map(repr, map(float, column)) for column in zip(*map(_NUMERIC_CELLS, rows))]
+    lines = map(",".join, zip(*columns, [row["status"] for row in rows]))
+    return "\n".join([",".join(COLUMNS), *lines]) + "\n"
 
 
 def _json(value, pad: str) -> str:

@@ -249,6 +249,7 @@ def test_sweep_rows_match_single_point_evaluation(cfg, status):
         )
         bob = sweep._resolve_bob(cfg.bob_bloch, overrides.get("r_b", cfg.r_b))
         lone = evaluate_point(bob=bob, **inputs)
+        assert list(row) == list(lone) == list(COLUMNS)
         for column in COLUMNS:
             left, right = row[column], lone[column]
             if isinstance(left, float):
@@ -395,6 +396,24 @@ def test_csv_writes_library_callers_cells_as_floats():
     cells = format_csv([row]).splitlines()[1].split(",")
     assert cells[:4] == ["3.0", "0.1", "1e-320", "0.0"]
     assert cells[-1] == "ok" and len(cells) == len(COLUMNS)
+
+
+def test_csv_writer_matches_the_per_cell_formula():
+    # format_csv writes by column; each line must be the per-row formula's
+    def per_cell(rows):
+        lines = [",".join(COLUMNS)]
+        for row in rows:
+            lines.append(",".join([repr(float(row[c])) for c in COLUMNS[:-1]] + [row["status"]]))
+        return "\n".join(lines) + "\n"
+
+    cells = [3, -0, 0.0, -0.0, 5e-324, 2.2e-308, 1e300, -1e300, math.nan, math.inf, -math.inf,
+             np.float64(0.1), 1 / 3]
+    rows = []
+    for k, status in enumerate(("ok", "quadrature_error", "domain_error") * 3):
+        rows.append(dict(zip(COLUMNS, [cells[(k + i) % len(cells)] for i in range(13)] + [status])))
+    assert format_csv([]) == per_cell([]) == ",".join(COLUMNS) + "\n"
+    for chosen in (rows, rows[:1], rows[::-1]):
+        assert format_csv(chosen) == per_cell(chosen)
 
 
 # floats the shortest repr must get right, and NaN, written as null
@@ -623,6 +642,37 @@ def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monk
     assert calls == [(6.0, 2.0, beta), (0.0, 0.0, beta), (6.0, 4.0, beta), (6.0, 6.0, beta)]
     # the closed form too: its three Re J and J(0, 0, beta), once each
     assert field.cross_real_closed.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+@pytest.mark.parametrize(("L", "status"), [(6.0, "ok"), (3000.0, "quadrature_error")])
+def test_oracle_residual_is_taken_once_per_geometry(monkeypatch, beta, L, status):
+    # the residual reads no coupling: a 4x4 coupling grid takes it once, and
+    # a QuadratureError once too, where every row keeps its statistics
+    calls = []
+    residual = sweep.oracle_residual
+
+    def counted(geom, state):
+        calls.append((geom.separation, geom.delay, state.beta))
+        return residual(geom, state)
+
+    monkeypatch.setattr(sweep, "oracle_residual", counted)
+    text = ORACLE_COUPLING_CONFIG.format(L=L, dtau=1.0) + (f"beta = {beta}\n" if beta else "")
+    rows = run_sweep(parse_config_text(text))
+    assert len(rows) == 16
+    assert calls == [(L, 1.0, beta)]
+    assert all(row["status"] == status for row in rows)
+    assert all(math.isnan(row["oracle_residual"]) == (status != "ok") for row in rows)
+    # every other cell is the row's own, as without --oracle
+    for row in rows:
+        lone = evaluate_point(row["lambda_a"], row["lambda_b"], L, 1.0, beta=beta)
+        assert [repr(row[c]) for c in COLUMNS[:-2]] == [repr(lone[c]) for c in COLUMNS[:-2]]
+    # each run of one geometry takes its own: dtau innermost changes it every row
+    calls.clear()
+    text = (f"schema_version = 1\nL = {L}\naxis.lambda_a = 0.1, 1000, 4, log\n"
+            "axis.dtau = 1, 2, 2, linear\noracle = true\n") + (f"beta = {beta}\n" if beta else "")
+    assert [row["status"] for row in run_sweep(parse_config_text(text))] == [status] * 8
+    assert calls == [(L, 1.0, beta), (L, 2.0, beta)] * 4
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
@@ -1259,6 +1309,10 @@ def test_cli_sweep_flags_override_config_keys(tmp_path, capsys):
     (doc_row,) = json.loads(flagged.read_text(encoding="utf-8"))["rows"]
     assert doc_row["oracle_residual"] is not None
     assert doc_row["c_bruteforce"] is not None
+    # a flag never hides a bad key: the config is checked as written
+    bad = write_config(tmp_path, "schema_version = 1\nformat = xml\n")
+    assert main(["sweep", "--config", bad, "--format", "csv"]) == 2
+    assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
 
 
 def test_cli_selftest_single_check_passes(capsys):
