@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .capacity import capacity_bruteforce, capacity_closed_form
 from .channel import ChannelParams, QubitState, apply
-from .field import VACUUM, PairGeometry, SmearingSpec, assemble_statistics, thermal
+from .field import VACUUM, PairGeometry, assemble_statistics, thermal
 from .selftest import selftest
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "VACUUM",
     "PairGeometry",
-    "SmearingSpec",
     "assemble_statistics",
     "thermal",
     "ChannelParams",

@@ -159,12 +159,25 @@ def bob_lengths(phase_b: float, bob: QubitState) -> tuple[float, float]:
 
 
 def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -> tuple[float, float]:
-    """(capacity_closed_form, w) from Bob's bob_lengths (p, r_perp): per
-    coupling only the contraction and two entropies.
+    """(C, w) from Bob's bob_lengths (p, r_perp): per coupling only the
+    contraction and two entropies.
 
-    w = nu_b r_perp (nu_eff) is the coherence that the channel contracts and
-    the signal turns; Bob's output at amplitude theta has length
-    hypot(p, w sqrt(cos^2 2 delta + theta^2 sin^2 2 delta)).
+    C = h(hypot(p, w |cos 2 delta|)) - h(hypot(p, w)) with h(u) =
+    H(1/2 + u / 2), and w = nu_b r_perp (nu_eff) is the coherence that the
+    channel contracts and the signal turns; Bob's output at amplitude theta
+    has length hypot(p, w sqrt(cos^2 2 delta + theta^2 sin^2 2 delta)).
+    nu_b = 0 is admitted as the underflow image of very strong coupling.
+
+    Precision limit: C reads delta_ab only through cos 2 delta, and the
+    rounding of delta_ab moves 2 delta by up to ulp(delta_ab), about
+    2.2e-16 |delta_ab|.  So C's error grows as about 1e-16 |delta_ab|:
+    against an 80-digit reference on the Fig-1 geometry, |Delta C| reached
+    1.0e-6 for |delta_ab| in [1e8, 1e10) and 2.3e-4 in [1e10, 1e12).  Past
+    about 1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps no digit,
+    and C is a value in [0, 1] set by the rounding of delta_ab alone.  No
+    error is raised (ROADMAP.md's "c_closed to relative accuracy" item
+    plans a refusal): at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
+    delta_ab = 5.3e297 and C = 0.353.
     """
     if not -1e-12 <= nu_b <= 1.0 + 1e-12:
         raise ValueError(f"nu_b = {nu_b!r} outside [0, 1]")
@@ -178,26 +191,12 @@ def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -
 
 
 def capacity_closed_form(nu_b: float, delta_ab: float, phase_b: float, bob: QubitState) -> float:
-    """Classical capacity in bits of the channel with these four inputs.
+    """Classical capacity in bits of the channel with these four inputs:
+    capacity_and_nu_eff applied to bob_lengths(phase_b, bob).
 
-    C = h(hypot(p, w |cos 2 delta|)) - h(hypot(p, w)), with p of
-    bob_lengths, w of capacity_and_nu_eff and h(u) = H(1/2 + u / 2).  ChannelParams makes base
-    orthogonal to slope, so the output entropy g(theta) is even as well as
-    concave, and the inputs theta = -1 and +1 with weights 1/2 are optimal:
-    C = g(0) - g(1).  nu_b = 0 is admitted as the underflow image of very
-    strong coupling.
-
-    Precision limit: C reads delta_ab only through cos 2 delta, and the
-    rounding of delta_ab moves 2 delta by up to ulp(delta_ab), about
-    2.2e-16 |delta_ab|.  So C's error grows as about 1e-16 |delta_ab|:
-    against an 80-digit reference on the Fig-1 geometry, |Delta C| reached
-    1.0e-6 for |delta_ab| in [1e8, 1e10) and 2.3e-4 in [1e10, 1e12).  Past
-    about 1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps no digit,
-    and C is a value in [0, 1] set by the rounding of delta_ab alone.  No
-    error is raised (ROADMAP.md's "c_closed to relative accuracy" item
-    plans a refusal): at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
-    delta_ab = 5.3e297 and C = 0.353.  Computed as capacity_and_nu_eff on
-    bob_lengths.
+    ChannelParams makes base orthogonal to slope, so the output entropy
+    g(theta) is even as well as concave, and the inputs theta = -1 and +1
+    with weights 1/2 are optimal: C = g(0) - g(1).
     """
     return capacity_and_nu_eff(nu_b, delta_ab, *bob_lengths(phase_b, bob))[0]
 

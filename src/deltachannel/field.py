@@ -30,7 +30,8 @@ commutator_terms' factors), and statistics_from_terms does the coupling
 arithmetic on them and a state's J(0, 0, beta), so a sweep takes the
 latter once and a geometry's terms once per run of rows at that
 geometry.  Everything is dimensionless in units of the Gaussian smearing
-width sigma: couplings are lambda_tilde/sigma, distances L/sigma, delays
+width sigma: couplings are floats lambda_tilde/sigma >= 0 (an entry point
+that takes one raises ValueError otherwise), distances L/sigma, delays
 dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
@@ -153,23 +154,6 @@ GEOMETRY_CACHE_SIZE = 4096
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmearingSpec:
-    """One detector's delta-switched Gaussian smearing, as the field sees it.
-
-    coupling is the effective dimensionless coupling lambda_tilde/sigma,
-    >= 0.  The Gaussian width sigma is the unit of length and time.  Where
-    the detectors sit and when they switch reaches the field only through
-    PairGeometry, and the gap and switching time reach the channel only as
-    the phase Omega * tau_0 that ChannelParams takes.
-    """
-
-    coupling: float
-
-    def __post_init__(self):
-        check_nonnegative("coupling", self.coupling)
-
-
 def check_nonnegative(name: str, value: float) -> None:
     """The rule of a coupling, a separation or a sweep's factor: finite and >= 0."""
     if not (math.isfinite(value) and value >= 0.0):
@@ -247,25 +231,17 @@ def thermal(beta: float) -> FieldStateSpec:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def pair_prefactor(f_a: SmearingSpec, f_b: SmearingSpec) -> float:
-    """coupling_A * coupling_B / (4 pi^2): each smeared two-point value is this times a J."""
-    return _prefactor(f_a.coupling, f_b.coupling)
-
-
 def _prefactor(coupling_a: float, coupling_b: float) -> float:
+    """coupling_A * coupling_B / (4 pi^2): each smeared two-point value is this times a J."""
     return coupling_a * coupling_b / FOUR_PI_SQ
 
 
-def norm_sq_closed(f: SmearingSpec) -> float:
+def _norm_sq(coupling: float) -> float:
     """||Ef||^2 in the vacuum: coupling^2 / (4 pi^2).
 
     Past coupling ~1.3e154 the square overflows; the norm is then inf, its
     limit, and the nu = exp(-2 ||Ef||^2) built on it is 0.0.
     """
-    return _norm_sq(f.coupling)
-
-
-def _norm_sq(coupling: float) -> float:
     try:
         return coupling**2 / FOUR_PI_SQ
     except OverflowError:
@@ -310,7 +286,7 @@ def commutator_from_terms(pref: float, terms: CommutatorTerms) -> float:
     return math.copysign(magnitude, delay) if magnitude else 0.0
 
 
-def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) -> float:
+def commutator_closed(coupling_a: float, coupling_b: float, geom: PairGeometry) -> float:
     """Smeared commutator Delta(f_A, f_B), exact for Gaussian smearings.
 
     Delta = pref * sqrt(pi/2) * (e_near - e_far) / L with
@@ -327,7 +303,9 @@ def commutator_closed(f_a: SmearingSpec, f_b: SmearingSpec, geom: PairGeometry) 
     commutator_from_terms, so that a sweep takes the first once per
     geometry.
     """
-    return commutator_from_terms(pair_prefactor(f_a, f_b), commutator_terms(geom))
+    check_nonnegative("coupling_a", coupling_a)
+    check_nonnegative("coupling_b", coupling_b)
+    return commutator_from_terms(_prefactor(coupling_a, coupling_b), commutator_terms(geom))
 
 
 def dawson(x: float) -> float:
@@ -407,7 +385,7 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
     Gauss-Legendre.  L = 0
     gives F'(dtau), so J(0, 0) = 1 in the vacuum and J(0, 0, beta) =
     cross_real_closed(0, 0, beta), and a subnormal L gives the same bits.
-    Re W(f_A, f_B) = pair_prefactor(f_A, f_B) * Re J.  The last
+    Re W(f_A, f_B) = lambda_A lambda_B / (4 pi^2) * Re J.  The last
     GEOMETRY_CACHE_SIZE values are cached, so a sweep computes J(0, 0, beta)
     and each geometry's Re J once, and a row's residual reuses its
     statistics' values; -0.0 and 0.0 share a key and give the same bits.
@@ -795,24 +773,28 @@ def oracle_j(L: float, dtau: float, beta: float | None) -> complex:
 
 
 def wightman_cross_quadrature(
-    f_a: SmearingSpec,
-    f_b: SmearingSpec,
+    coupling_a: float,
+    coupling_b: float,
     geom: PairGeometry,
     state: FieldStateSpec = VACUUM,
 ) -> complex:
-    """Smeared two-point value W(f_A, f_B) = pair_prefactor * oracle_j.
+    """Smeared two-point value W(f_A, f_B) = lambda_A lambda_B / (4 pi^2)
+    times oracle_j.
 
     Im W(f_A, f_B) = -Delta(f_A, f_B)/2 holds for every state: the thermal
     kernel enhances only the real (symmetric) part.  No library path calls
     it: residual takes J.
     """
-    return pair_prefactor(f_a, f_b) * oracle_j(geom.separation, geom.delay, state.beta)
+    check_nonnegative("coupling_a", coupling_a)
+    check_nonnegative("coupling_b", coupling_b)
+    return _prefactor(coupling_a, coupling_b) * oracle_j(geom.separation, geom.delay, state.beta)
 
 
-def norm_sq_quadrature(f: SmearingSpec, state: FieldStateSpec = VACUUM) -> float:
-    """||Ef||^2 by quadrature: pair_prefactor(f, f) * J(0, 0, beta), the
+def norm_sq_quadrature(coupling: float, state: FieldStateSpec = VACUUM) -> float:
+    """||Ef||^2 by quadrature: coupling^2 / (4 pi^2) * J(0, 0, beta), the
     degenerate (L=0, dtau=0) cross value.  No library path calls it."""
-    return pair_prefactor(f, f) * oracle_j(0.0, 0.0, state.beta).real
+    check_nonnegative("coupling", coupling)
+    return _prefactor(coupling, coupling) * oracle_j(0.0, 0.0, state.beta).real
 
 
 def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -> float:
@@ -820,12 +802,13 @@ def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -
     j = J(L, dtau, beta) and j0 = J(0, 0, beta).
 
     The couplings reach every field scalar only through the prefactor
-    pair_prefactor on J, so the residual compares J alone and counts every
-    term at every coupling.  The commutator at unit prefactor against
-    -2 Im J, relatively, dividing by at least RESIDUAL_FLOOR; J(0, 0, beta),
-    relatively; and Re J, absolutely over J(0, 0, beta), which is
-    Delta Re W / sqrt(n_a n_b): no zero crossing of Re J inflates it.  In
-    the vacuum J(0, 0) = 1.  An undefined term makes the residual NaN.
+    lambda_A lambda_B / (4 pi^2) on J, so the residual compares J alone and
+    counts every term at every coupling.  The commutator at unit prefactor
+    against -2 Im J, relatively, dividing by at least RESIDUAL_FLOOR;
+    J(0, 0, beta), relatively; and Re J, absolutely over J(0, 0, beta),
+    which is Delta Re W / sqrt(n_a n_b): no zero crossing of Re J inflates
+    it.  In the vacuum J(0, 0) = 1.  An undefined term makes the residual
+    NaN.
     """
     terms = geometry_terms(geom, state)
     d_closed = commutator_from_terms(1.0, terms.commutator)
@@ -884,8 +867,8 @@ def statistics_from_terms(
 
 
 def assemble_statistics(
-    f_a: SmearingSpec,
-    f_b: SmearingSpec,
+    coupling_a: float,
+    coupling_b: float,
     geom: PairGeometry,
     state: FieldStateSpec = VACUUM,
 ) -> FieldStatistics:
@@ -894,11 +877,13 @@ def assemble_statistics(
     nu_j = exp(-2 ||Ef_j||^2) and nu_ab_pm = exp(-2 ||E(f_A +- f_B)||^2)
     with the cross norm expanded through Re W(f_A, f_B).  Every scalar is
     closed form, so no integral runs: Re W through cross_real_closed, the
-    vacuum norms through norm_sq_closed, and a thermal norm as the vacuum
+    vacuum norms as coupling^2 / (4 pi^2), and a thermal norm as the vacuum
     one times J(0, 0, beta) = cross_real_closed(0, 0, beta).  The
     commutator is state independent, so delta_ab is commutator_closed's
     value in every state.  The quadrature is the oracle for all of them.
     Built as statistics_from_terms on geometry_terms and J(0, 0, beta).
     """
-    return statistics_from_terms(f_a.coupling, f_b.coupling, geometry_terms(geom, state),
+    check_nonnegative("coupling_a", coupling_a)
+    check_nonnegative("coupling_b", coupling_b)
+    return statistics_from_terms(coupling_a, coupling_b, geometry_terms(geom, state),
                                  cross_real_closed(0.0, 0.0, state.beta))

@@ -208,9 +208,8 @@ def optimizer_gate(result: capacity.CapacityResult) -> bool:
 
 def _check_capacity_optimizer() -> tuple[bool, dict]:
     """Brute-force search against the closed form on representative points."""
-    unit = field.SmearingSpec(coupling=1.0)
     geom = field.PairGeometry(6.0, 6.0)
-    lam_a_star = (math.pi / 4.0) / (0.3 * field.commutator_closed(unit, unit, geom))
+    lam_a_star = (math.pi / 4.0) / (0.3 * field.commutator_closed(1.0, 1.0, geom))
     up = channel.QubitState(0.0, 0.0, 1.0)
     mixed = channel.QubitState(0.5, 0.0, 0.0)
     cases = (
@@ -222,11 +221,7 @@ def _check_capacity_optimizer() -> tuple[bool, dict]:
     detail: dict = {}
     passed = True
     for name, lam_a, lam_b, delay, bob, phase_b in cases:
-        stats = field.assemble_statistics(
-            field.SmearingSpec(coupling=lam_a),
-            field.SmearingSpec(coupling=lam_b),
-            field.PairGeometry(6.0, delay),
-        )
+        stats = field.assemble_statistics(lam_a, lam_b, field.PairGeometry(6.0, delay))
         params = channel.ChannelParams(
             stats=stats,
             phase_a=0.0,

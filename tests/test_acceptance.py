@@ -17,10 +17,9 @@ from deltachannel.channel import ChannelParams, QubitState
 from deltachannel.cli import main
 from deltachannel.field import (
     PairGeometry,
-    SmearingSpec,
+    _norm_sq,
     assemble_statistics,
     commutator_closed,
-    norm_sq_closed,
 )
 from deltachannel.selftest import (
     FIELD_TOL,
@@ -72,11 +71,7 @@ def _registry_detail(name: str) -> dict:
 
 
 def _star_params() -> ChannelParams:
-    stats = assemble_statistics(
-        SmearingSpec(coupling=LAMBDA_A_STAR),
-        SmearingSpec(coupling=0.3),
-        PairGeometry(6.0, 6.0),
-    )
+    stats = assemble_statistics(LAMBDA_A_STAR, 0.3, PairGeometry(6.0, 6.0))
     return ChannelParams(stats=stats, phase_a=0.0, phase_b=0.0,
                          bob_initial=QubitState(0.0, 0.0, 1.0))
 
@@ -135,8 +130,7 @@ def test_criterion_01_integrates_whatever_the_oracle_cached(monkeypatch):
 
 
 def test_criterion_02_unit_coupling_values():
-    f = SmearingSpec(coupling=1.0)
-    norm = norm_sq_closed(f)
+    norm = _norm_sq(1.0)
     nu = math.exp(-2.0 * norm)
     assert abs(norm - 1.0 / (4.0 * math.pi**2)) <= 1e-10
     assert abs(nu - math.exp(-1.0 / (2.0 * math.pi**2))) <= 1e-6
@@ -173,11 +167,7 @@ def test_criterion_05_capacity_optimality_grid():
     results = []
     for lam_a in couplings:
         for lam_b in couplings:
-            stats = assemble_statistics(
-                SmearingSpec(coupling=lam_a),
-                SmearingSpec(coupling=lam_b),
-                PairGeometry(6.0, 6.0),
-            )
+            stats = assemble_statistics(lam_a, lam_b, PairGeometry(6.0, 6.0))
             params = ChannelParams(stats=stats, phase_a=0.3, phase_b=0.7,
                                    bob_initial=QubitState(0.0, 0.0, 1.0))
             results.append(capacity_bruteforce(params))
@@ -193,13 +183,10 @@ def test_criterion_05_capacity_optimality_grid():
 
 
 def test_criterion_06_high_capacity_corner():
-    unit = SmearingSpec(coupling=1.0)
-    unit_delta = commutator_closed(unit, unit, PairGeometry(6.0, 6.0))
+    unit_delta = commutator_closed(1.0, 1.0, PairGeometry(6.0, 6.0))
     lam_a = (math.pi / 4.0) / (0.3 * unit_delta)
     assert np.isclose(lam_a, LAMBDA_A_STAR, rtol=1e-12, atol=0.0)
-    stats = assemble_statistics(
-        SmearingSpec(coupling=lam_a), SmearingSpec(coupling=0.3), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(lam_a, 0.3, PairGeometry(6.0, 6.0))
     assert abs(stats.nu_b - 0.99545) <= 5e-6
     assert np.isclose(2.0 * stats.delta_ab, math.pi / 2.0, rtol=1e-12, atol=0.0)
     c_closed = capacity_closed_form(stats.nu_b, stats.delta_ab, 0.0, QubitState(0.0, 0.0, 1.0))
@@ -209,13 +196,11 @@ def test_criterion_06_high_capacity_corner():
 
 
 def test_criterion_07_zero_capacity_cases():
-    f_a = SmearingSpec(coupling=10.0)
-    f_b = SmearingSpec(coupling=1.0)
     up = QubitState(0.0, 0.0, 1.0)
 
-    simultaneous = assemble_statistics(f_a, f_b, PairGeometry(6.0, 0.0))
-    silent_alice = assemble_statistics(SmearingSpec(coupling=0.0), f_b, PairGeometry(6.0, 6.0))
-    coupled = assemble_statistics(f_a, f_b, PairGeometry(6.0, 6.0))
+    simultaneous = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 0.0))
+    silent_alice = assemble_statistics(0.0, 1.0, PairGeometry(6.0, 6.0))
+    coupled = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 6.0))
     cases = (
         ("dtau = 0", ChannelParams(stats=simultaneous, phase_a=0.0, phase_b=0.0, bob_initial=up)),
         ("lambda_a = 0", ChannelParams(stats=silent_alice, phase_a=0.0, phase_b=0.0, bob_initial=up)),
@@ -234,9 +219,7 @@ def test_criterion_08_gap_independence():
     geom = PairGeometry(6.0, 6.0)
     up = QubitState(0.0, 0.0, 1.0)
 
-    reference = assemble_statistics(
-        SmearingSpec(coupling=lam_a), SmearingSpec(coupling=lam_b), geom
-    )
+    reference = assemble_statistics(lam_a, lam_b, geom)
 
     # the switch phases Omega * tau_0 do reach the channel, but not the
     # Bob-pure capacity: brute force stays within 1e-3 across phase choices

@@ -22,7 +22,6 @@ from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
     FieldStatistics,
     PairGeometry,
-    SmearingSpec,
     assemble_statistics,
 )
 from deltachannel.selftest import random_bloch, random_statistics
@@ -106,9 +105,7 @@ def test_holevo_chi_zero_for_degenerate_ensembles(rng):
 def test_paper_ensemble_attains_the_closed_form():
     # antipodal inputs along (cos phase_a, sin phase_a, 0) with equal weights
     # reach the closed-form capacity through the honest Holevo route
-    stats = assemble_statistics(
-        SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 6.0))
     for phase_a in (0.0, 0.9, 2.4):
         bob = QubitState(0.0, 0.0, 1.0)
         params = ChannelParams(stats=stats, phase_a=phase_a, phase_b=0.0, bob_initial=bob)
@@ -212,9 +209,7 @@ def test_tune_bob_phase_zeroes_invariant_component(rng):
 # ---------------------------------------------------------------------------
 
 def moderate_params() -> ChannelParams:
-    stats = assemble_statistics(
-        SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 6.0))
     return ChannelParams(stats=stats, phase_a=0.0, phase_b=0.0,
                          bob_initial=QubitState(0.0, 0.0, 1.0))
 
@@ -228,9 +223,7 @@ def test_bruteforce_reaches_closed_form_pure_bob():
 
 
 def test_bruteforce_mixed_bob_with_tuned_phase():
-    stats = assemble_statistics(
-        SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 6.0))
     bob = QubitState(0.5, 0.0, 0.0)
     params = ChannelParams(stats=stats, phase_a=0.0,
                            phase_b=tune_bob_phase(bob), bob_initial=bob)
@@ -241,9 +234,7 @@ def test_bruteforce_mixed_bob_with_tuned_phase():
 
 
 def test_bruteforce_zero_signal_point():
-    stats = assemble_statistics(
-        SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0), PairGeometry(6.0, 0.0)
-    )
+    stats = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 0.0))
     params = ChannelParams(stats=stats, phase_a=0.0, phase_b=0.0,
                            bob_initial=QubitState(0.0, 0.0, 1.0))
     result = capacity_bruteforce(params)

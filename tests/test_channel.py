@@ -20,7 +20,6 @@ from deltachannel.channel import (
 from deltachannel.field import (
     FieldStatistics,
     PairGeometry,
-    SmearingSpec,
     assemble_statistics,
 )
 from deltachannel.selftest import OPTIMIZER_TOL
@@ -127,9 +126,7 @@ def test_output_pure_dephasing_limit():
 
 
 def test_zero_bob_coupling_is_identity_bit_for_bit():
-    stats = assemble_statistics(
-        SmearingSpec(coupling=1.0), SmearingSpec(coupling=0.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(1.0, 0.0, PairGeometry(6.0, 6.0))
     bob = QubitState(0.3, -0.4, 0.5)
     params = ChannelParams(stats=stats, phase_a=0.7, phase_b=1.1, bob_initial=bob)
     out = apply(params, QubitState(0.2, 0.1, -0.3))
@@ -154,9 +151,7 @@ def test_choi_trace_positivity_ppt(rng):
 
 
 def test_choi_zero_coupling_factorizes_exactly():
-    stats = assemble_statistics(
-        SmearingSpec(coupling=1.0), SmearingSpec(coupling=0.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(1.0, 0.0, PairGeometry(6.0, 6.0))
     bob = QubitState(0.3, -0.4, 0.5)
     params = ChannelParams(stats=stats, phase_a=0.7, phase_b=1.1, bob_initial=bob)
     expected = np.kron(bob.density_matrix(), np.eye(2, dtype=complex) / 2.0)
@@ -237,8 +232,7 @@ def test_states_at_the_tolerance_edge_never_raise(rng):
         assert capacity_bruteforce(params).gap <= OPTIMIZER_TOL
     # at these edge states c_closed once read Bob past the sphere and the
     # search on the sphere: gap 1.13e-12 and 1.23e-12
-    stats = assemble_statistics(SmearingSpec(coupling=148.4), SmearingSpec(coupling=1.0),
-                                PairGeometry(6.0, 6.0))
+    stats = assemble_statistics(148.4, 1.0, PairGeometry(6.0, 6.0))
     for direction in ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8)):
         bob = QubitState(*(c * (1.0 + 4.9e-13) for c in direction))
         result = capacity_bruteforce(ChannelParams(stats, 0.0, 0.3, bob))

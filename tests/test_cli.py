@@ -24,7 +24,7 @@ from deltachannel.capacity import Ensemble, capacity_bruteforce, holevo_chi
 from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
 from deltachannel.errors import ConfigError, ConsistencyError
-from deltachannel.field import PairGeometry, SmearingSpec, assemble_statistics
+from deltachannel.field import PairGeometry, assemble_statistics
 from deltachannel.selftest import selftest
 from deltachannel.sweep import (
     AxisSpec,
@@ -693,11 +693,10 @@ def test_oracle_failure_is_integrated_once_per_geometry(monkeypatch, beta):
     assert all(math.isnan(row["oracle_residual"]) for row in rows)
     assert calls == []
     # each raise is a new error with the first one's message and estimate
-    f = SmearingSpec(coupling=1.0)
     errors = []
     for _ in range(2):
         with pytest.raises(field.QuadratureError) as excinfo:
-            field.wightman_cross_quadrature(f, f, PairGeometry(3000.0, 1.0), field.FieldStateSpec(beta))
+            field.wightman_cross_quadrature(1.0, 1.0, PairGeometry(3000.0, 1.0), field.FieldStateSpec(beta))
         errors.append(excinfo.value)
     assert errors[0] is not errors[1]
     assert str(errors[0]) == str(errors[1]) and "L=3000.0, dtau=1.0" in str(errors[0])
@@ -814,7 +813,7 @@ def test_overflowing_row_is_a_domain_error(lambda_b):
 @pytest.mark.parametrize("lambda_a", [1e155, 1e160, 1e300])
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_coupling_past_overflow_takes_its_limit(lambda_a, beta):
-    # coupling**2 overflows in norm_sq_closed past ~1.3e154; the norm is
+    # coupling**2 overflows in field._norm_sq past ~1.3e154; the norm is
     # then inf and nu_a is 0.0, as it already was at 1.3e154
     row = evaluate_point(lambda_a, 1.0, 6.0, 6.0, beta=beta)
     below = evaluate_point(1.3e154, 1.0, 6.0, 6.0, beta=beta)
@@ -941,8 +940,7 @@ def test_library_paths_do_not_need_the_gamma_route(monkeypatch, tmp_path, capsys
     assert capsys.readouterr().out.splitlines()[1].endswith(",ok")
     assert main(["point", "--lambda-a", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
-    stats = assemble_statistics(SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0),
-                                PairGeometry(6.0, 6.0))
+    stats = assemble_statistics(10.0, 1.0, PairGeometry(6.0, 6.0))
     params = ChannelParams(stats, 0.3, 0.7, QubitState(0.0, 0.0, 1.0))
     plus, minus = QubitState(1.0, 0.0, 0.0), QubitState(-1.0, 0.0, 0.0)
     assert holevo_chi(params, Ensemble(((0.5, plus), (0.5, minus)))) > 0.0
@@ -1020,12 +1018,11 @@ def test_oracle_residual_sees_a_re_j_error_at_every_coupling(monkeypatch, coupli
 
 def test_oracle_paths_do_not_scale_j_by_the_couplings(monkeypatch, tmp_path, capsys):
     # residual takes J itself and no coupling: the W views are for the
-    # tests and tracing, and the coupling helpers for the statistics' users
+    # tests and tracing
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle compares J, not W = pref J")
 
-    for name in ("wightman_cross_quadrature", "norm_sq_quadrature", "pair_prefactor",
-                 "norm_sq_closed"):
+    for name in ("wightman_cross_quadrature", "norm_sq_quadrature"):
         monkeypatch.setattr(field, name, refuse)
     cfg = write_config(tmp_path, BASE_CONFIG + "beta = 2\n")
     assert main(["sweep", "--config", cfg, "--oracle"]) == 0

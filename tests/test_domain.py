@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from deltachannel.errors import ConsistencyError
+from deltachannel.field import VACUUM, PairGeometry, assemble_statistics, thermal
 from deltachannel.sweep import evaluate_point
 
 STATISTICS = ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus", "delta_ab", "c_closed")
@@ -44,6 +46,28 @@ def test_rows_are_typed_across_the_domain(lambda_a, lambda_b, separation, delay,
     row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
     assert row["status"] == "ok"
     assert all(math.isfinite(row[c]) for c in STATISTICS)
+
+
+@rows
+# W's prefactor overflows to inf and nu_ab_minus is exp(-2 (inf - inf)):
+# a domain_error row, and assemble_statistics raises ValueError
+@example(lambda_a=1e200, lambda_b=1e200, separation=6.0, delay=6.0, beta=None)
+# the norm of lambda_A overflows while the prefactor stays finite
+@example(lambda_a=1e160, lambda_b=1e-160, separation=6.0, delay=6.0, beta=None)
+@example(lambda_a=0.0, lambda_b=1e300, separation=1e3, delay=-1e3, beta=1e3)
+def test_assemble_statistics_is_the_row_statistics_bit_for_bit(
+        lambda_a, lambda_b, separation, delay, beta):
+    row = evaluate_point(lambda_a, lambda_b, separation, delay, beta=beta)
+    args = (lambda_a, lambda_b, PairGeometry(separation, delay),
+            VACUUM if beta is None else thermal(beta))
+    if row["status"] == "domain_error":
+        # the errors the row kernel turns into domain_error
+        with pytest.raises((OverflowError, ValueError, ConsistencyError)):
+            assemble_statistics(*args)
+        return
+    stats = assemble_statistics(*args)
+    fields = STATISTICS[:-1]
+    assert [float.hex(getattr(stats, c)) for c in fields] == [float.hex(row[c]) for c in fields]
 
 
 # an --oracle row's trapezoid rule for Im J costs up to about 20 ms, at

@@ -23,15 +23,14 @@ from deltachannel.field import (
     FOUR_PI_SQ,
     FieldStatistics,
     PairGeometry,
-    SmearingSpec,
     VACUUM,
+    _norm_sq,
+    _prefactor,
     assemble_statistics,
     commutator_closed,
     cross_real_closed,
     dawson,
-    norm_sq_closed,
     norm_sq_quadrature,
-    pair_prefactor,
     thermal,
     wightman_cross_quadrature,
 )
@@ -52,10 +51,9 @@ couplings = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 # closed forms
 # ---------------------------------------------------------------------------
 
-def test_norm_sq_closed_unit_coupling():
-    f = SmearingSpec(coupling=1.0)
-    assert norm_sq_closed(f) == 1.0 / (4.0 * math.pi**2)
-    assert np.isclose(norm_sq_closed(f), NORM_SQ_UNIT, rtol=0.0, atol=1e-16)
+def test_norm_sq_unit_coupling():
+    assert _norm_sq(1.0) == 1.0 / (4.0 * math.pi**2)
+    assert np.isclose(_norm_sq(1.0), NORM_SQ_UNIT, rtol=0.0, atol=1e-16)
 
 
 @given(lam=couplings, scale=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
@@ -67,8 +65,8 @@ def test_norm_sq_quadratic_coupling_scaling(lam, scale):
     # the promise is the rounding of the steps in that spacing: base's
     # rounding grows by scale**2, that of scale**2 by base, and the other
     # roundings add a few spacings more.
-    base = norm_sq_closed(SmearingSpec(coupling=lam))
-    scaled = norm_sq_closed(SmearingSpec(coupling=scale * lam))
+    base = _norm_sq(lam)
+    scaled = _norm_sq(scale * lam)
     expected = scale**2 * base
     if expected >= sys.float_info.min:
         assert np.isclose(scaled, expected, rtol=1e-12, atol=0.0)
@@ -77,42 +75,38 @@ def test_norm_sq_quadratic_coupling_scaling(lam, scale):
 
 
 def test_commutator_closed_reference_value():
-    f = SmearingSpec(coupling=1.0)
-    delta = commutator_closed(f, f, PairGeometry(6.0, 6.0))
+    delta = commutator_closed(1.0, 1.0, PairGeometry(6.0, 6.0))
     assert np.isclose(delta, DELTA_UNIT_6_6, rtol=1e-14, atol=0.0)
 
 
 @given(sep=separations, delay=finite_delays)
 @example(sep=5e-324, delay=0.0)
 def test_commutator_antisymmetric_bit_for_bit(sep, delay):
-    f = SmearingSpec(coupling=1.3)
-    forward = commutator_closed(f, f, PairGeometry(sep, delay))
-    backward = commutator_closed(f, f, PairGeometry(sep, -delay))
+    forward = commutator_closed(1.3, 1.3, PairGeometry(sep, delay))
+    backward = commutator_closed(1.3, 1.3, PairGeometry(sep, -delay))
     assert forward == -backward
 
 
 @given(lam_a=couplings, lam_b=couplings, scale=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
 def test_commutator_bilinear_in_couplings(lam_a, lam_b, scale):
     geom = PairGeometry(2.0, 5.0)
-    base = commutator_closed(SmearingSpec(coupling=lam_a), SmearingSpec(coupling=lam_b), geom)
-    left = commutator_closed(SmearingSpec(coupling=scale * lam_a), SmearingSpec(coupling=lam_b), geom)
-    right = commutator_closed(SmearingSpec(coupling=lam_a), SmearingSpec(coupling=scale * lam_b), geom)
+    base = commutator_closed(lam_a, lam_b, geom)
+    left = commutator_closed(scale * lam_a, lam_b, geom)
+    right = commutator_closed(lam_a, scale * lam_b, geom)
     assert np.isclose(left, scale * base, rtol=1e-12, atol=1e-300)
     assert np.isclose(right, scale * base, rtol=1e-12, atol=1e-300)
 
 
 def test_commutator_vanishes_at_zero_delay():
-    f = SmearingSpec(coupling=2.0)
     for sep in (0.0, 1.0, 4.0, 9.0):
-        assert commutator_closed(f, f, PairGeometry(sep, 0.0)) == 0.0
+        assert commutator_closed(2.0, 2.0, PairGeometry(sep, 0.0)) == 0.0
 
 
 def test_commutator_gaussian_suppression_off_lightcone():
     # far from the light cone the near-cone exponential dominates and the
     # whole commutator follows exp(-(dtau - L)^2 / 2)
-    f = SmearingSpec(coupling=1.0)
     sep, delay = 3.0, 20.0
-    delta = commutator_closed(f, f, PairGeometry(sep, delay))
+    delta = commutator_closed(1.0, 1.0, PairGeometry(sep, delay))
     envelope = (1.0 / (4.0 * math.pi**2 * sep)) * math.sqrt(math.pi / 2.0) * math.exp(
         -0.5 * (delay - sep) ** 2
     )
@@ -120,9 +114,8 @@ def test_commutator_gaussian_suppression_off_lightcone():
 
 
 def test_commutator_coincident_limit_is_continuous():
-    f = SmearingSpec(coupling=1.0)
-    at_zero = commutator_closed(f, f, PairGeometry(0.0, 3.0))
-    near_zero = commutator_closed(f, f, PairGeometry(1e-8, 3.0))
+    at_zero = commutator_closed(1.0, 1.0, PairGeometry(0.0, 3.0))
+    near_zero = commutator_closed(1.0, 1.0, PairGeometry(1e-8, 3.0))
     assert np.isclose(near_zero, at_zero, rtol=1e-7, atol=0.0)
 
 
@@ -131,10 +124,9 @@ def test_commutator_coincident_limit_is_continuous():
 def test_commutator_small_separation_keeps_its_limit(sep, delay):
     # e_near - e_far cancels to zero in doubles long before L reaches the
     # subnormals; the commutator must still follow its L -> 0 limit
-    f = SmearingSpec(coupling=1.3)
     pref = 1.3 * 1.3 / FOUR_PI_SQ
     limit = 2.0 * pref * math.sqrt(math.pi / 2.0) * delay * math.exp(-0.5 * delay * delay)
-    delta = commutator_closed(f, f, PairGeometry(sep, delay))
+    delta = commutator_closed(1.3, 1.3, PairGeometry(sep, delay))
     assert math.isfinite(delta)
     assert np.isclose(delta, limit, rtol=1e-14, atol=0.0)
 
@@ -143,8 +135,7 @@ def test_commutator_small_separation_keeps_its_limit(sep, delay):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_commutator_on_the_light_cone_where_2aL_overflows(sep, sign):
     # 2 a L overflows to inf at a = L = 1e154; the commutator once came out 0.0
-    f = SmearingSpec(coupling=1.3)
-    delta = commutator_closed(f, f, PairGeometry(sep, sign * sep))
+    delta = commutator_closed(1.3, 1.3, PairGeometry(sep, sign * sep))
     with mpmath.workdps(50):
         a = L = mpmath.mpf(sep)
         pref = mpmath.mpf(1.3) ** 2 / (4 * mpmath.pi**2)
@@ -158,8 +149,7 @@ def test_commutator_on_the_light_cone_where_2aL_overflows(sep, sign):
 def test_commutator_far_outside_the_light_cone_is_zero(sep, delay):
     # (a - L)^2 overflows past |a - L| ~ 1.3e154, and it once raised
     # OverflowError; at a = 1e308, 2 a overflows too, and inf * 0 was NaN
-    f = SmearingSpec(coupling=1.0)
-    assert commutator_closed(f, f, PairGeometry(sep, delay)) == 0.0
+    assert commutator_closed(1.0, 1.0, PairGeometry(sep, delay)) == 0.0
 
 
 def _re_j_cases():
@@ -396,9 +386,7 @@ def test_hurwitz_zeta_matches_mpmath():
 
 def test_norm_quadrature_matches_closed_form():
     for lam in (0.1, 1.0, 10.0):
-        f = SmearingSpec(coupling=lam)
-        closed = norm_sq_closed(f)
-        assert np.isclose(norm_sq_quadrature(f), closed, rtol=1e-9, atol=0.0)
+        assert np.isclose(norm_sq_quadrature(lam), _norm_sq(lam), rtol=1e-9, atol=0.0)
 
 
 # Im J cancels in float64 at (0, 6), where quad's value was 1.1e-9 off
@@ -408,13 +396,12 @@ COMMUTATOR_GEOMETRIES = ((1.0, 3.0), (6.0, 6.0), (10.0, 0.0), (2.0, -4.0), (0.0,
 
 
 def test_wightman_imaginary_part_is_half_commutator():
-    f_a = SmearingSpec(coupling=0.7)
-    f_b = SmearingSpec(coupling=1.9)
+    lam_a, lam_b = 0.7, 1.9
     for state in (VACUUM, thermal(2.0), thermal(879.0)):
         for sep, delay in COMMUTATOR_GEOMETRIES:
             geom = PairGeometry(sep, delay)
-            w = wightman_cross_quadrature(f_a, f_b, geom, state)
-            delta = commutator_closed(f_a, f_b, geom)
+            w = wightman_cross_quadrature(lam_a, lam_b, geom, state)
+            delta = commutator_closed(lam_a, lam_b, geom)
             if delta:
                 assert np.isclose(-2.0 * w.imag, delta, rtol=1e-14, atol=0.0), (geom, state)
             else:
@@ -425,21 +412,19 @@ def test_wightman_imaginary_part_is_half_commutator():
 
 def test_wightman_identity_survives_thermal_state():
     # the commutator is state independent; only the symmetric part warms up
-    f = SmearingSpec(coupling=1.0)
     geom = PairGeometry(6.0, 6.0)
-    cold = wightman_cross_quadrature(f, f, geom)
-    warm = wightman_cross_quadrature(f, f, geom, thermal(1.0))
-    delta = commutator_closed(f, f, geom)
+    cold = wightman_cross_quadrature(1.0, 1.0, geom)
+    warm = wightman_cross_quadrature(1.0, 1.0, geom, thermal(1.0))
+    delta = commutator_closed(1.0, 1.0, geom)
     assert np.isclose(-2.0 * warm.imag, delta, rtol=1e-8, atol=0.0)
     assert np.isclose(warm.imag, cold.imag, rtol=1e-9, atol=0.0)
     assert warm.real > cold.real
 
 
 def test_thermal_norm_reference_value():
-    f = SmearingSpec(coupling=1.0)
-    warm = norm_sq_quadrature(f, thermal(1.0))
+    warm = norm_sq_quadrature(1.0, thermal(1.0))
     assert np.isclose(warm, THERMAL_NORM_SQ_UNIT_BETA1, rtol=1e-9, atol=0.0)
-    assert warm > norm_sq_closed(f)
+    assert warm > _norm_sq(1.0)
 
 
 def test_radial_integral_resolves_the_thermal_bump_at_large_beta():
@@ -490,8 +475,7 @@ def test_panel_cap_refuses_at_once(monkeypatch):
     corner = PairGeometry(1e3, -1e3)
     value, estimate = field.quad(1e3, -1e3, None)
     assert abs(value - cross_real_closed(1e3, -1e3)) <= 1e-12 and estimate <= 1e-12
-    unit = SmearingSpec(coupling=1.0)
-    im_closed = -commutator_closed(unit, unit, corner) / (2.0 * pair_prefactor(unit, unit))
+    im_closed = -commutator_closed(1.0, 1.0, corner) / (2.0 * _prefactor(1.0, 1.0))
     im, im_estimate = field._commutator_trapezoid(1e3, -1e3)
     assert abs(im - im_closed) <= 1e-12 * abs(im_closed) and im_estimate <= 1e-12 * abs(im)
     row = evaluate_point(1.0, 1.0, 1e3, -1e3, oracle=True)
@@ -554,7 +538,6 @@ def test_quadrature_error_carries_estimate(monkeypatch):
         return 0.5, 0.25
 
     monkeypatch.setattr(field, "_commutator_trapezoid", bad_trapezoid)
-    f = SmearingSpec(coupling=1.0)
     for re_err, estimate in ((1e-12, 0.25), (1.0, 1.0)):
         def bad_quad(L, dtau, beta):
             return 1.0, re_err
@@ -563,7 +546,7 @@ def test_quadrature_error_carries_estimate(monkeypatch):
         # the oracle caches a geometry's J, never its failure
         field.oracle_j.cache_clear()
         with pytest.raises(QuadratureError) as excinfo:
-            wightman_cross_quadrature(f, f, PairGeometry(6.0, 6.0))
+            wightman_cross_quadrature(1.0, 1.0, PairGeometry(6.0, 6.0))
         assert excinfo.value.estimate == estimate
 
 
@@ -655,19 +638,16 @@ def test_oracle_j_cache_keeps_the_sign_of_zero_delay_harmless():
 # ---------------------------------------------------------------------------
 
 def test_assemble_statistics_reference_values():
-    f = SmearingSpec(coupling=1.0)
-    stats = assemble_statistics(f, f, PairGeometry(6.0, 6.0))
+    stats = assemble_statistics(1.0, 1.0, PairGeometry(6.0, 6.0))
     assert np.isclose(stats.nu_a, NU_UNIT, rtol=1e-12, atol=0.0)
     assert np.isclose(stats.nu_b, NU_UNIT, rtol=1e-12, atol=0.0)
     assert np.isclose(stats.delta_ab, DELTA_UNIT_6_6, rtol=1e-14, atol=0.0)
-    assert stats.nu_a == math.exp(-2.0 * norm_sq_closed(f))
+    assert stats.nu_a == math.exp(-2.0 * _norm_sq(1.0))
 
 
 def test_assemble_statistics_pair_factorization():
     # nu_ab_plus * nu_ab_minus = (nu_a * nu_b)^2: the cross terms cancel
-    f_a = SmearingSpec(coupling=0.8)
-    f_b = SmearingSpec(coupling=1.7)
-    stats = assemble_statistics(f_a, f_b, PairGeometry(3.0, 5.0))
+    stats = assemble_statistics(0.8, 1.7, PairGeometry(3.0, 5.0))
     assert np.isclose(
         stats.nu_ab_plus * stats.nu_ab_minus,
         (stats.nu_a * stats.nu_b) ** 2,
@@ -677,9 +657,7 @@ def test_assemble_statistics_pair_factorization():
 
 
 def test_assemble_statistics_zero_coupling_short_circuit():
-    stats = assemble_statistics(
-        SmearingSpec(coupling=0.0), SmearingSpec(coupling=1.0), PairGeometry(6.0, 6.0)
-    )
+    stats = assemble_statistics(0.0, 1.0, PairGeometry(6.0, 6.0))
     assert stats.nu_a == 1.0
     assert stats.delta_ab == 0.0
     assert stats.nu_ab_plus == stats.nu_b
@@ -690,14 +668,14 @@ def test_assemble_statistics_vacuum_runs_no_integral(monkeypatch):
     def no_integral(*args, **kwargs):
         raise AssertionError("vacuum statistics must not integrate")
 
-    f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
+    lam_a, lam_b = 10.0, 1.0
     geom = PairGeometry(6.0, 6.0)
     j = field._radial_integral(6.0, 6.0, None)
     monkeypatch.setattr(field, "quad", no_integral)
     monkeypatch.setattr(mpmath, "quad", no_integral)
-    stats = assemble_statistics(f_a, f_b, geom)
-    n = norm_sq_closed(f_a) + norm_sq_closed(f_b)
-    re_w = pair_prefactor(f_a, f_b) * j.real
+    stats = assemble_statistics(lam_a, lam_b, geom)
+    n = _norm_sq(lam_a) + _norm_sq(lam_b)
+    re_w = _prefactor(lam_a, lam_b) * j.real
     assert np.isclose(stats.nu_ab_plus, math.exp(-2.0 * (n + 2.0 * re_w)), rtol=1e-14, atol=0.0)
     assert np.isclose(stats.nu_ab_minus, math.exp(-2.0 * (n - 2.0 * re_w)), rtol=1e-14, atol=0.0)
 
@@ -707,34 +685,32 @@ def test_assemble_statistics_thermal_integrates_nothing(monkeypatch):
         raise AssertionError("thermal statistics must not integrate")
 
     state = thermal(2.0)
-    f_a, f_b = SmearingSpec(coupling=10.0), SmearingSpec(coupling=1.0)
+    lam_a, lam_b = 10.0, 1.0
     geom = PairGeometry(4.0, 4.0)
     j0 = field._radial_integral(0.0, 0.0, 2.0)
     j = field._radial_integral(4.0, 4.0, 2.0)
     for name in ("quad", "_radial_integral", "_commutator_trapezoid"):
         monkeypatch.setattr(field, name, no_integral)
     monkeypatch.setattr(mpmath, "quad", no_integral)
-    stats = assemble_statistics(f_a, f_b, geom, state)
+    stats = assemble_statistics(lam_a, lam_b, geom, state)
     # the closed form agrees with the quadrature it replaced
-    n = (norm_sq_closed(f_a) + norm_sq_closed(f_b)) * j0.real
-    re_w = pair_prefactor(f_a, f_b) * j.real
-    assert np.isclose(stats.nu_a, math.exp(-2.0 * norm_sq_closed(f_a) * j0.real), rtol=1e-12, atol=0.0)
+    n = (_norm_sq(lam_a) + _norm_sq(lam_b)) * j0.real
+    re_w = _prefactor(lam_a, lam_b) * j.real
+    assert np.isclose(stats.nu_a, math.exp(-2.0 * _norm_sq(lam_a) * j0.real), rtol=1e-12, atol=0.0)
     assert np.isclose(stats.nu_ab_plus, math.exp(-2.0 * (n + 2.0 * re_w)), rtol=1e-12, atol=0.0)
     assert np.isclose(stats.nu_ab_minus, math.exp(-2.0 * (n - 2.0 * re_w)), rtol=1e-12, atol=0.0)
 
 
 def test_assemble_statistics_thermal_lowers_nu_keeps_delta():
-    f = SmearingSpec(coupling=1.0)
     geom = PairGeometry(6.0, 6.0)
-    cold = assemble_statistics(f, f, geom)
-    warm = assemble_statistics(f, f, geom, thermal(1.0))
+    cold = assemble_statistics(1.0, 1.0, geom)
+    warm = assemble_statistics(1.0, 1.0, geom, thermal(1.0))
     assert warm.nu_b < cold.nu_b
     assert warm.delta_ab == cold.delta_ab
 
 
 def test_assemble_statistics_strong_coupling_underflows_to_zero():
-    strong = SmearingSpec(coupling=1000.0)
-    stats = assemble_statistics(strong, SmearingSpec(coupling=1.0), PairGeometry(6.0, 6.0))
+    stats = assemble_statistics(1000.0, 1.0, PairGeometry(6.0, 6.0))
     assert stats.nu_a == 0.0
     assert 0.0 < stats.nu_b < 1.0
 
@@ -743,11 +719,24 @@ def test_assemble_statistics_strong_coupling_underflows_to_zero():
 # domain type validation
 # ---------------------------------------------------------------------------
 
-def test_smearing_spec_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        SmearingSpec(coupling=-1.0)
-    with pytest.raises(ValueError):
-        SmearingSpec(coupling=math.inf)
+@pytest.mark.parametrize("coupling", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, couplings", [
+    ("assemble_statistics", 2),
+    ("commutator_closed", 2),
+    ("wightman_cross_quadrature", 2),
+    ("norm_sq_quadrature", 1),
+])
+def test_coupling_entry_points_reject_bad_couplings(monkeypatch, name, couplings, coupling):
+    def refuse(*args):
+        raise AssertionError("a bad coupling must be refused before the oracle integrates")
+
+    monkeypatch.setattr(field, "oracle_j", refuse)
+    geometry = (PairGeometry(6.0, 6.0),) if couplings == 2 else ()
+    for position in range(couplings):
+        args = [1.0] * couplings
+        args[position] = coupling
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            getattr(field, name)(*args, *geometry)
 
 
 def test_pair_geometry_from_specs():

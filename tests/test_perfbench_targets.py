@@ -12,7 +12,7 @@ import importlib.util
 import pathlib
 
 from deltachannel.capacity import CapacityResult
-from deltachannel.field import VACUUM, PairGeometry, SmearingSpec, thermal
+from deltachannel.field import VACUUM, PairGeometry, thermal
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,7 +47,6 @@ def test_traced_geometry_attributes_exist(monkeypatch):
     # state.beta (read through state.is_thermal); a rename would crash a
     # traced run rather than report `missing`
     tracing = _load("tracing", monkeypatch)
-    f = SmearingSpec(coupling=1.0)
     geom = PairGeometry(1, 2)
-    assert tracing._geometry_key(f, f, geom, thermal(2.0)) == (1.0, 2.0, 2.0)
-    assert tracing._geometry_key(f, f, geom, VACUUM)[2] is None
+    assert tracing._geometry_key(1.0, 1.0, geom, thermal(2.0)) == (1.0, 2.0, 2.0)
+    assert tracing._geometry_key(1.0, 1.0, geom, VACUUM)[2] is None

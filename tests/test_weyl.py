@@ -13,7 +13,6 @@ from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
     FieldStatistics,
     PairGeometry,
-    SmearingSpec,
     assemble_statistics,
 )
 from deltachannel.selftest import selftest
@@ -58,11 +57,7 @@ def test_gammas_are_probabilities_for_physical_statistics():
         (10.0, 10.0, 3.0, 12.0),
         (494.8, 0.3, 6.0, 6.0),
     ):
-        stats = assemble_statistics(
-            SmearingSpec(coupling=lam_a),
-            SmearingSpec(coupling=lam_b),
-            PairGeometry(sep, delay),
-        )
+        stats = assemble_statistics(lam_a, lam_b, PairGeometry(sep, delay))
         g = gammas_from_statistics(stats)
         for value in (g.g_cccc, g.g_ssss, g.g_cssc, g.g_sccs):
             assert -1e-12 <= value <= 1.0 + 1e-12
