@@ -249,18 +249,19 @@ def _norm_sq(coupling: float) -> float:
 
 
 class CommutatorTerms(NamedTuple):
-    """The factors of commutator_closed that no coupling touches."""
+    """The factors of commutator_closed that no coupling touches; where
+    x = 2 a L overflows, two_a is 1 and ratio is -expm1(-x) / L."""
 
     delay: float
-    a: float
+    two_a: float
     e_near: float
     ratio: float
-    far: bool
 
 
 def commutator_terms(geom: PairGeometry) -> CommutatorTerms:
-    """The geometry's factors of commutator_closed: a = |dtau|, e_near,
-    and the ratio -expm1(-x) / x, or -expm1(-x) / L where x overflows (far)."""
+    """The geometry's factors of commutator_closed: 2 a = 2 |dtau|, e_near,
+    and the ratio -expm1(-x) / x; where x overflows, a factor of 1 and the
+    ratio -expm1(-x) / L."""
     L, dt = geom.separation, geom.delay
     a = abs(dt)
     x = 2.0 * a * L
@@ -269,19 +270,17 @@ def commutator_terms(geom: PairGeometry) -> CommutatorTerms:
     except OverflowError:
         e_near = 0.0
     if x == math.inf:
-        return CommutatorTerms(dt, a, e_near, -math.expm1(-x) / L, True)
-    return CommutatorTerms(dt, a, e_near, -math.expm1(-x) / x if x else 1.0, False)
+        return CommutatorTerms(dt, 1.0, e_near, -math.expm1(-x) / L)
+    return CommutatorTerms(dt, 2.0 * a, e_near, -math.expm1(-x) / x if x else 1.0)
 
 
 def commutator_from_terms(pref: float, terms: CommutatorTerms) -> float:
     """commutator_closed at prefactor pref on a geometry's commutator_terms."""
-    delay, a, e_near, ratio, far = terms
+    delay, two_a, e_near, ratio = terms
+    # at L = 0 and |dtau| past ~9e307 two_a is inf and ratio NaN; e_near is 0.0
     if not e_near:
         return 0.0
-    if far:
-        magnitude = pref * SQRT_HALF_PI * e_near * ratio
-    else:
-        magnitude = pref * SQRT_HALF_PI * 2.0 * a * e_near * ratio
+    magnitude = pref * SQRT_HALF_PI * two_a * e_near * ratio
     # an exact or underflowed zero is +0.0 for either sign of the delay
     return math.copysign(magnitude, delay) if magnitude else 0.0
 
@@ -296,7 +295,8 @@ def commutator_closed(coupling_a: float, coupling_b: float, geom: PairGeometry) 
     over L is 2 a e_near * (-expm1(-x) / x) without cancellation.  The
     ratio is 1 at x = 0 (its L -> 0 limit) and expm1 returns -x exactly for
     subnormal x, so small and subnormal L keep full relative accuracy.
-    Where x overflows (a ~ L ~ 1e154) the bracket over L is e_near / L.
+    Where x overflows (a ~ L ~ 1e154) the bracket over L is e_near / L:
+    the factor 2 a is then 1, and the ratio -expm1(-x) / L.
     Where e_near underflows to 0.0, or (a - L)^2 overflows (|a - L| past
     ~1.3e154), Delta is its limit +0.0, also where 2 a is inf.  The
     geometry's factors come from commutator_terms and the product from

@@ -41,14 +41,13 @@ from .channel import ChannelParams, QubitState, apply
 from .errors import ConfigError, ConsistencyError, QuadratureError
 from .field import (
     FieldStatistics,
+    FieldStateSpec,
     PairGeometry,
-    VACUUM,
     check_nonnegative,
     cross_real_closed,
     geometry_terms,
     oracle_residual,
     statistics_from_terms,
-    thermal,
 )
 
 SCHEMA_VERSION = 1
@@ -305,26 +304,29 @@ _DOMAIN_ERROR_ROW = dict.fromkeys(COLUMNS, math.nan) | {"status": "domain_error"
 
 
 class _Rows:
-    """One sweep's row kernel: the per-sweep invariants, set_bob's Bob, the
-    last geometry's terms and oracle residual, and the per-row arithmetic
-    of the module docstring."""
+    """One sweep's row kernel: the per-sweep invariants, Bob (given at
+    construction, or by set_bob before each row on an r_b axis), the last
+    geometry's terms and oracle residual, and the per-row arithmetic of
+    the module docstring."""
 
     __slots__ = ("eta", "state", "j0", "phase_a", "phase_b", "oracle", "optimizer",
                  "bob", "p", "r_perp", "place", "geom", "terms", "checked")
 
-    def __init__(self, eta_over_sigma: float, beta: float | None, phase_a: float,
-                 phase_b: float, oracle: bool, optimizer: bool):
+    def __init__(self, eta_over_sigma: float, beta: float | None, bob: QubitState | None,
+                 phase_a: float, phase_b: float, oracle: bool, optimizer: bool):
         check_nonnegative("eta_over_sigma", eta_over_sigma)
         if not (math.isfinite(phase_a) and math.isfinite(phase_b)):
             raise ValueError("phases must be finite")
         self.eta = eta_over_sigma
-        self.state = VACUUM if beta is None else thermal(beta)
+        self.state = FieldStateSpec(beta)
         self.j0 = cross_real_closed(0.0, 0.0, beta)
         self.phase_a, self.phase_b = phase_a, phase_b
         self.oracle, self.optimizer = oracle, optimizer
         # the (L, dtau) of geom; terms are its geometry_terms and checked its
         # (oracle_residual, status), each None until taken
         self.place = None
+        if bob is not None:
+            self.set_bob(bob)
 
     def set_bob(self, bob: QubitState) -> None:
         self.bob = bob
@@ -374,13 +376,6 @@ class _Rows:
                 "oracle_residual": residual, "status": status}, stats, w
 
 
-def _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
-             phase_a, phase_b, oracle, optimizer) -> tuple[dict, FieldStatistics | None, float]:
-    rows = _Rows(eta_over_sigma, beta, phase_a, phase_b, oracle, optimizer)
-    rows.set_bob(bob)
-    return rows.row(lambda_a, lambda_b, separation, delay)
-
-
 def evaluate_point(
     lambda_a: float,
     lambda_b: float,
@@ -403,8 +398,8 @@ def evaluate_point(
     An overflow or an out-of-domain value sets status domain_error with
     every computed column NaN.
     """
-    return _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta, bob,
-                    phase_a, phase_b, oracle, optimizer)[0]
+    rows = _Rows(eta_over_sigma, beta, bob, phase_a, phase_b, oracle, optimizer)
+    return rows.row(lambda_a, lambda_b, separation, delay)[0]
 
 
 def grid_overrides(cfg: SweepConfig) -> list[dict]:
@@ -419,10 +414,10 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 
     Bob is resolved once, unless r_b is an axis; row-major order makes
     each line of an inner coupling axis one run of a single geometry."""
-    rows = _Rows(cfg.eta_over_sigma, cfg.beta, cfg.phase_a, cfg.phase_b, cfg.oracle, cfg.optimizer)
     bob_axis = any(axis.name == "r_b" for axis in cfg.axes)
-    if not bob_axis:
-        rows.set_bob(_resolve_bob(cfg.bob_bloch, cfg.r_b))
+    bob = None if bob_axis else _resolve_bob(cfg.bob_bloch, cfg.r_b)
+    rows = _Rows(cfg.eta_over_sigma, cfg.beta, bob, cfg.phase_a, cfg.phase_b, cfg.oracle,
+                 cfg.optimizer)
     out = []
     for overrides in grid_overrides(cfg):
         if bob_axis:
@@ -529,8 +524,8 @@ def point_query(
     """
     bob_state = QubitState(*bob)
     alice_state = QubitState(*alice)
-    row, stats, nu_eff = _one_row(lambda_a, lambda_b, separation, delay, eta_over_sigma, beta,
-                                  bob_state, phase_a, phase_b, oracle, optimizer)
+    rows = _Rows(eta_over_sigma, beta, bob_state, phase_a, phase_b, oracle, optimizer)
+    row, stats, nu_eff = rows.row(lambda_a, lambda_b, separation, delay)
     record: dict = {"schema_version": SCHEMA_VERSION, "status": row["status"]}
     record["inputs"] = {
         "lambda_a": lambda_a,

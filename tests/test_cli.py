@@ -154,6 +154,16 @@ def test_axis_values_spacing():
     assert all(isinstance(v, float) for v in log.values())
 
 
+def test_one_point_axis_keeps_the_sign_of_zero(tmp_path):
+    # np.linspace(-0.0, 0.0, 1) is [0.0]: values' count == 1 branch keeps -0.0
+    assert [repr(v) for v in AxisSpec("dtau", -0.0, 0.0, 1, "linear").values()] == ["-0.0"]
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, "schema_version = 1\naxis.dtau = -0.0, 0, 1, linear\n")
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["dtau"] == "-0.0"
+
+
 # ---------------------------------------------------------------------------
 # sweep evaluation and serialization
 # ---------------------------------------------------------------------------

@@ -152,6 +152,45 @@ def test_commutator_far_outside_the_light_cone_is_zero(sep, delay):
     assert commutator_closed(1.0, 1.0, PairGeometry(sep, delay)) == 0.0
 
 
+def _two_arm_commutator(pref, L, dtau):
+    # the commutator as two arms, the factor 2 |dtau| on the near one and
+    # e_near / L on the one where x = 2 a L overflows
+    a = abs(dtau)
+    x = 2.0 * a * L
+    try:
+        e_near = math.exp(-0.5 * (a - L) ** 2)
+    except OverflowError:
+        e_near = 0.0
+    if not e_near:
+        return 0.0
+    if x == math.inf:
+        magnitude = pref * field.SQRT_HALF_PI * e_near * (-math.expm1(-x) / L)
+    else:
+        magnitude = pref * field.SQRT_HALF_PI * 2.0 * a * e_near * (-math.expm1(-x) / x if x else 1.0)
+    return math.copysign(magnitude, dtau) if magnitude else 0.0
+
+
+_COMMUTATOR_GEOMETRIES = [
+    *[(L, dtau) for L in (0.0, 5e-324) for dtau in (6.0, -6.0, 0.0, -0.0)],
+    (6.0, 6.0), (6.0, -6.0), (1e3, 1e3),
+    # e_near is 0.0 past |dtau| - L = 38.6, by underflow or by the square's
+    # overflow; at L = 0 and |dtau| = 1e308, 2 |dtau| is inf too
+    (0.0, 40.0), (1.0, -45.0), (6.0, 1e300), (0.0, 1e308), (0.0, -1e308),
+    # x overflows on the light cone: the far arm
+    *[(L, sign * L) for L in (1e154, 1.3e154, 1e200) for sign in (1.0, -1.0)],
+]
+
+
+@pytest.mark.parametrize("sep, delay", _COMMUTATOR_GEOMETRIES)
+def test_commutator_one_product_keeps_the_two_arm_bits(sep, delay):
+    terms = field.commutator_terms(PairGeometry(sep, delay))
+    # 4.6e306 is about the largest finite c_a c_b / (4 pi^2); float.hex
+    # tells -0.0 from 0.0
+    for pref in (0.0, 5e-324, 1e-300, 1.0, 4.6e306):
+        got = field.commutator_from_terms(pref, terms).hex()
+        assert got == _two_arm_commutator(pref, sep, delay).hex(), pref
+
+
 def _re_j_cases():
     delays = (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3)
     cases = [(L, dt) for L in (0.0, 5e-324, 1e-20, 1e-8, 0.0707, 1e3) for dt in delays]
