@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import channel as _channel
 from .channel import ChannelParams, QubitState
 from .errors import ConsistencyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 CLOSED_FORM_SLACK = 1e-9
@@ -56,6 +58,8 @@ def _h(u: float) -> float:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy in bits of a 2x2 density matrix."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
@@ -232,6 +236,8 @@ THETA_POINTS = 513
 
 def _output_entropy(base: np.ndarray, slope: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Bits of entropy of Bob's output H(1/2 + |v| / 2), v = base + theta * slope, per theta."""
+    import numpy as np
+
     v = base + thetas[:, None] * slope
     half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=1)), 1.0)
     hi, lo = 0.5 + half, 0.5 - half
@@ -248,6 +254,8 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     where g stands highest above that chord, with members -1 and +1
     weighted to the mean theta_k (one member if theta_k is an end).
     """
+    import numpy as np
+
     base, slope = _channel.output_bloch_affine(params)
     grid = np.linspace(-1.0, 1.0, THETA_POINTS)
     g = _output_entropy(base, slope, grid)

@@ -16,10 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .field import FieldStatistics
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCH_TOL = 1e-12
 
@@ -73,6 +75,8 @@ class QubitState:
         return (0.5 + 0.5 * self.r, 0.5 - 0.5 * self.r)
 
     def density_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [
                 [0.5 * (1.0 + self.z), 0.5 * complex(self.x, -self.y)],
@@ -149,6 +153,8 @@ def output_bloch_affine(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     This is what makes ensemble searches cheap: members only matter
     through their theta values.
     """
+    import numpy as np
+
     return np.array(params.base), np.array(params.slope)
 
 
@@ -160,6 +166,8 @@ def choi_matrix(params: ChannelParams) -> np.ndarray:
     T1 = slope . sigma / 2; theta extends complex-linearly to off-diagonal
     units.
     """
+    import numpy as np
+
     t0 = QubitState(*params.base).density_matrix()
     sx, sy, sz = params.slope
     t1 = 0.5 * np.array([[sz, complex(sx, -sy)], [complex(sx, sy), -sz]])

@@ -4,15 +4,17 @@ Closed forms for the massless scalar field in the vacuum and in a thermal
 (KMS) state, and an independent radial quadrature oracle for both: the
 statistics never integrate.  The closed forms are scalar math: the Dawson
 function, erfcx and the Hurwitz zeta function are this module's own (see
-dawson, _erfcx and _hurwitz_zeta), and erf is math's; numpy only takes
-the Gauss-Legendre mean's dot product and holds the Faddeeva function's
-arguments.  Only the thermal image series needs scipy.special, for that
-function, wofz, and imports it on its first call; an argument takes that
-series only where it needs fewer terms than the Matsubara series, which
-is never at beta <= 2.745 (see kms_sine_transform).  mpmath is imported on the
-oracle's first Im J (see _commutator_trapezoid).  Neither loads with this
-module.  residual is the one rule that compares the closed forms with the
-oracle, for a sweep row's oracle_residual (through oracle_residual) and for
+dawson, _erfcx and _hurwitz_zeta), erf is math's, and the 6-point
+Gauss-Legendre mean is an exact sequential fused multiply-add (see
+_gl_mean), so no statistics path needs numpy.  Only the thermal image
+series needs scipy.special, for the Faddeeva function, wofz, and imports
+it on its first call; an argument takes that series only where it needs
+fewer terms than the Matsubara series, which is never at beta <= 2.745
+(see kms_sine_transform).  mpmath is imported on the oracle's first Im J
+(see _commutator_trapezoid), and numpy on its first Re J (see quad).
+None of the three loads with this module.  residual is the one rule
+that compares the closed forms with the oracle, for a sweep row's
+oracle_residual (through oracle_residual) and for
 selftest's grid; it compares J alone, so it depends on the geometry and
 the state, never on the couplings.  The oracle takes one route per
 component of J (see _radial_integral): Re J, compared absolutely, by
@@ -39,9 +41,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import QuadratureError
 
@@ -106,7 +107,11 @@ _DAWSON_PAIRS = tuple(
 # _dawson_slope_mean, or by Gauss-Legendre, whose 6-point error there is far
 # below double precision.
 DAWSON_SMALL_EPS = 0.05
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# numpy.polynomial.legendre.leggauss(6), bit for bit (a test pins them)
+_GL_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+             0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_GL_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+               0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
 # Thermal Re J (see kms_sine_transform).  Both series end in a tail
 # expanded in inverse even powers up to the 16th (TAIL_POWERS), so each
@@ -400,12 +405,37 @@ def cross_real_closed(L: float, dtau: float, beta: float | None = None) -> float
             return (dawson(b + e) - dawson(b - e)) / (2.0 * e)
         if DAWSON_TAYLOR_MAX <= abs(b) <= DAWSON_ASYMPTOTIC_MIN:
             return _dawson_slope_mean(b, e)
-        d_prime = [1.0 - 2.0 * x * dawson(x) for x in (b + e * _GL_NODES).tolist()]
-        return 0.5 * float(_GL_WEIGHTS @ d_prime)
+        d_prime = [1.0 - 2.0 * x * dawson(x) for x in (b + e * node for node in _GL_NODES)]
+        return 0.5 * _gl_mean(d_prime)
     if e >= DAWSON_SMALL_EPS:
         return (kms_sine_transform(dtau + L, beta) - kms_sine_transform(dtau - L, beta)) / (2.0 * L)
-    f_prime = [kms_sine_transform(x, beta, derivative=True) for x in (dtau + L * _GL_NODES).tolist()]
-    return 0.5 * float(_GL_WEIGHTS @ f_prime)
+    f_prime = [kms_sine_transform(x, beta, derivative=True)
+               for x in (dtau + L * node for node in _GL_NODES)]
+    return 0.5 * _gl_mean(f_prime)
+
+
+def _gl_mean(values: list[float]) -> float:
+    """sum_i _GL_WEIGHTS[i] * values[i] as a sequential fused multiply-add,
+    acc <- RN(w v + acc) from i = 0, each step rounded once.  A BLAS dot
+    rounds by its CPU's kernel; this takes the bits of the one that
+    fuses in index order, on every machine.  A finite step is exact in
+    Fraction; a non-finite term, a sum past the float range or an exact
+    zero takes IEEE's result: inf, NaN, the signed inf of the overflow, or
+    the zero's sign.
+    """
+    acc = 0.0
+    for w, v in zip(_GL_WEIGHTS, values):
+        if math.isfinite(v) and math.isfinite(acc):
+            exact = Fraction(w) * Fraction(v) + Fraction(acc)
+            if exact:
+                try:
+                    acc = float(exact)
+                except OverflowError:
+                    acc = math.inf if exact > 0 else -math.inf
+                continue
+        # inf and NaN keep IEEE's semantics, and an exact zero its sign
+        acc = w * v + acc
+    return acc
 
 
 def kms_sine_transform(x: float, beta: float, derivative: bool = False) -> float:
@@ -557,7 +587,7 @@ def _images(x: float, beta: float, n: int, derivative: bool) -> float:
 
     ax = abs(x)
     z = [complex(ax / SQRT2, beta * k / SQRT2) for k in range(1, n + 1)]
-    w = wofz(np.array(z)).tolist()
+    w = wofz(z).tolist()
     d = dawson(ax / SQRT2)
     tail = _tail_coefficients(1.0 / beta, n + 1, 0)
     if derivative:
@@ -584,6 +614,8 @@ def _gl_rules() -> tuple:
     # each node x instead, P_n and P_n' by the three-term recurrence, times
     # the first-order change of that weight over Newton's step -P_n / P_n'
     # to the exact node: within 4e-15, which leaves Re J within 2e-16.
+    import numpy as np
+
     rules = []
     for n in (20, 40):
         x = np.polynomial.legendre.leggauss(n)[0]
@@ -629,6 +661,8 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
     is finite down to beta ~ 1.4e-308 and inf below.
     """
     _check_reach(L, dtau)
+    import numpy as np
+
     reach = L + abs(dtau)
     width = min(1.0, GL_WIDTH / reach) if reach else 1.0
     edges = [0.0]

@@ -15,10 +15,12 @@ geometry: the residual compares J, so no coupling enters it.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import capacity, channel, field, weyl
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID_SEPARATIONS = (1.0, 3.0, 6.0, 10.0)
 GRID_DELAYS = (0.0, 3.0, 6.0, 12.0)
@@ -53,6 +55,8 @@ def random_statistics(rng: np.random.Generator) -> field.FieldStatistics:
 
 def random_bloch(rng: np.random.Generator) -> channel.QubitState:
     """A state drawn uniformly from the Bloch ball."""
+    import numpy as np
+
     v = rng.normal(size=3)
     v *= rng.uniform() ** (1.0 / 3.0) / float(np.linalg.norm(v))
     return channel.QubitState(float(v[0]), float(v[1]), float(v[2]))
@@ -69,6 +73,8 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
     each vacuum geometry are integrated and scored once.  Then per beta
     J(0, 0, beta) and a few thermal geometries, one integral each; and the
     Matsubara and image series must agree where both converge."""
+    import numpy as np
+
     residuals = []
 
     def score(state, sep, delay, j0):
@@ -108,6 +114,8 @@ def _check_field_oracle_grid() -> tuple[bool, dict]:
 
 def _check_gamma_identities() -> tuple[bool, dict]:
     """Correlator trace/combination identities and nu_a-independence."""
+    import numpy as np
+
     rng = np.random.default_rng(20260819)
     worst = 0.0
     for _ in range(SAMPLES):
@@ -151,6 +159,8 @@ def _check_gamma_identities() -> tuple[bool, dict]:
 
 def _check_channel_soundness() -> tuple[bool, dict]:
     """Trace, positivity, eigenvalue agreement, Choi trace/positivity/PPT."""
+    import numpy as np
+
     rng = np.random.default_rng(20260820)
     worst_trace = 0.0
     worst_eigen = 0.0

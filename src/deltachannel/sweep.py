@@ -27,14 +27,14 @@ one pass, and the cells are then joined row by row.
 from __future__ import annotations
 
 import codecs
+import decimal
 import itertools
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .capacity import bob_lengths, capacity_and_nu_eff, capacity_bruteforce
 from .channel import ChannelParams, QubitState, apply
@@ -72,6 +72,8 @@ COLUMNS = (
 STATISTICS_COLUMNS = COLUMNS[4:9]
 
 AXIS_NAMES = ("lambda_a", "lambda_b", "L", "dtau", "r_b")
+# the decimal precision of a log axis's arithmetic (see AxisSpec.values)
+LOG_AXIS_DIGITS = 40
 FORMATS = ("csv", "json")
 # each numeric config key's rule, as "must ...": a fixed value and both
 # ends of its axis keep the same one
@@ -116,16 +118,40 @@ class AxisSpec:
         rule, ok = _KEY_RULES[self.name]
         if not (ok(self.lo) and ok(self.hi)):
             raise ConfigError(f"axis {self.name} must {rule}, got {self.lo!r} to {self.hi!r}")
-        # a span past the float range would overflow linspace's step
+        # a span past the float range would overflow a linear axis's step
         if not math.isfinite(self.hi - self.lo):
             raise ConfigError(f"axis {self.name}: max - min must be finite, got {self.lo!r} to {self.hi!r}")
 
     def values(self) -> list[float]:
-        if self.count == 1:
+        """The axis's points, both ends exact.  A log axis steps by
+        exp(ln(hi / lo) / (count - 1)) and multiplies up from lo, every
+        operation in decimal at LOG_AXIS_DIGITS digits, each point then
+        rounded to the nearest float: decimal's exp, ln, division and
+        multiplication are correctly rounded by its specification, so the
+        bits are the same on every platform.  A linear axis takes
+        numpy.linspace's recipe and bits: i * step + lo with step =
+        (hi - lo) / (count - 1), or (i / (count - 1)) * (hi - lo) + lo
+        where that step is 0."""
+        n = self.count - 1
+        if not n:
             return [float(self.lo)]
         if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.count).tolist()
-        return np.linspace(self.lo, self.hi, self.count).tolist()
+            ctx = decimal.Context(prec=LOG_AXIS_DIGITS)
+            point = decimal.Decimal(self.lo)
+            step = ctx.exp(ctx.divide(ctx.ln(ctx.divide(decimal.Decimal(self.hi), point)), n))
+            points = [float(self.lo)]
+            for _ in range(n - 1):
+                point = ctx.multiply(point, step)
+                points.append(float(point))
+        else:
+            delta = self.hi - self.lo
+            step = delta / n
+            if step:
+                points = [i * step + self.lo for i in range(n)]
+            else:
+                # numpy's branch for a step that underflows to 0
+                points = [i / n * delta + self.lo for i in range(n)]
+        return [*points, float(self.hi)]
 
 
 @dataclass(frozen=True)
@@ -402,11 +428,17 @@ def evaluate_point(
     return rows.row(lambda_a, lambda_b, separation, delay)[0]
 
 
-def grid_overrides(cfg: SweepConfig) -> list[dict]:
-    """Per-row axis overrides in row-major order (first axis outermost)."""
-    names = [axis.name for axis in cfg.axes]
-    return [dict(zip(names, values))
-            for values in itertools.product(*(axis.values() for axis in cfg.axes))]
+def grid_points(cfg: SweepConfig) -> Iterator[tuple]:
+    """Each row's (lambda_a, lambda_b, L, dtau, r_b), in row-major order
+    (first axis outermost): an axis's values, or else the config's.  A
+    value stays the same object from row to row while it does not change,
+    which format_csv uses."""
+    axes = {axis.name: axis.values() for axis in cfg.axes}
+    order = [*axes, *(name for name in AXIS_NAMES if name not in axes)]
+    lists = [axes[name] if name in axes else [getattr(cfg, _FIELD_FOR_KEY.get(name, name))]
+             for name in order]
+    in_place = operator.itemgetter(*map(order.index, AXIS_NAMES))
+    return map(in_place, itertools.product(*lists))
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
@@ -419,15 +451,10 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     rows = _Rows(cfg.eta_over_sigma, cfg.beta, bob, cfg.phase_a, cfg.phase_b, cfg.oracle,
                  cfg.optimizer)
     out = []
-    for overrides in grid_overrides(cfg):
+    for lambda_a, lambda_b, separation, delay, r_b in grid_points(cfg):
         if bob_axis:
-            rows.set_bob(_resolve_bob(cfg.bob_bloch, overrides["r_b"]))
-        out.append(rows.row(
-            overrides.get("lambda_a", cfg.lambda_a),
-            overrides.get("lambda_b", cfg.lambda_b),
-            overrides.get("L", cfg.separation),
-            overrides.get("dtau", cfg.delay),
-        )[0])
+            rows.set_bob(_resolve_bob(cfg.bob_bloch, r_b))
+        out.append(rows.row(lambda_a, lambda_b, separation, delay)[0])
     return out
 
 
@@ -439,10 +466,23 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 _NUMERIC_CELLS = operator.itemgetter(*COLUMNS[:-1])
 
 
+def _cells(column) -> list[str]:
+    """repr(float(v)) for each v of a column; a v that is the previous
+    cell's object takes that cell's string."""
+    cells, last, text = [], object(), ""
+    for v in column:
+        if v is not last:
+            last, text = v, repr(float(v))
+        cells.append(text)
+    return cells
+
+
 def format_csv(rows: list[dict]) -> str:
     """The rows as CSV: a header, then each numeric cell as repr(float(v))
-    and the status.  Each numeric column is formatted in one pass."""
-    columns = [map(repr, map(float, column)) for column in zip(*map(_NUMERIC_CELLS, rows))]
+    and the status.  Each numeric column is formatted in one pass, which
+    formats a run of one object once: a fixed input, or the NaN of the
+    columns a row does not compute."""
+    columns = map(_cells, zip(*map(_NUMERIC_CELLS, rows)))
     lines = map(",".join, zip(*columns, [row["status"] for row in rows]))
     return "\n".join([",".join(COLUMNS), *lines]) + "\n"
 

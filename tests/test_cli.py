@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from deltachannel.sweep import (
     evaluate_point,
     format_csv,
     format_json,
-    grid_overrides,
+    grid_points,
     parse_config,
     parse_config_text,
     point_query,
@@ -154,6 +155,31 @@ def test_axis_values_spacing():
     assert all(isinstance(v, float) for v in log.values())
 
 
+@given(lo=st.floats(-1e300, 1e300), span=st.floats(0.0, 1e300), count=st.integers(2, 70))
+# a step that underflows to 0 takes numpy's other branch
+@example(lo=0.0, span=5e-324, count=3)
+@example(lo=-0.0, span=0.0, count=3)
+@example(lo=-0.0, span=1.0, count=4)
+@example(lo=-5e-324, span=1e-323, count=70)
+def test_linear_axis_keeps_numpy_linspace_bits(lo, span, count):
+    axis = AxisSpec("dtau", lo, lo + span, count, "linear")
+    expected = np.linspace(axis.lo, axis.hi, count).tolist()
+    assert [v.hex() for v in axis.values()] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("lo, hi, count", [(0.1, 1000.0, 64), (0.1, 1000.0, 24), (1e-3, 7.0, 17),
+                                            (5e-324, 1.7e308, 9), (2.5, 2.5, 3)])
+def test_log_axis_is_correctly_rounded(lo, hi, count):
+    # lo (hi / lo)^(i / (count - 1)) at 60 digits, rounded once; numpy's
+    # geomspace has 6 of the Fig-1 axis's 64 points and is up to 8 ulp off
+    with mpmath.workdps(60):
+        lo_mp, ratio = mpmath.mpf(lo), mpmath.mpf(hi) / mpmath.mpf(lo)
+        expected = [float(lo_mp * ratio ** (mpmath.mpf(i) / (count - 1))) for i in range(count)]
+    values = AxisSpec("lambda_a", lo, hi, count, "log").values()
+    assert values[0] == lo and values[-1] == hi
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+
 def test_one_point_axis_keeps_the_sign_of_zero(tmp_path):
     # np.linspace(-0.0, 0.0, 1) is [0.0]: values' count == 1 branch keeps -0.0
     assert [repr(v) for v in AxisSpec("dtau", -0.0, 0.0, 1, "linear").values()] == ["-0.0"]
@@ -168,6 +194,14 @@ def test_one_point_axis_keeps_the_sign_of_zero(tmp_path):
 # sweep evaluation and serialization
 # ---------------------------------------------------------------------------
 
+def grid_overrides(cfg):
+    """The reference grid: per-row axis overrides in row-major order
+    (first axis outermost)."""
+    names = [axis.name for axis in cfg.axes]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(axis.values() for axis in cfg.axes))]
+
+
 def test_grid_row_major_order():
     cfg = parse_config_text(BASE_CONFIG)
     points = grid_overrides(cfg)
@@ -175,6 +209,11 @@ def test_grid_row_major_order():
     assert points[0]["lambda_a"] == points[1]["lambda_a"] == 0.5
     assert points[0]["lambda_b"] < points[1]["lambda_b"]
     assert [p["lambda_a"] for p in points] == [0.5, 0.5, 1.25, 1.25, 2.0, 2.0]
+    # the library's grid, with the fixed inputs in place, in either nesting order
+    for axes in (cfg.axes, cfg.axes[::-1]):
+        cfg = dataclasses.replace(cfg, axes=axes, r_b=0.5)
+        assert list(grid_points(cfg)) == [
+            (p.get("lambda_a", 2.0), p["lambda_b"], 6.0, 6.0, 0.5) for p in grid_overrides(cfg)]
 
 
 # each axis's values are drawn inside its key's rule
@@ -421,8 +460,13 @@ def test_csv_writer_matches_the_per_cell_formula():
     rows = []
     for k, status in enumerate(("ok", "quadrature_error", "domain_error") * 3):
         rows.append(dict(zip(COLUMNS, [cells[(k + i) % len(cells)] for i in range(13)] + [status])))
+    # a run of one object is formatted once: -0.0 next to 0.0, which are
+    # equal, and NaNs that are distinct objects must keep their own cells
+    zero, nans = 0.0, [float("nan") for _ in range(3)]
+    runs = [dict(zip(COLUMNS, [v] * 13 + ["ok"]))
+            for v in (-0.0, zero, zero, -0.0, *nans, nans[0], 1, 1.0, True)]
     assert format_csv([]) == per_cell([]) == ",".join(COLUMNS) + "\n"
-    for chosen in (rows, rows[:1], rows[::-1]):
+    for chosen in (rows, rows[:1], rows[::-1], runs):
         assert format_csv(chosen) == per_cell(chosen)
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -541,6 +542,50 @@ def test_gauss_legendre_rules_integrate_even_powers_to_rounding():
         for k in range(n):
             exact = 2.0 / (2 * k + 1)
             assert abs(weights @ nodes ** (2 * k) - exact) <= 1e-14 * exact, (n, k)
+
+
+def test_six_point_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert [x.hex() for x in field._GL_NODES] == [x.hex() for x in nodes.tolist()]
+    assert [w.hex() for w in field._GL_WEIGHTS] == [w.hex() for w in weights.tolist()]
+
+
+def test_gauss_legendre_mean_is_the_sequential_fused_multiply_add():
+    # acc <- RN(w v + acc) in index order, each step exact before its one rounding
+    def reference(values):
+        acc = 0.0
+        for w, v in zip(field._GL_WEIGHTS, values):
+            acc = float(Fraction(w) * Fraction(v) + Fraction(acc))
+        return acc
+
+    rng = random.Random(20261021)
+    for _ in range(2000):
+        # magnitudes 1e-12 to 1e12 and either sign, so that steps cancel
+        values = [rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-12, 12)
+                  for _ in range(6)]
+        assert field._gl_mean(values).hex() == reference(values).hex(), values
+    # cancellation to exactly 0 from nonzero terms
+    values = [1.0, 0.0, 0.0, 0.0, 0.0, -field._GL_WEIGHTS[0] / field._GL_WEIGHTS[5]]
+    assert field._gl_mean(values).hex() == reference(values).hex()
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([math.inf, 1.0, 1.0, 1.0, 1.0, 1.0], math.inf),
+    ([1.0, 1.0, -math.inf, 1.0, 1.0, 1.0], -math.inf),
+    ([math.inf, 0.0, 0.0, 0.0, 0.0, -math.inf], math.nan),
+    ([1.0, math.nan, 1.0, 1.0, 1.0, 1.0], math.nan),
+    # the sum passes the float range at the fourth term, though no product
+    # does; IEEE keeps the inf
+    ([1.7e308] * 6, math.inf),
+    ([-1.7e308] * 6, -math.inf),
+    ([1.7e308] * 5 + [-math.inf], math.nan),
+    # a first term that rounds to -0.0, then -0.0 terms: IEEE keeps the sign
+    ([-5e-324, -0.0, -0.0, -0.0, -0.0, -0.0], -0.0),
+    ([-0.0] * 6, 0.0),
+])
+def test_gauss_legendre_mean_keeps_ieee_semantics(values, expected):
+    got = field._gl_mean(values)
+    assert got.hex() == expected.hex() or (math.isnan(expected) and math.isnan(got))
 
 
 @pytest.mark.parametrize("beta", [3e-307, 1e-306])

@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -52,18 +57,30 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("config, flags, digest", [
-    (FIG1_CONFIG, [], "b2f48bcc96686c2d047b39528b7daff104bc12447c2980d9449c6e0333e52d0c"),
-    (ORACLE_CONFIG, ["--oracle"],
-     "5b44bd6579347352ccf50975ae567caea5a5169eae0c74534618e8923bd91815"),
-    (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
-     "e6ba34730bffb28f2c79a0fe451a5d45c6f7b7f14222d0caaf06e4b33a244ffc"),
-    (ORACLE_COUPLING_CONFIG, ["--oracle"],
-     "09c960f9b40665af8f49f60d8ceedb0fcc334add301cbd3e547ae8c522cb6fcd"),
-    (ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
-     "e2dd1e024b3e38be47fbb1d3822911d7eca0282d9e12dc9377ee0ba0f04d372c"),
-], ids=["fig1_csv", "oracle_json_vacuum", "oracle_json_beta2", "oracle_coupling_csv_vacuum",
-        "oracle_coupling_csv_beta2"])
+SWEEPS = {
+    "fig1_csv": (FIG1_CONFIG, [],
+                 "6c3b586e40dcaa32a3ed21b39fb890d7ddc6732e1e844b167c2431523cd5ec62"),
+    "oracle_json_vacuum": (ORACLE_CONFIG, ["--oracle"],
+                           "5b44bd6579347352ccf50975ae567caea5a5169eae0c74534618e8923bd91815"),
+    "oracle_json_beta2": (ORACLE_CONFIG + "beta = 2\n", ["--oracle"],
+                          "e6ba34730bffb28f2c79a0fe451a5d45c6f7b7f14222d0caaf06e4b33a244ffc"),
+    "oracle_coupling_csv_vacuum": (
+        ORACLE_COUPLING_CONFIG, ["--oracle"],
+        "f3e78a2f3adbd034e96c5217fda0bb04b1487b64a79b14d6a0c87c5e59ce3f60"),
+    "oracle_coupling_csv_beta2": (
+        ORACLE_COUPLING_CONFIG + "beta = 2\n", ["--oracle"],
+        "6a198dc94c2e1f6324356fdc4ceb84b54b3e493b3e03bf85b4c36e383ebdb739"),
+}
+
+STDOUTS = {
+    "point_vacuum": (POINT, "5a919ca32e9c645a62ee396fb490f6ba2afb5214de7104e1791ffa64b276a07e"),
+    "point_beta2": (POINT + ["--beta", "2"],
+                    "349fdb93e5c878a92a77fece299094ba98c23e826dc9d62df8f5554e5e66058a"),
+    "selftest": (["selftest"], "af6720e3a912a1ca967a46f158fbe32d46317220fd665466cd0c3865c812a5e2"),
+}
+
+
+@pytest.mark.parametrize("config, flags, digest", SWEEPS.values(), ids=SWEEPS)
 def test_sweep_bytes(tmp_path, config, flags, digest):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(config, encoding="utf-8")
@@ -72,14 +89,61 @@ def test_sweep_bytes(tmp_path, config, flags, digest):
     assert _digest(out.read_bytes()) == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (POINT, "5a919ca32e9c645a62ee396fb490f6ba2afb5214de7104e1791ffa64b276a07e"),
-    (POINT + ["--beta", "2"], "349fdb93e5c878a92a77fece299094ba98c23e826dc9d62df8f5554e5e66058a"),
-    (["selftest"], "af6720e3a912a1ca967a46f158fbe32d46317220fd665466cd0c3865c812a5e2"),
-], ids=["point_vacuum", "point_beta2", "selftest"])
+@pytest.mark.parametrize("argv, digest", STDOUTS.values(), ids=STDOUTS)
 def test_stdout_bytes(capsys, argv, digest):
     assert main(argv) == 0
     assert _digest(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+# runs each job of argv[1] in a fresh interpreter: a sweep config's output
+# file, or a command's standard output, as its SHA-256 digest
+DIGESTS = """\
+import contextlib, hashlib, io, json, pathlib, sys
+
+from deltachannel.cli import main
+
+jobs, work = json.loads(sys.argv[1]), pathlib.Path(sys.argv[2])
+digests = {}
+for name, (config, argv) in jobs.items():
+    printed, out = io.StringIO(), work / name
+    if config is not None:
+        (work / "sweep.cfg").write_text(config, encoding="utf-8")
+        argv = ["sweep", "--config", str(work / "sweep.cfg"), "--output", str(out), *argv]
+    with contextlib.redirect_stdout(printed):
+        assert main(argv) == 0, argv
+    data = out.read_bytes() if config is not None else printed.getvalue().encode("utf-8")
+    digests[name] = hashlib.sha256(data).hexdigest()
+print(json.dumps(digests))
+"""
+
+# numpy's SIMD dispatch and OpenBLAS's kernel, each chosen for this process
+# alone as another CPU would choose it
+CPU_VARIANTS = {
+    "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no_avx512_haswell": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                          "OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+@pytest.mark.parametrize("variant", CPU_VARIANTS.values(), ids=CPU_VARIANTS)
+def test_sweep_and_point_bytes_on_other_cpus(tmp_path, variant):
+    """Every sweep and point digest above, recomputed with numpy's AVX-512
+    kernels off, under OpenBLAS's Haswell or Prescott kernel, or both: a
+    call whose rounding follows the CPU fails here on any machine those
+    variables can select.  The selftest digest is left out: its Choi
+    eigenvalues come from LAPACK's eigvalsh, which rounds by the BLAS
+    kernel, so that digest still holds on this kind of CPU only."""
+    jobs = {name: (config, flags) for name, (config, flags, _) in SWEEPS.items()}
+    jobs |= {name: (None, argv) for name, (argv, _) in STDOUTS.items() if name != "selftest"}
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), **variant}
+    done = subprocess.run([sys.executable, "-c", DIGESTS, json.dumps(jobs), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    expected = {name: job[-1] for name, job in (SWEEPS | STDOUTS).items() if name != "selftest"}
+    assert json.loads(done.stdout) == expected
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])

@@ -1,9 +1,11 @@
 """scipy.special loads only on the thermal image route's first call, for
-wofz, and mpmath on the oracle's first Im J, not at import: a vacuum
-process loads neither, and no process at beta <= 2.745, where every
-argument takes the Matsubara route, loads any scipy module, --oracle or
-not.  No process loads scipy.integrate: the oracle's Re J is the library's
-own Gauss-Legendre rule, in numpy.
+wofz, mpmath on the oracle's first Im J, and numpy on the oracle's first
+Re J, not at import: a vacuum process loads none of them, and no process
+at beta <= 2.745, where every argument takes the Matsubara route, loads
+any scipy module, --oracle or not, or numpy without --oracle.  A log axis
+is decimal arithmetic, so a Fig-1 sweep loads nothing either.  No process
+loads scipy.integrate: the oracle's Re J is the library's own
+Gauss-Legendre rule, in numpy.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -27,7 +29,7 @@ from deltachannel import cli
 
 def loaded():
     # "scipy" is in sys.modules as soon as any scipy module is
-    names = ("scipy", "scipy.special", "scipy.integrate", "mpmath")
+    names = ("numpy", "scipy", "scipy.special", "scipy.integrate", "mpmath")
     return [name for name in names if name in sys.modules]
 
 
@@ -44,11 +46,11 @@ def run(argv):
 # it cancels in float64 to 1.3e-13.
 ORACLE_POINTS = (("dtau = 0 oracle point", ["--dtau", "0"]), ("oracle point", []),
                  ("cancelling oracle point", ["--L", "0", "--dtau", "8"]))
-vacuum, beta_2, beta_100 = sys.argv[1:]
+vacuum, beta_2, beta_100, log = sys.argv[1:]
 seen = {"import": loaded()}
 run(["point"])
 seen["point"] = loaded()
-for name, cfg in (("vacuum sweep", vacuum), ("beta = 2 sweep", beta_2)):
+for name, cfg in (("vacuum sweep", vacuum), ("beta = 2 sweep", beta_2), ("log-axis sweep", log)):
     run(["sweep", "--config", cfg])
     seen[name] = loaded()
 # J(0, 0, beta) takes the Matsubara route up to beta = 2.7459
@@ -65,13 +67,17 @@ print(json.dumps({"seen": seen, "status": status}))
 """
 
 CONFIG = "schema_version = 1\naxis.L = 0, 12, 3, linear\naxis.dtau = 0, 12, 3, linear\n"
+# the Fig-1 couplings at 8 x 8
+LOG_CONFIG = ("schema_version = 1\naxis.lambda_a = 0.1, 1000, 8, log\n"
+              "axis.lambda_b = 0.1, 1000, 8, log\n")
 
 
 def test_only_the_oracle_loads_the_integrators(tmp_path):
     configs = []
-    for name, extra in (("vacuum", ""), ("beta_2", "beta = 2\n"), ("beta_100", "beta = 100\n")):
+    for name, text in (("vacuum", CONFIG), ("beta_2", CONFIG + "beta = 2\n"),
+                       ("beta_100", CONFIG + "beta = 100\n"), ("log", LOG_CONFIG)):
         path = tmp_path / f"{name}.cfg"
-        path.write_text(CONFIG + extra, encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         configs.append(str(path))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", SCRIPT, *configs], env=env,
@@ -84,13 +90,14 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "point": [],
         "vacuum sweep": [],
         "beta = 2 sweep": [],
+        "log-axis sweep": [],
         "beta = 2.745 point": [],
-        # the oracle adds only mpmath, for Im J at dtau != 0
-        "dtau = 0 oracle point": [],
-        "oracle point": ["mpmath"],
-        "cancelling oracle point": ["mpmath"],
+        # the oracle adds numpy, for Re J, and mpmath, for Im J at dtau != 0
+        "dtau = 0 oracle point": ["numpy"],
+        "oracle point": ["numpy", "mpmath"],
+        "cancelling oracle point": ["numpy", "mpmath"],
         # the one remaining use of scipy: the image route's wofz
-        "beta = 100 sweep": ["scipy", "scipy.special", "mpmath"],
+        "beta = 100 sweep": ["numpy", "scipy", "scipy.special", "mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
