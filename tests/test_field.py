@@ -274,20 +274,24 @@ def test_dawson_special_values():
 # Thermal Re J against the 50-digit quadrature: separations at and near 0
 # (through the Gauss-Legendre mean), at the quotient's threshold 0.0707 and
 # past it, delays up to 12, and beta from 1e-3 (J(0, 0) ~ 2500) to 1e3.
+# (0.05, 9) and (0.02, 11) at beta = 8 take the image series where its F'
+# cancels, so a Faddeeva function's error shows there (scipy's wofz left Re J
+# 1.43e-14 J(0, 0, beta) off).
 THERMAL_GEOMETRIES = (
     (0.0, 0.0), (0.0, 8.0), (5e-324, 1.0), (1e-20, -3.0), (1e-8, 0.5),
     (0.0707, 1.0), (0.08, -0.3), (1.0, 3.0), (6.0, 6.0), (3.0, -12.0),
+    (0.05, 9.0), (0.02, 11.0),
 )
 
 
-@pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0, 20.0, 1e3])
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0, 8.0, 20.0, 1e3])
 def test_thermal_cross_real_closed_matches_50_digit_reference(beta):
     worst = max(
         abs(cross_real_closed(L, dt, beta) - thermal_re_j_reference(L, dt, beta))
         for L, dt in THERMAL_GEOMETRIES
     )
     # the worst measured: 9.1e-13 at beta = 1e-3, where J(0, 0) ~ 2500, and
-    # under 6.2e-15 J(0, 0, beta) at every other beta
+    # under 1.3e-15 J(0, 0, beta) at every other beta
     assert worst <= min(1e-12, 1e-14 * thermal_re_j_reference(0.0, 0.0, beta))
 
 
@@ -326,12 +330,14 @@ def _route_cases():
 
 def test_thermal_series_agree_where_both_run():
     # the partial fractions of coth and its geometric series are independent
-    # expansions; where each needs at most 1000 terms both are compared
+    # expansions; where each needs at most 1000 terms, at the beta where the
+    # image series runs (beta^2 > 48 pi / 20, inside its continued
+    # fraction's domain), both are compared
     compared = 0
     for beta, x in _route_cases():
         m = math.ceil(beta * field.MATSUBARA_CUT / (2.0 * math.pi))
         n = math.ceil(field.IMAGE_CUT * (abs(x) + 2.0) / beta)
-        if max(m, n) > 1000:
+        if max(m, n) > 1000 or beta * beta <= 4.0 * math.pi * field.IMAGE_CUT / field.MATSUBARA_CUT:
             continue
         m, n = map(math.ceil, field._term_counts(abs(x), beta))
         for derivative in (False, True):
@@ -398,6 +404,41 @@ def test_erfcx_matches_50_digit_reference():
     assert field._erfcx(0.0) == field._erfcx(5e-324) == 1.0
     assert field._erfcx(math.inf) == 0.0
     assert math.isnan(field._erfcx(math.nan))
+
+
+def _faddeeva_reference(z):
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+
+
+def test_faddeeva_matches_40_digit_reference_on_the_image_series_domain():
+    # x = 0, where w is erfcx(Im z), or log-uniform on [1e-3, 316], and Im z
+    # log-uniform from the domain's edge 1.94 to 1e3
+    draw = random.Random(20261022)
+    zs = [complex(0.0, 1.94), complex(316.0, 1.94), complex(1e-3, 1e3)]
+    for _ in range(1000):
+        x = 0.0 if draw.random() < 0.1 else 10.0 ** draw.uniform(-3.0, 2.5)
+        zs.append(complex(x, 10.0 ** draw.uniform(math.log10(1.94), 3.0)))
+    worst = 0.0
+    for z in zs:
+        reference = _faddeeva_reference(z)
+        worst = max(worst, float(abs(field._faddeeva(z) - reference) / abs(reference)))
+    assert worst <= 1e-15
+    # kms_sine_transform stays in that domain: wherever _term_counts picks
+    # the image series, its arguments (x + i n beta) / sqrt2 have Im z of at
+    # least beta / sqrt2, and the switch is at beta^2 = 48 pi / 20
+    edge = math.sqrt(48.0 * math.pi / 20.0)
+    betas = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    betas += [10.0 ** draw.uniform(-3.0, 3.0) for _ in range(2000)]
+    picked = 0
+    for beta in betas:
+        for x in (0.0, 10.0 ** draw.uniform(-3.0, 3.0)):
+            m, n = field._term_counts(x, beta)
+            if m > n:
+                picked += 1
+                assert beta / math.sqrt(2.0) >= 1.94, (beta, x)
+    assert picked >= 500
 
 
 def test_hurwitz_zeta_matches_mpmath():

@@ -76,7 +76,7 @@ STDOUTS = {
     "point_vacuum": (POINT, "5a919ca32e9c645a62ee396fb490f6ba2afb5214de7104e1791ffa64b276a07e"),
     "point_beta2": (POINT + ["--beta", "2"],
                     "349fdb93e5c878a92a77fece299094ba98c23e826dc9d62df8f5554e5e66058a"),
-    "selftest": (["selftest"], "af6720e3a912a1ca967a46f158fbe32d46317220fd665466cd0c3865c812a5e2"),
+    "selftest": (["selftest"], "25d03455249eaef8c1b5f7c0d6ee184924c4c260919603c7da6367bb853f342e"),
 }
 
 

@@ -1,11 +1,11 @@
-"""scipy.special loads only on the thermal image route's first call, for
-wofz, mpmath on the oracle's first Im J, and numpy on the oracle's first
-Re J, not at import: a vacuum process loads none of them, and no process
-at beta <= 2.745, where every argument takes the Matsubara route, loads
-any scipy module, --oracle or not, or numpy without --oracle.  A log axis
-is decimal arithmetic, so a Fig-1 sweep loads nothing either.  No process
-loads scipy.integrate: the oracle's Re J is the library's own
-Gauss-Legendre rule, in numpy.
+"""mpmath loads on the oracle's first Im J and numpy on the oracle's first
+Re J, not at import: a sweep or point without --oracle loads neither, in
+the vacuum or at any beta, on the Matsubara route (beta <= 2.745) or the
+image route, whose Faddeeva function is the library's own continued
+fraction.  A log axis is decimal arithmetic, so a Fig-1 sweep loads
+nothing either.  No process loads any scipy module, --oracle or selftest
+included: the oracle's Re J is the library's own Gauss-Legendre rule, in
+numpy.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -56,11 +56,13 @@ for name, cfg in (("vacuum sweep", vacuum), ("beta = 2 sweep", beta_2), ("log-ax
 # J(0, 0, beta) takes the Matsubara route up to beta = 2.7459
 run(["point", "--beta", "2.745", "--L", "0", "--dtau", "0"])
 seen["beta = 2.745 point"] = loaded()
+# every argument of this point takes the image route
+run(["point", "--beta", "100"])
+seen["beta = 100 point"] = loaded()
 status = {}
 for name, argv in ORACLE_POINTS:
     status[name] = json.loads(run(["point", "--oracle", "--beta", "2", *argv]))["status"]
     seen[name] = loaded()
-# the image route goes last: its wofz loads scipy.special for the rest of the process
 run(["sweep", "--config", beta_100])
 seen["beta = 100 sweep"] = loaded()
 print(json.dumps({"seen": seen, "status": status}))
@@ -92,12 +94,26 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "beta = 2 sweep": [],
         "log-axis sweep": [],
         "beta = 2.745 point": [],
+        "beta = 100 point": [],
         # the oracle adds numpy, for Re J, and mpmath, for Im J at dtau != 0
         "dtau = 0 oracle point": ["numpy"],
         "oracle point": ["numpy", "mpmath"],
         "cancelling oracle point": ["numpy", "mpmath"],
-        # the one remaining use of scipy: the image route's wofz
-        "beta = 100 sweep": ["numpy", "scipy", "scipy.special", "mpmath"],
+        # what the oracle points loaded, and nothing more
+        "beta = 100 sweep": ["numpy", "mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
+
+
+def test_selftest_loads_no_scipy():
+    script = ("import contextlib, io, sys\n"
+              "from deltachannel import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['selftest']) == 0\n"
+              "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
