@@ -6,16 +6,16 @@ statistics never integrate.  The closed forms are scalar math: the Dawson
 function, erfcx, the Faddeeva function and the Hurwitz zeta function are
 this module's own (see dawson, _erfcx, _faddeeva and _hurwitz_zeta), erf
 is math's, and the 6-point Gauss-Legendre mean is an exact sequential
-fused multiply-add (see _gl_mean), so no statistics path needs numpy or
-scipy.  mpmath is imported on the oracle's first Im J (see
-_commutator_trapezoid), and numpy on its first Re J (see quad); neither
-loads with this module.  residual is the one rule
+fused multiply-add (see _gl_mean), so no path here, the oracle included,
+needs numpy or scipy.  mpmath is imported on the oracle's first Im J (see
+_commutator_trapezoid), not with this module.  residual is the one rule
 that compares the closed forms with the oracle, for a sweep row's
 oracle_residual (through oracle_residual) and for
 selftest's grid; it compares J alone, so it depends on the geometry and
 the state, never on the couplings.  The oracle takes one route per
 component of J (see _radial_integral): Re J, compared absolutely, by
-quad, a composite Gauss-Legendre rule in numpy; Im J, the commutator
+quad, a composite Gauss-Legendre rule in math whose sums math.fsum takes
+in a fixed order; Im J, the commutator
 part, compared relatively, by a 50-digit trapezoid rule whose nodes
 run on fixed-point integer recurrences, mpmath computing only their
 seeds.  Both rules admit
@@ -56,9 +56,9 @@ K_MAX = 40.0
 # The oracle's reach: both of its rules admit L + |dtau| <= ORACLE_REACH,
 # the corner of the accepted domain (L <= 1e3, |dtau| <= 1e3), and past it
 # refuse before they integrate (see _check_reach).  At the corner the Re J
-# rule takes 1910 uniform panels, about 5 ms (panels graded toward k = 0
-# add under 1030 at any finite beta), and the Im J rule about 1e4 nodes,
-# about 20 ms.
+# rule takes 1910 uniform panels, about 50 ms in the vacuum and 70 ms at
+# beta = 2 (panels graded toward k = 0 add under 1030 at any finite beta),
+# and the Im J rule about 1e4 nodes, about 20 ms.
 ORACLE_REACH = 2e3
 # The oracle's Re J rule (see quad) runs on [0, GL_K]; since
 # |sin(kL)/L| <= k and coth falls, the tail it leaves is under
@@ -623,27 +623,45 @@ def _images(x: float, beta: float, n: int, derivative: bool) -> float:
 # statistics path does
 # ---------------------------------------------------------------------------
 
+# the positive halves of numpy.polynomial.legendre.leggauss(20) and (40)'s
+# nodes, bit for bit (a test pins them); leggauss's nodes are symmetric, so
+# the rules mirror these
+_GL20_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+               0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+               0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+               0.993128599185095)
+_GL40_NODES = (0.038772417506050816, 0.11608407067525521, 0.1926975807013711,
+               0.2681521850072537, 0.3419940908257585, 0.413779204371605,
+               0.4830758016861787, 0.5494671250951282, 0.6125538896679802,
+               0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+               0.8246122308333117, 0.8659595032122595, 0.9020988069688742,
+               0.9328128082786765, 0.9579168192137917, 0.9772599499837743,
+               0.990726238699457, 0.9982377097105591)
+
+
 @functools.cache
 def _gl_rules() -> tuple:
     # the 20- and 40-point Gauss-Legendre nodes and weights on [-1, 1],
-    # computed on the oracle's first call.  leggauss's nodes are within an
-    # ulp, but its 40-point weights are up to 7e-13 off, which left Re J
-    # 3e-15 off at (0, 6).  The weights are 2 / ((1 - x^2) P_n'(x)^2) at
-    # each node x instead, P_n and P_n' by the three-term recurrence, times
-    # the first-order change of that weight over Newton's step -P_n / P_n'
-    # to the exact node: within 4e-15, which leaves Re J within 2e-16.
-    import numpy as np
-
+    # the weights computed on the oracle's first call.  leggauss's own
+    # 40-point weights are up to 7e-13 off, which left Re J 3e-15 off at
+    # (0, 6).  The weights are 2 / ((1 - x^2) P_n'(x)^2) at each node x
+    # instead, P_n and P_n' by the three-term recurrence, times the
+    # first-order change of that weight over Newton's step -P_n / P_n' to
+    # the exact node: within 4e-15, which leaves Re J within 2e-16.
     rules = []
-    for n in (20, 40):
-        x = np.polynomial.legendre.leggauss(n)[0]
-        p_prev, p = np.ones_like(x), x
-        for j in range(1, n):
-            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-        # 1 - x^2 as (1 - x)(1 + x), which keeps its digits near x = +-1
-        u = (1.0 - x) * (1.0 + x)
-        slope = n * (p_prev - x * p) / u
-        rules.append((x, 2.0 / (u * slope * slope) * (1.0 + 2.0 * x * p / (u * slope))))
+    for half in (_GL20_NODES, _GL40_NODES):
+        n = 2 * len(half)
+        nodes = tuple(-x for x in reversed(half)) + half
+        weights = []
+        for x in nodes:
+            p_prev, p = 1.0, x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            # 1 - x^2 as (1 - x)(1 + x), which keeps its digits near x = +-1
+            u = (1.0 - x) * (1.0 + x)
+            slope = n * (p_prev - x * p) / u
+            weights.append(2.0 / (u * slope * slope) * (1.0 + 2.0 * x * p / (u * slope)))
+        rules.append((nodes, tuple(weights)))
     return tuple(rules)
 
 
@@ -667,9 +685,11 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
     wide; where pi/beta is narrower than that, they are graded toward
     k = 0 as [0, pi/beta], then doubling, so the poles stay at least two
     half-widths from every panel.  The value is the 40-point sum and
-    the estimate |G40 - G20|, the 20-point rule's distance from it.
-    Raises QuadratureError, with estimate inf, past ORACLE_REACH, without
-    integrating.
+    the estimate |G40 - G20|, the 20-point rule's distance from it.  Each
+    rule sums its terms w f on each panel with math.fsum, and then the
+    panels' totals, so the bits depend on no summation order of a CPU or
+    a BLAS.  Raises QuadratureError, with estimate inf, past ORACLE_REACH,
+    without integrating.
 
     sin(kL)/L is k below SERIES_CUTOFF, which also covers L = 0 and
     subnormal L, where k L has lost its digits; coth(beta k/2) is its series
@@ -679,8 +699,7 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
     is finite down to beta ~ 1.4e-308 and inf below.
     """
     _check_reach(L, dtau)
-    import numpy as np
-
+    exp, sin, cos, tanh, fsum = math.exp, math.sin, math.cos, math.tanh, math.fsum
     reach = L + abs(dtau)
     width = min(1.0, GL_WIDTH / reach) if reach else 1.0
     edges = [0.0]
@@ -689,23 +708,30 @@ def quad(L: float, dtau: float, beta: float | None) -> tuple[float, float]:
         while edge < width:
             edges.append(edge)
             edge *= 2.0
-    uniform = np.linspace(edges[-1], GL_K, math.ceil((GL_K - edges[-1]) / width) + 1)
-    edges = np.concatenate([edges[:-1], uniform])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    # uniform panels from the last edge to GL_K, at numpy.linspace's points
+    start = edges.pop()
+    count = math.ceil((GL_K - start) / width)
+    step = (GL_K - start) / count
+    edges += [i * step + start for i in range(count)]
+    edges.append(GL_K)
+    panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
     scale = 1.0 if beta is None else min(beta, 1.0)
+    c = None if beta is None else 0.5 * beta
     sums = []
-    # np.where evaluates both of its branches, and the one it drops may
-    # divide by zero; a J past the float range is check's miss, not a warning
-    with np.errstate(all="ignore"):
-        for nodes, weights in _gl_rules():
-            k = mid[:, None] + half[:, None] * nodes
-            f = np.exp(-0.5 * k * k) * np.where(k * L >= SERIES_CUTOFF, np.sin(k * L) / L, k)
-            f *= np.cos(k * dtau)
-            if beta is not None:
-                y = 0.5 * beta * k
-                f *= np.where(y < 1e-8, scale / beta * (2.0 / k) + scale * y / 3.0,
-                              scale / np.tanh(y))
-            sums.append(float(half @ (f @ weights)))
+    for nodes, weights in _gl_rules():
+        totals = []
+        for mid, half in panels:
+            terms = []
+            for x, w in zip(nodes, weights):
+                k = mid + half * x
+                kl = k * L
+                f = exp(-0.5 * k * k) * (sin(kl) / L if kl >= SERIES_CUTOFF else k) * cos(k * dtau)
+                if c is not None:
+                    y = c * k
+                    f *= scale / beta * (2.0 / k) + scale * y / 3.0 if y < 1e-8 else scale / tanh(y)
+                terms.append(w * f)
+            totals.append(half * fsum(terms))
+        sums.append(fsum(totals))
     g20, g40 = sums
     return g40 / scale, abs(g40 - g20) / scale
 
@@ -784,7 +810,7 @@ def _radial_integral(L: float, dtau: float, beta: float | None) -> complex:
     the imaginary component is the commutator part and is temperature
     independent.  Each component has one route.  Re J, which every consumer
     compares absolutely, is quad's composite Gauss-Legendre rule on
-    [0, GL_K], in numpy; missing its target raises at once, before Im J is
+    [0, GL_K], in math; missing its target raises at once, before Im J is
     computed.  Im J carries the commutator, compared relatively, which
     float64 cancellation would spoil wherever Im J is small, so it is
     _commutator_trapezoid's, at MP_DPS digits on [0, TRAPEZOID_K] at step

@@ -350,17 +350,23 @@ def test_thermal_series_agree_where_both_run():
 def test_thermal_series_and_re_j_keep_their_parity():
     # F is odd and F' even on either series, bit for bit, and Re J is even
     # in the delay on the quotient and on the Gauss-Legendre mean, whose
-    # nodes once added in the other order at -dtau (an ulp off)
+    # nodes once added in the other order at -dtau (an ulp off).  The image
+    # series runs only at beta^2 > 48 pi / 20, where every Faddeeva argument
+    # is in _faddeeva's domain; below it the fraction does not converge
     draw = random.Random(20261021)
+    images = 0
     for _ in range(200):
         beta = 10.0 ** draw.uniform(-2.0, 3.0)
         x = 10.0 ** draw.uniform(-3.0, 2.0)
+        image_route = beta * beta > 4.0 * math.pi * field.IMAGE_CUT / field.MATSUBARA_CUT
         for series, size in zip((field._matsubara, field._images), field._term_counts(x, beta)):
-            if size > 2000:
+            if size > 2000 or (series is field._images and not image_route):
                 continue
+            images += series is field._images
             for derivative, sign in ((False, -1.0), (True, 1.0)):
                 value = series(x, beta, math.ceil(size), derivative)
                 assert series(-x, beta, math.ceil(size), derivative) == sign * value, (beta, x)
+    assert images >= 80
     for beta in (None, 0.5, 2.0, 100.0):
         for _ in range(50):
             L = draw.choice((draw.uniform(0.0, 0.07), draw.uniform(0.05, 12.0)))
@@ -533,7 +539,7 @@ def test_radial_integral_past_the_panel_cap_is_a_typed_error(beta):
 
 
 def test_panel_cap_refuses_at_once(monkeypatch):
-    # unbounded panels would ask numpy for unbounded arrays, and unbounded
+    # unbounded panels would build unbounded lists, and unbounded
     # nodes would loop without end: past ORACLE_REACH both rules raise
     # before they reach a node, just past it too, where the Re J rule's
     # own panel cap once admitted L + |dtau| up to 2000.15 and the Im J
@@ -580,9 +586,27 @@ def test_gauss_legendre_rules_integrate_even_powers_to_rounding():
     # leggauss's own 40-point weights are up to 7e-13 off, and their moments
     # 2.4e-13 off; with them the rule's Re J was 3e-15 off at (0, 6)
     for (nodes, weights), n in zip(field._gl_rules(), (20, 40)):
+        assert len(nodes) == len(weights) == n
         for k in range(n):
             exact = 2.0 / (2 * k + 1)
-            assert abs(weights @ nodes ** (2 * k) - exact) <= 1e-14 * exact, (n, k)
+            moment = math.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
+            assert abs(moment - exact) <= 1e-14 * exact, (n, k)
+
+
+def test_oracle_rules_are_leggauss_bit_for_bit():
+    # the nodes are leggauss's, and the weights are the recurrence's
+    # first-order-corrected 2 / ((1 - x^2) P_n'(x)^2) as numpy evaluates it
+    # on those nodes
+    for (nodes, weights), n in zip(field._gl_rules(), (20, 40)):
+        x = np.polynomial.legendre.leggauss(n)[0]
+        assert [v.hex() for v in nodes] == [v.hex() for v in x.tolist()]
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        u = (1.0 - x) * (1.0 + x)
+        slope = n * (p_prev - x * p) / u
+        expected = 2.0 / (u * slope * slope) * (1.0 + 2.0 * x * p / (u * slope))
+        assert [v.hex() for v in weights] == [v.hex() for v in expected.tolist()]
 
 
 def test_six_point_rule_is_leggauss_bit_for_bit():

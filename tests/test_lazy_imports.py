@@ -1,11 +1,11 @@
-"""mpmath loads on the oracle's first Im J and numpy on the oracle's first
-Re J, not at import: a sweep or point without --oracle loads neither, in
-the vacuum or at any beta, on the Matsubara route (beta <= 2.745) or the
-image route, whose Faddeeva function is the library's own continued
-fraction.  A log axis is decimal arithmetic, so a Fig-1 sweep loads
-nothing either.  No process loads any scipy module, --oracle or selftest
-included: the oracle's Re J is the library's own Gauss-Legendre rule, in
-numpy.
+"""mpmath loads on the oracle's first Im J, not at import, and no sweep or
+point loads numpy, --oracle included: a sweep or point without --oracle
+loads nothing, in the vacuum or at any beta, on the Matsubara route
+(beta <= 2.745) or the image route, whose Faddeeva function is the
+library's own continued fraction, and --oracle adds mpmath alone, at
+dtau != 0.  The oracle's Re J is the library's own Gauss-Legendre rule in
+math, and a log axis is decimal arithmetic, so a Fig-1 sweep loads nothing
+either.  No process loads any scipy module, selftest included.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -95,12 +95,12 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "log-axis sweep": [],
         "beta = 2.745 point": [],
         "beta = 100 point": [],
-        # the oracle adds numpy, for Re J, and mpmath, for Im J at dtau != 0
-        "dtau = 0 oracle point": ["numpy"],
-        "oracle point": ["numpy", "mpmath"],
-        "cancelling oracle point": ["numpy", "mpmath"],
+        # the oracle adds mpmath, for Im J at dtau != 0, and nothing for Re J
+        "dtau = 0 oracle point": [],
+        "oracle point": ["mpmath"],
+        "cancelling oracle point": ["mpmath"],
         # what the oracle points loaded, and nothing more
-        "beta = 100 sweep": ["numpy", "mpmath"],
+        "beta = 100 sweep": ["mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
