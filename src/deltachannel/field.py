@@ -25,13 +25,16 @@ GEOMETRY_CACHE_SIZE geometries: cross_real_closed its Re J, and oracle_j
 the integral, so a process integrates each geometry once.  J(0, 0, beta)
 is each route's value at (0, 0, beta).  The statistics split the same
 way: geometry_terms holds what a geometry gives every coupling (Re J and
-commutator_terms' factors), and statistics_from_terms does the coupling
-arithmetic on them and a state's J(0, 0, beta), so a sweep takes the
-latter once and a geometry's terms once per run of rows at that
-geometry.  Everything is dimensionless in units of the Gaussian smearing
-width sigma: couplings are floats lambda_tilde/sigma >= 0 (an entry point
-that takes one raises ValueError otherwise), distances L/sigma, delays
-dtau/sigma, inverse temperatures beta/sigma.
+commutator_terms' factors), coupling_terms what one coupling gives on a
+state's J(0, 0, beta) (its norm and nu), and pair_terms the two
+couplings' arithmetic on both, so a sweep takes J(0, 0, beta) once, a
+geometry's terms once per run of rows at that geometry, and Alice's once
+per run of one lambda_a, and it checks a row's five values with
+check_statistics, FieldStatistics's own rule, without building one (see
+deltachannel.sweep).  Everything is dimensionless in units of the
+Gaussian smearing width sigma: couplings are floats lambda_tilde/sigma
+>= 0 (an entry point that takes one raises ValueError otherwise),
+distances L/sigma, delays dtau/sigma, inverse temperatures beta/sigma.
 """
 from __future__ import annotations
 
@@ -195,15 +198,21 @@ class FieldStatistics:
     delta_ab: float
 
     def __post_init__(self):
-        # a chained comparison is false for NaN and +-inf as well
-        if not (0.0 <= self.nu_a <= 1.0 and 0.0 <= self.nu_b <= 1.0
-                and 0.0 <= self.nu_ab_plus <= 1.0 and 0.0 <= self.nu_ab_minus <= 1.0):
-            for name in ("nu_a", "nu_b", "nu_ab_plus", "nu_ab_minus"):
-                v = getattr(self, name)
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if not math.isfinite(self.delta_ab):
-            raise ValueError("delta_ab must be finite")
+        check_statistics(self.nu_a, self.nu_b, self.nu_ab_plus, self.nu_ab_minus, self.delta_ab)
+
+
+def check_statistics(nu_a: float, nu_b: float, nu_ab_plus: float, nu_ab_minus: float,
+                     delta_ab: float) -> None:
+    """FieldStatistics's rule, which a sweep row checks without building one:
+    each nu in [0, 1] and delta_ab finite, else ValueError."""
+    # a chained comparison is false for NaN and +-inf as well
+    if not (0.0 <= nu_a <= 1.0 and 0.0 <= nu_b <= 1.0 and 0.0 <= nu_ab_plus <= 1.0
+            and 0.0 <= nu_ab_minus <= 1.0 and math.isfinite(delta_ab)):
+        for name, v in (("nu_a", nu_a), ("nu_b", nu_b), ("nu_ab_plus", nu_ab_plus),
+                        ("nu_ab_minus", nu_ab_minus)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        raise ValueError("delta_ab must be finite")
 
 
 @dataclass(frozen=True)
@@ -919,29 +928,29 @@ def geometry_terms(geom: PairGeometry, state: FieldStateSpec = VACUUM) -> Geomet
                          commutator_terms(geom))
 
 
-def statistics_from_terms(
+def coupling_terms(coupling: float, j0: float) -> tuple[float, float]:
+    """One detector's (||Ef||^2, nu = exp(-2 ||Ef||^2)) at this coupling, in
+    a state whose J(0, 0, beta) is j0, exactly 1.0 in the vacuum."""
+    n = _norm_sq(coupling) * j0
+    return n, math.exp(-2.0 * n)
+
+
+def pair_terms(
     coupling_a: float,
     coupling_b: float,
+    norms: float,
     terms: GeometryTerms,
-    j0: float,
-) -> FieldStatistics:
-    """assemble_statistics at these couplings, on a geometry's
-    geometry_terms and a state's j0 = cross_real_closed(0, 0, beta), exactly
-    1.0 in the vacuum: the coupling arithmetic alone, no series and no exp
-    of the geometry."""
-    n_a = _norm_sq(coupling_a) * j0
-    n_b = _norm_sq(coupling_b) * j0
+) -> tuple[float, float, float]:
+    """(nu_ab_plus, nu_ab_minus, delta_ab) at these couplings, whose
+    coupling_terms norms sum to norms, on a geometry's geometry_terms: the
+    coupling arithmetic alone, no series and no exp of the geometry."""
     pref = _prefactor(coupling_a, coupling_b)
     re_w = pref * terms.re_j
     # ||E(f_A +- f_B)||^2 >= 0 since |Re J| <= J(0, 0, beta); at equal
     # couplings near L = 0 rounding can leave it an ulp below zero
-    return FieldStatistics(
-        nu_a=math.exp(-2.0 * n_a),
-        nu_b=math.exp(-2.0 * n_b),
-        nu_ab_plus=math.exp(-2.0 * max(n_a + n_b + 2.0 * re_w, 0.0)),
-        nu_ab_minus=math.exp(-2.0 * max(n_a + n_b - 2.0 * re_w, 0.0)),
-        delta_ab=commutator_from_terms(pref, terms.commutator),
-    )
+    return (math.exp(-2.0 * max(norms + 2.0 * re_w, 0.0)),
+            math.exp(-2.0 * max(norms - 2.0 * re_w, 0.0)),
+            commutator_from_terms(pref, terms.commutator))
 
 
 def assemble_statistics(
@@ -959,9 +968,13 @@ def assemble_statistics(
     one times J(0, 0, beta) = cross_real_closed(0, 0, beta).  The
     commutator is state independent, so delta_ab is commutator_closed's
     value in every state.  The quadrature is the oracle for all of them.
-    Built as statistics_from_terms on geometry_terms and J(0, 0, beta).
+    Built from coupling_terms and pair_terms on geometry_terms and
+    J(0, 0, beta), as a sweep row is.
     """
     check_nonnegative("coupling_a", coupling_a)
     check_nonnegative("coupling_b", coupling_b)
-    return statistics_from_terms(coupling_a, coupling_b, geometry_terms(geom, state),
-                                 cross_real_closed(0.0, 0.0, state.beta))
+    j0 = cross_real_closed(0.0, 0.0, state.beta)
+    n_a, nu_a = coupling_terms(coupling_a, j0)
+    n_b, nu_b = coupling_terms(coupling_b, j0)
+    return FieldStatistics(nu_a, nu_b, *pair_terms(coupling_a, coupling_b, n_a + n_b,
+                                                   geometry_terms(geom, state)))

@@ -16,9 +16,14 @@ A sweep splits each row's work by what it depends on:
   QuadratureError), taken again only when (L, dtau) differs from the
   previous row's, so that in row-major order each inner coupling line is
   one run of a single geometry;
-- per row: the coupling products, the validated FieldStatistics, the
-  capacity's contraction and two entropies, and then the row dict, built
-  once in column order from the values computed.
+- per run of one lambda_a: its check, and Alice's coupling, norm and
+  nu_a, taken again only when lambda_a is not the previous row's object,
+  so that nu_a too is one object along the run;
+- per row: Bob's coupling, norm and nu_b, the pair's nu_ab_pm and
+  delta_ab, their check by FieldStatistics's rule (field.check_statistics;
+  the object itself is built only under --optimize and for point_query),
+  the capacity's contraction and two entropies, and then the row dict,
+  built once in column order from the values computed.
 evaluate_point and point_query run the same row kernel on a one-row grid,
 so each reproduces its sweep row bit for bit.  format_csv writes the
 rows column by column: each numeric column is read out and formatted in
@@ -44,10 +49,12 @@ from .field import (
     FieldStateSpec,
     PairGeometry,
     check_nonnegative,
+    check_statistics,
     cross_real_closed,
+    coupling_terms,
     geometry_terms,
     oracle_residual,
-    statistics_from_terms,
+    pair_terms,
 )
 
 SCHEMA_VERSION = 1
@@ -332,11 +339,11 @@ _DOMAIN_ERROR_ROW = dict.fromkeys(COLUMNS, math.nan) | {"status": "domain_error"
 class _Rows:
     """One sweep's row kernel: the per-sweep invariants, Bob (given at
     construction, or by set_bob before each row on an r_b axis), the last
-    geometry's terms and oracle residual, and the per-row arithmetic of
-    the module docstring."""
+    geometry's terms and oracle residual, the last lambda_a's terms, and
+    the per-row arithmetic of the module docstring."""
 
     __slots__ = ("eta", "state", "j0", "phase_a", "phase_b", "oracle", "optimizer",
-                 "bob", "p", "r_perp", "place", "geom", "terms", "checked")
+                 "bob", "p", "r_perp", "place", "geom", "terms", "checked", "lambda_a", "alice")
 
     def __init__(self, eta_over_sigma: float, beta: float | None, bob: QubitState | None,
                  phase_a: float, phase_b: float, oracle: bool, optimizer: bool):
@@ -349,8 +356,9 @@ class _Rows:
         self.phase_a, self.phase_b = phase_a, phase_b
         self.oracle, self.optimizer = oracle, optimizer
         # the (L, dtau) of geom; terms are its geometry_terms and checked its
-        # (oracle_residual, status), each None until taken
-        self.place = None
+        # (oracle_residual, status), each None until taken; likewise alice,
+        # alice_terms(lambda_a), for the lambda_a object of the last row
+        self.place = self.lambda_a = None
         if bob is not None:
             self.set_bob(bob)
 
@@ -358,11 +366,21 @@ class _Rows:
         self.bob = bob
         self.p, self.r_perp = bob_lengths(self.phase_b, bob)
 
+    def alice_terms(self, lambda_a: float) -> tuple[float, float, float]:
+        """Alice's coupling, its norm and nu_a; a product of valid factors
+        can still overflow: that is the row's failure."""
+        c_a = lambda_a * self.eta
+        check_nonnegative("coupling", c_a)
+        return (c_a, *coupling_terms(c_a, self.j0))
+
     def row(self, lambda_a: float, lambda_b: float, separation: float,
-            delay: float) -> tuple[dict, FieldStatistics | None, float]:
-        """(row, its FieldStatistics, Bob's nu_eff w); a domain_error row
-        gives None and NaN."""
-        check_nonnegative("lambda_a", lambda_a)
+            delay: float) -> tuple[dict, float]:
+        """(row, Bob's nu_eff w); a domain_error row gives NaN for w."""
+        # a run of one lambda_a object, as grid_points gives it, takes its
+        # check and Alice's terms once
+        if lambda_a is not self.lambda_a:
+            check_nonnegative("lambda_a", lambda_a)
+            self.lambda_a, self.alice = lambda_a, None
         check_nonnegative("lambda_b", lambda_b)
         if (separation, delay) != self.place:
             self.geom = PairGeometry(separation, delay)
@@ -374,13 +392,18 @@ class _Rows:
                 # Re J can overflow (beta ~ 1e21 with |dtau +- L| past beta):
                 # terms stay None, so every row of that geometry fails alike
                 self.terms = geometry_terms(self.geom, self.state)
-            # a product of valid factors can still overflow: that is the row's failure
-            c_a, c_b = lambda_a * self.eta, lambda_b * self.eta
-            check_nonnegative("coupling", c_a)
+            if self.alice is None:
+                # likewise an overflowing c_A fails every row of its run
+                self.alice = self.alice_terms(lambda_a)
+            c_a, n_a, nu_a = self.alice
+            c_b = lambda_b * self.eta
             check_nonnegative("coupling", c_b)
-            stats = statistics_from_terms(c_a, c_b, self.terms, self.j0)
-            c_closed, w = capacity_and_nu_eff(stats.nu_b, stats.delta_ab, self.p, self.r_perp)
+            n_b, nu_b = coupling_terms(c_b, self.j0)
+            plus, minus, delta = pair_terms(c_a, c_b, n_a + n_b, self.terms)
+            check_statistics(nu_a, nu_b, plus, minus, delta)
+            c_closed, w = capacity_and_nu_eff(nu_b, delta, self.p, self.r_perp)
             if self.optimizer:
+                stats = FieldStatistics(nu_a, nu_b, plus, minus, delta)
                 result = capacity_bruteforce(ChannelParams(stats, self.phase_a, self.phase_b, self.bob))
                 c_bruteforce, gap = result.c_bruteforce, result.gap
             if self.oracle:
@@ -394,12 +417,11 @@ class _Rows:
                 residual, status = self.checked
         except (OverflowError, ValueError, ConsistencyError):
             return ({**_DOMAIN_ERROR_ROW, "lambda_a": lambda_a, "lambda_b": lambda_b,
-                     "L": separation, "dtau": delay}, None, math.nan)
+                     "L": separation, "dtau": delay}, math.nan)
         return {"lambda_a": lambda_a, "lambda_b": lambda_b, "L": separation, "dtau": delay,
-                "nu_a": stats.nu_a, "nu_b": stats.nu_b, "nu_ab_plus": stats.nu_ab_plus,
-                "nu_ab_minus": stats.nu_ab_minus, "delta_ab": stats.delta_ab,
-                "c_closed": c_closed, "c_bruteforce": c_bruteforce, "gap": gap,
-                "oracle_residual": residual, "status": status}, stats, w
+                "nu_a": nu_a, "nu_b": nu_b, "nu_ab_plus": plus, "nu_ab_minus": minus,
+                "delta_ab": delta, "c_closed": c_closed, "c_bruteforce": c_bruteforce,
+                "gap": gap, "oracle_residual": residual, "status": status}, w
 
 
 def evaluate_point(
@@ -565,7 +587,7 @@ def point_query(
     bob_state = QubitState(*bob)
     alice_state = QubitState(*alice)
     rows = _Rows(eta_over_sigma, beta, bob_state, phase_a, phase_b, oracle, optimizer)
-    row, stats, nu_eff = rows.row(lambda_a, lambda_b, separation, delay)
+    row, nu_eff = rows.row(lambda_a, lambda_b, separation, delay)
     record: dict = {"schema_version": SCHEMA_VERSION, "status": row["status"]}
     record["inputs"] = {
         "lambda_a": lambda_a,
@@ -582,7 +604,8 @@ def point_query(
     if row["status"] == "domain_error":
         return record
     record["field_statistics"] = {name: row[name] for name in STATISTICS_COLUMNS}
-    params = ChannelParams(stats, phase_a, phase_b, bob_state)
+    params = ChannelParams(FieldStatistics(**record["field_statistics"]), phase_a, phase_b,
+                           bob_state)
     record["combined_coefficients"] = {
         "c_keep": 0.5 + 0.5 * params.a,
         "c_flip": 0.5 - 0.5 * params.a,

@@ -279,6 +279,12 @@ def _line(name, lo, hi, count=3):
                          axes=(_line("lambda_a", 0.5, 2.0),)), status="domain_error")
 @example(cfg=SweepConfig(separation=5e-324, beta=2.0,
                          axes=(_line("lambda_b", 0.1, 10.0), _line("dtau", -6.0, 6.0))), status="ok")
+# Alice's coupling overflows on the second lambda_a: its run of rows is
+# domain_error, the first run ok
+@example(cfg=SweepConfig(eta_over_sigma=1e10, axes=(_line("lambda_a", 1.0, 1e300, 2),
+                                                   _line("lambda_b", 0.1, 10.0))), status=None)
+# a run of one lambda_a keeps the sign of its zero
+@example(cfg=SweepConfig(lambda_a=-0.0, axes=(_line("lambda_b", 0.1, 10.0),)), status="ok")
 def test_sweep_rows_match_single_point_evaluation(cfg, status):
     # a sweep takes Bob, the field state and each geometry's terms once and
     # reuses them across rows; each row must still be the bits of its own
@@ -322,19 +328,22 @@ def test_sweep_rows_match_single_point_evaluation(cfg, status):
         assert repr(record["capacity"]["c_closed"]) == repr(row["c_closed"])
 
 
-@pytest.mark.parametrize("axes, geometries, bobs", [
+@pytest.mark.parametrize("axes, geometries, bobs, alices", [
     # a coupling line is one run of one geometry and one Bob
-    pytest.param("axis.lambda_a = 0.1, 1000, 24, log", 1, 1, id="coupling-line"),
-    pytest.param("axis.L = 0, 8, 3, linear\naxis.dtau = 0, 8, 3, linear", 9, 1, id="geometry-grid"),
+    pytest.param("axis.lambda_a = 0.1, 1000, 24, log", 1, 1, 24, id="coupling-line"),
+    pytest.param("axis.L = 0, 8, 3, linear\naxis.dtau = 0, 8, 3, linear", 9, 1, 1,
+                 id="geometry-grid"),
     # a geometry comes back only after the other two: each return is a new run
-    pytest.param("axis.lambda_a = 0.1, 1000, 3, log\naxis.dtau = 2, 6, 3, linear", 9, 1,
+    pytest.param("axis.lambda_a = 0.1, 1000, 3, log\naxis.dtau = 2, 6, 3, linear", 9, 1, 3,
                  id="dtau-inside-couplings"),
-    pytest.param("axis.dtau = 2, 6, 3, linear\naxis.lambda_a = 0.1, 1000, 4, log", 3, 1,
+    # a lambda_a axis inside dtau: each row is a run of its own
+    pytest.param("axis.dtau = 2, 6, 3, linear\naxis.lambda_a = 0.1, 1000, 4, log", 3, 1, 12,
                  id="couplings-inside-dtau"),
-    pytest.param("axis.r_b = 0, 1, 5, linear", 1, 5, id="r_b-axis"),
+    pytest.param("axis.r_b = 0, 1, 5, linear", 1, 5, 1, id="r_b-axis"),
 ])
-def test_sweep_resolves_geometry_and_bob_only_when_they_change(monkeypatch, axes, geometries, bobs):
-    calls = {"geometry": 0, "bob": 0}
+def test_sweep_resolves_geometry_and_bob_only_when_they_change(monkeypatch, axes, geometries, bobs,
+                                                               alices):
+    calls = {"geometry": 0, "bob": 0, "alice": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -344,8 +353,13 @@ def test_sweep_resolves_geometry_and_bob_only_when_they_change(monkeypatch, axes
 
     monkeypatch.setattr(sweep, "geometry_terms", counted("geometry", sweep.geometry_terms))
     monkeypatch.setattr(sweep, "_resolve_bob", counted("bob", sweep._resolve_bob))
-    run_sweep(parse_config_text(f"schema_version = 1\nbob_bloch = 0.6, 0, 0.8\n{axes}\n"))
-    assert calls == {"geometry": geometries, "bob": bobs}
+    monkeypatch.setattr(sweep._Rows, "alice_terms", counted("alice", sweep._Rows.alice_terms))
+    rows = run_sweep(parse_config_text(f"schema_version = 1\nbob_bloch = 0.6, 0, 0.8\n{axes}\n"))
+    assert calls == {"geometry": geometries, "bob": bobs, "alice": alices}
+    # the rows of one run of lambda_a share one nu_a object
+    runs = [list(run) for _, run in itertools.groupby(rows, key=lambda row: id(row["lambda_a"]))]
+    assert len(runs) == alices
+    assert all(row["nu_a"] is run[0]["nu_a"] for run in runs for row in run)
 
 
 def test_point_query_reproduces_sweep_row():
