@@ -12,21 +12,19 @@ Bloch sphere: the channel is affine in theta, so an ensemble's Holevo
 information depends on its members only through their theta values and
 probabilities.  The output entropy g(theta) is concave (entropy is
 concave, the map affine), so the best members for a mean theta are -1
-and +1, and one scan of g above their chord finds the best mean on a
-grid.  The scan does not assume that g is even, as the closed form does.
+and +1, and a ternary search for g's height above their chord finds the
+best mean on a grid.  The search does not assume that g is even, as the
+closed form does.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import channel as _channel
 from .channel import ChannelParams, QubitState
 from .errors import ConsistencyError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LN2 = math.log(2.0)
 CLOSED_FORM_SLACK = 1e-9
@@ -54,21 +52,6 @@ def _h(u: float) -> float:
             return 0.0
         raise ValueError(f"binary_entropy argument {x!r} outside [0, 1]")
     return -(x * math.log(x) + (1.0 - x) * math.log1p(-x)) / LN2
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits of a 2x2 density matrix."""
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-8 or np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        raise ValueError("not a density matrix: trace or Hermiticity off")
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -1e-9:
-        raise ValueError(f"not a density matrix: eigenvalue {evals[0]!r} < 0")
-    return binary_entropy(min(max(float(evals[1]), 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +90,7 @@ class CapacityResult:
     closed form.  nu_eff is the coherence w = nu_b * r_perp of
     capacity_and_nu_eff, the part of Bob's Bloch vector that the channel
     contracts and the signal rotates.  iterations counts the search's
-    entropy evaluations: one per theta grid point, and one Holevo
+    entropy evaluations: one per theta grid point it visits, and one Holevo
     evaluation of the ensemble found.
     """
 
@@ -138,14 +121,11 @@ class CapacityResult:
 def holevo_chi(params: ChannelParams, ens: Ensemble) -> float:
     """Holevo information of the ensemble through the channel, in bits: the
     entropy of apply's output for the average input, less the mean entropy
-    of the members' outputs, each diagonalized from its density matrix."""
-    avg_out = _channel.apply(params, ens.average_state())
+    of the members' outputs, each h(r) of its Bloch length r."""
     mean_member_entropy = sum(
-        p * von_neumann_entropy(_channel.apply(params, s).density_matrix())
-        for p, s in ens.members
-        if p > 0.0
+        p * _h(_channel.apply(params, s).r) for p, s in ens.members if p > 0.0
     )
-    return von_neumann_entropy(avg_out.density_matrix()) - mean_member_entropy
+    return _h(_channel.apply(params, ens.average_state()).r) - mean_member_entropy
 
 
 def bob_lengths(phase_b: float, bob: QubitState) -> tuple[float, float]:
@@ -179,7 +159,7 @@ def capacity_and_nu_eff(nu_b: float, delta_ab: float, p: float, r_perp: float) -
     1.0e-6 for |delta_ab| in [1e8, 1e10) and 2.3e-4 in [1e10, 1e12).  Past
     about 1e16, where ulp(delta_ab) exceeds pi, cos 2 delta keeps no digit,
     and C is a value in [0, 1] set by the rounding of delta_ab alone.  No
-    error is raised (ROADMAP.md's "c_closed to relative accuracy" item
+    error is raised (ROADMAP.md's "Every column to a stated accuracy" item
     plans a refusal): at lambda_B = 1 and L = dtau = 6, lambda_A = 1e300 gives
     delta_ab = 5.3e297 and C = 0.353.
     """
@@ -234,16 +214,6 @@ def tune_bob_phase(bob: QubitState) -> float:
 THETA_POINTS = 513
 
 
-def _output_entropy(base: np.ndarray, slope: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Bits of entropy of Bob's output H(1/2 + |v| / 2), v = base + theta * slope, per theta."""
-    import numpy as np
-
-    v = base + thetas[:, None] * slope
-    half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=1)), 1.0)
-    hi, lo = 0.5 + half, 0.5 - half
-    return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
-
-
 def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     """Maximize Holevo information over ensembles of pure inputs on a theta grid.
 
@@ -253,15 +223,38 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
     between theta = -1 and +1.  The search takes the grid point theta_k
     where g stands highest above that chord, with members -1 and +1
     weighted to the mean theta_k (one member if theta_k is an end).
-    """
-    import numpy as np
 
-    base, slope = _channel.output_bloch_affine(params)
-    grid = np.linspace(-1.0, 1.0, THETA_POINTS)
-    g = _output_entropy(base, slope, grid)
-    k = int(np.argmax(g - np.interp(grid, grid[[0, -1]], g[[0, -1]])))
-    t = float(grid[k])
-    if k in (0, THETA_POINTS - 1):
+    That height is concave in k, so a ternary search on the grid finds it
+    from about two dozen entropies: of the two points a third in from the
+    bracket's ends, the lower drops its outer third, and on a tie the
+    upper does, keeping a full scan's first maximum.  Comparing distant
+    points, it stays near the top where g is flat to rounding.
+    """
+    (bx, by, bz), (sx, sy, sz) = params.base, params.slope
+    last = THETA_POINTS - 1
+
+    @functools.cache
+    def entropy(i: int) -> float:
+        t = -1.0 + 2.0 * i / last
+        x, y, z = bx + t * sx, by + t * sy, bz + t * sz
+        return _h(math.sqrt(x * x + y * y + z * z))
+
+    rise = (entropy(last) - entropy(0)) / 2.0
+
+    def above_chord(i: int) -> float:
+        # numpy.interp's chord, exact at both ends
+        return entropy(i) - (entropy(last) if i == last else rise * (2.0 * i / last) + entropy(0))
+
+    lo, hi = 0, last
+    while hi - lo > 2:
+        third = (hi - lo) // 3
+        if above_chord(lo + third) < above_chord(hi - third):
+            lo += third + 1
+        else:
+            hi -= third + 1
+    k = max(range(lo, hi + 1), key=above_chord)
+    t = -1.0 + 2.0 * k / last
+    if k in (0, last):
         members = ((1.0, t),)
     else:
         members = ((0.5 - 0.5 * t, -1.0), (0.5 + 0.5 * t, 1.0))
@@ -282,6 +275,6 @@ def capacity_bruteforce(params: ChannelParams) -> CapacityResult:
         best_ensemble=ensemble,
         q_ea_lower=c_closed / 2.0,
         nu_eff=nu_eff,
-        iterations=THETA_POINTS + 1,
+        iterations=entropy.cache_info().currsize + 1,
         gap=abs(c_closed - c_bruteforce),
     )

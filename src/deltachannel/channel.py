@@ -5,11 +5,10 @@ b = nu_b sin(2 delta_ab), and Alice's input only through the signal
 amplitude theta.  ChannelParams builds the channel's affine Bloch map,
 v(theta) = base + theta * slope, once from those.  Inputs and outputs
 are both QubitState: apply returns Bob's output as the state with Bloch
-vector v, and its density matrix, its eigenvalues 0.5 +- |v| / 2 and the
-Choi matrix all derive from that vector.  The correlator route (weyl) and
-operator composition (the tests) are independent oracles for the map, and
-selftest's channel_soundness checks the eigenvalues against direct
-diagonalization.
+vector v, and its eigenvalues 0.5 +- |v| / 2 and the Choi spectrum derive
+from that vector.  The correlator route (weyl) and operator composition
+(the tests) are independent oracles for the map.  output_bloch_affine and
+choi_matrix build numpy arrays for the tests; no command calls them.
 """
 from __future__ import annotations
 
@@ -71,19 +70,9 @@ class QubitState:
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
-        """(p_plus, p_minus) = 0.5 +- r / 2, the spectrum of density_matrix()."""
+        """(p_plus, p_minus) = 0.5 +- r / 2, the spectrum of the density
+        matrix (I + x X + y Y + z Z) / 2."""
         return (0.5 + 0.5 * self.r, 0.5 - 0.5 * self.r)
-
-    def density_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [
-                [0.5 * (1.0 + self.z), 0.5 * complex(self.x, -self.y)],
-                [0.5 * complex(self.x, self.y), 0.5 * (1.0 - self.z)],
-            ],
-            dtype=complex,
-        )
 
 
 @dataclass(frozen=True)
@@ -162,20 +151,19 @@ def choi_matrix(params: ChannelParams) -> np.ndarray:
     """Choi matrix of the channel on the canonical maximally entangled state.
 
     The channel is affine in theta, so its action on a general operator X
-    is tr(X) T0 + theta(X) T1 with T0 the theta = 0 output and
-    T1 = slope . sigma / 2; theta extends complex-linearly to off-diagonal
-    units.
+    is tr(X) T0 + theta(X) T1 with T0 = (I + base . sigma) / 2 the theta = 0
+    output and T1 = slope . sigma / 2; theta extends complex-linearly to
+    off-diagonal units.  The matrix is (1/2)[T0 x I + T1 x P] with
+    P = e^{i phase_a} |0><1| + h.c., of eigenvalues +-1, so its own are
+    (1 +- |base +- slope|) / 4; its partial transpose, P at -phase_a, has
+    the same, so the channel is PPT exactly when it is CP.
     """
     import numpy as np
 
-    t0 = QubitState(*params.base).density_matrix()
-    sx, sy, sz = params.slope
-    t1 = 0.5 * np.array([[sz, complex(sx, -sy)], [complex(sx, sy), -sz]])
-    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    e10 = e01.T.copy()
+    def half_pauli(c, x, y, z):
+        return 0.5 * np.array([[c + z, complex(x, -y)], [complex(x, y), c - z]])
+
     phase = cmath.exp(1j * params.phase_a)
-    choi = 0.5 * (
-        np.kron(t0, np.eye(2, dtype=complex))
-        + np.kron(t1, phase * e01 + phase.conjugate() * e10)
-    )
-    return choi
+    flip = np.array([[0.0, phase], [phase.conjugate(), 0.0]])
+    return 0.5 * (np.kron(half_pauli(1.0, *params.base), np.eye(2))
+                  + np.kron(half_pauli(0.0, *params.slope), flip))

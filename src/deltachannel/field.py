@@ -884,9 +884,10 @@ def norm_sq_quadrature(coupling: float, state: FieldStateSpec = VACUUM) -> float
     return _prefactor(coupling, coupling) * oracle_j(0.0, 0.0, state.beta).real
 
 
-def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -> float:
-    """Largest disagreement between the closed forms and the oracle's
-    j = J(L, dtau, beta) and j0 = J(0, 0, beta).
+def residual(terms: GeometryTerms, state: FieldStateSpec, j: complex, j0: float) -> float:
+    """Largest disagreement between the closed forms, a geometry's
+    geometry_terms, and the oracle's j = J(L, dtau, beta) and
+    j0 = J(0, 0, beta).
 
     The couplings reach every field scalar only through the prefactor
     lambda_A lambda_B / (4 pi^2) on J, so the residual compares J alone and
@@ -897,7 +898,6 @@ def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -
     it.  In the vacuum J(0, 0) = 1.  An undefined term makes the residual
     NaN.
     """
-    terms = geometry_terms(geom, state)
     d_closed = commutator_from_terms(1.0, terms.commutator)
     d_quad = -2.0 * j.imag
     j0_closed = cross_real_closed(0.0, 0.0, state.beta)
@@ -908,10 +908,14 @@ def residual(geom: PairGeometry, state: FieldStateSpec, j: complex, j0: float) -
     return math.nan if any(map(math.isnan, errors)) else float(max(errors))
 
 
-def oracle_residual(geom: PairGeometry, state: FieldStateSpec = VACUUM) -> float:
+def oracle_residual(geom: PairGeometry, state: FieldStateSpec = VACUUM,
+                    terms: GeometryTerms | None = None) -> float:
     """residual against the oracle's J(L, dtau, beta) and J(0, 0, beta), in
-    every state: a sweep row's oracle_residual, the same at every coupling."""
-    return residual(geom, state, oracle_j(geom.separation, geom.delay, state.beta),
+    every state: a sweep row's oracle_residual, the same at every coupling.
+    terms are geom's geometry_terms, taken here if not given."""
+    if terms is None:
+        terms = geometry_terms(geom, state)
+    return residual(terms, state, oracle_j(geom.separation, geom.delay, state.beta),
                     oracle_j(0.0, 0.0, state.beta).real)
 
 

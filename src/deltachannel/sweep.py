@@ -411,7 +411,7 @@ class _Rows:
                     # the residual reads no coupling: one per geometry, and
                     # a QuadratureError fails every row of it alike
                     try:
-                        self.checked = oracle_residual(self.geom, self.state), "ok"
+                        self.checked = oracle_residual(self.geom, self.state, self.terms), "ok"
                     except QuadratureError:
                         self.checked = math.nan, "quadrature_error"
                 residual, status = self.checked

@@ -1,6 +1,6 @@
-"""Shared test helpers: random draws, independent channel oracles, Re J and
-Im J references, the stdlib JSON route, and fresh field caches for every
-test."""
+"""Shared test helpers: random draws, independent channel oracles, numpy's
+density matrices and entropies, Re J and Im J references, the stdlib JSON
+route, and fresh field caches for every test."""
 from __future__ import annotations
 
 import json
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from deltachannel.capacity import LN2, binary_entropy
 from deltachannel.channel import QubitState
 from deltachannel import field
-from deltachannel.selftest import random_bloch as draw_ball
 from deltachannel.selftest import random_statistics as draw_statistics
 
 settings.register_profile("package", deadline=None)
@@ -107,8 +107,50 @@ def stdlib_json(doc) -> str:
     return json.dumps(json_ready(doc), indent=2, allow_nan=False) + "\n"
 
 
+def draw_ball(rng: np.random.Generator) -> QubitState:
+    """A state drawn uniformly from the Bloch ball: a normal direction and a
+    cube-root radius, numpy's draws that the seeded tests were written on
+    (selftest's random_bloch draws from the cube instead)."""
+    v = rng.normal(size=3)
+    v *= rng.uniform() ** (1.0 / 3.0) / float(np.linalg.norm(v))
+    return QubitState(float(v[0]), float(v[1]), float(v[2]))
+
+
 def density_matrix(state: QubitState) -> np.ndarray:
     return 0.5 * (ID2 + state.x * SX + state.y * SY + state.z * SZ)
+
+
+def density_matrix_elements(state: QubitState) -> np.ndarray:
+    """The density matrix written element by element."""
+    return np.array(
+        [
+            [0.5 * (1.0 + state.z), 0.5 * complex(state.x, -state.y)],
+            [0.5 * complex(state.x, state.y), 0.5 * (1.0 - state.z)],
+        ],
+        dtype=complex,
+    )
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy in bits of a 2x2 density matrix, from LAPACK's eigvalsh."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
+    if abs(np.trace(rho) - 1.0) > 1e-8 or np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+        raise ValueError("not a density matrix: trace or Hermiticity off")
+    evals = np.linalg.eigvalsh(rho)
+    if evals[0] < -1e-9:
+        raise ValueError(f"not a density matrix: eigenvalue {evals[0]!r} < 0")
+    return binary_entropy(min(max(float(evals[1]), 0.0), 1.0))
+
+
+def output_entropy(base: np.ndarray, slope: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Bits of entropy of Bob's output H(1/2 + |v| / 2), v = base + theta * slope,
+    per theta, in numpy: the full scan that the brute force's search is held to."""
+    v = base + thetas[:, None] * slope
+    half = 0.5 * np.minimum(np.sqrt(np.sum(v * v, axis=1)), 1.0)
+    hi, lo = 0.5 + half, 0.5 - half
+    return -(hi * np.log(hi) + lo * np.log(np.where(lo > 0.0, lo, 1.0))) / LN2
 
 
 def oracle_apply(stats, phase_a, phase_b, bob, alice) -> np.ndarray:

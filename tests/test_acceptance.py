@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
 
 import numpy as np
 
 import deltachannel.field as field
 from deltachannel.capacity import capacity_bruteforce, capacity_closed_form
-from deltachannel.channel import ChannelParams, QubitState
+from deltachannel.channel import ChannelParams, QubitState, choi_matrix
 from deltachannel.cli import main
 from deltachannel.field import (
     PairGeometry,
@@ -26,17 +27,19 @@ from deltachannel.selftest import (
     GRID_DELAYS,
     GRID_SEPARATIONS,
     IDENTITY_TOL,
-    PPT_TOL,
     PSD_TOL,
     ROUTE_TOL,
     SAMPLES,
     THERMAL_BETAS,
     THERMAL_GEOMETRIES,
     optimizer_gate,
+    random_bloch,
+    random_statistics,
     selftest,
 )
 from deltachannel.sweep import parse_config_text, run_sweep
 
+PPT_TOL = 1e-10
 LAMBDA_A_STAR = 494.788589023863  # solves 2 * delta_ab = pi/2 at lambda_b = 0.3
 C_CLOSED_STAR = 0.976751352600931  # frozen independent evaluation at that point
 
@@ -152,12 +155,22 @@ def test_criterion_04_channel_soundness_1000_random():
     assert detail["min_output_eigenvalue"] >= -PSD_TOL
     assert detail["max_eigen_mismatch"] <= PSD_TOL
     assert detail["min_choi_eigenvalue"] >= -PSD_TOL
-    assert detail["min_partial_transpose_eigenvalue"] >= -PPT_TOL
+    # the partial transpose has the Choi spectrum (see channel.choi_matrix),
+    # so selftest reports it once; LAPACK checks it on 1000 channels of
+    # selftest's samplers
+    rng = random.Random(20260820)
+    min_ppt = math.inf
+    for _ in range(SAMPLES):
+        params = ChannelParams(random_statistics(rng), rng.uniform(0.0, 2.0 * math.pi),
+                               rng.uniform(0.0, 2.0 * math.pi), random_bloch(rng))
+        transposed = choi_matrix(params).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        min_ppt = min(min_ppt, float(np.linalg.eigvalsh(transposed)[0]))
+    assert min_ppt >= -PPT_TOL
     print(
         "criterion 04 PASS: trace defect "
         f"{detail['max_trace_defect']:.3e}, eigen mismatch {detail['max_eigen_mismatch']:.3e}, "
         f"min output eigenvalue {detail['min_output_eigenvalue']:.3e}, "
-        f"min PPT eigenvalue {detail['min_partial_transpose_eigenvalue']:.3e}"
+        f"min PPT eigenvalue {min_ppt:.3e}"
     )
 
 

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltachannel.capacity import (
+    THETA_POINTS,
     CapacityResult,
     Ensemble,
     binary_entropy,
@@ -15,9 +17,8 @@ from deltachannel.capacity import (
     capacity_closed_form,
     holevo_chi,
     tune_bob_phase,
-    von_neumann_entropy,
 )
-from deltachannel.channel import ChannelParams, QubitState, apply, theta
+from deltachannel.channel import ChannelParams, QubitState, apply, output_bloch_affine, theta
 from deltachannel.errors import ConsistencyError
 from deltachannel.field import (
     FieldStatistics,
@@ -25,6 +26,8 @@ from deltachannel.field import (
     assemble_statistics,
 )
 from deltachannel.selftest import random_bloch, random_statistics
+
+from conftest import density_matrix_elements, draw_ball, output_entropy, von_neumann_entropy
 
 H_09 = 0.4689955935892811  # binary_entropy(0.9), frozen from direct evaluation
 
@@ -165,7 +168,7 @@ def test_closed_form_is_the_capacity_of_random_untuned_channels():
         phase_a = float(rng.uniform(-7.0, 7.0))
         params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
                                phase_b=float(rng.uniform(-7.0, 7.0)),
-                               bob_initial=random_bloch(rng))
+                               bob_initial=draw_ball(rng))
         result = capacity_bruteforce(params)
         assert result.gap <= 1e-12
         assert [p for p, _ in result.best_ensemble.members] == [0.5, 0.5]
@@ -188,7 +191,7 @@ def test_tuned_phase_maximizes_the_closed_form():
     rng = np.random.default_rng(20261019)
     phases = np.linspace(-math.pi, math.pi, 101).tolist()
     for _ in range(200):
-        stats, bob = random_statistics(rng), random_bloch(rng)
+        stats, bob = random_statistics(rng), draw_ball(rng)
         tuned = capacity_closed_form(stats.nu_b, stats.delta_ab, tune_bob_phase(bob), bob)
         assert max(capacity_closed_form(stats.nu_b, stats.delta_ab, phase, bob)
                    for phase in phases) <= tuned
@@ -258,7 +261,7 @@ def test_bruteforce_stays_under_the_closed_form_on_random_channels(seed, phase_a
     # mixed Bob, phase_b untuned: the closed form is this channel's capacity
     rng = np.random.default_rng(seed)
     params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
-                           phase_b=phase_b, bob_initial=random_bloch(rng))
+                           phase_b=phase_b, bob_initial=draw_ball(rng))
     result = capacity_bruteforce(params)  # raises ConsistencyError on an overshoot
     assert result.c_bruteforce <= result.c_closed + 1e-9
     assert result.gap <= 1e-12
@@ -287,8 +290,8 @@ def test_bruteforce_is_global_on_its_grid(rng):
         phase_a = float(rng.uniform(-7.0, 7.0))
         params = ChannelParams(stats=random_statistics(rng), phase_a=phase_a,
                                phase_b=float(rng.uniform(-7.0, 7.0)),
-                               bob_initial=random_bloch(rng))
-        g = np.array([von_neumann_entropy(apply(params, _pure(t, phase_a)).density_matrix())
+                               bob_initial=draw_ball(rng))
+        g = np.array([von_neumann_entropy(density_matrix_elements(apply(params, _pure(t, phase_a))))
                       for t in grid.tolist()])
         best = max(0.0, float(np.max(g[k] - p_i * g[i] - (1.0 - p_i) * g[j])))
         result = capacity_bruteforce(params)
@@ -317,3 +320,37 @@ def test_chi_additivity_consequence_single_letter(rng):
     chi = holevo_chi(moderate_params(), result.best_ensemble)
     assert chi <= result.c_closed + 1e-9
     assert np.isclose(chi, result.c_bruteforce, rtol=0.0, atol=1e-12)
+
+
+def _seeded_channel(seed: int) -> ChannelParams:
+    """A channel drawn by selftest's samplers from random.Random(seed)."""
+    rng = random.Random(seed)
+    return ChannelParams(stats=random_statistics(rng), phase_a=rng.uniform(0.0, 2.0 * math.pi),
+                         phase_b=rng.uniform(0.0, 2.0 * math.pi), bob_initial=random_bloch(rng))
+
+
+# selftest's simultaneous case: at dtau = 0 the signal is zero, g is flat and
+# every grid point ties with the first
+SIMULTANEOUS = ChannelParams(assemble_statistics(10.0, 1.0, PairGeometry(6.0, 0.0)),
+                             0.0, 0.0, QubitState(0.0, 0.0, 1.0))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(params=st.integers(min_value=0, max_value=2**64 - 1).map(_seeded_channel))
+@example(params=SIMULTANEOUS)
+def test_search_meets_a_full_numpy_scan(params):
+    # the search's grid index is numpy's first argmax over every grid point,
+    # and its Holevo value that of LAPACK's spectra, within 1e-14
+    base, slope = output_bloch_affine(params)
+    grid = np.linspace(-1.0, 1.0, THETA_POINTS)
+    g = output_entropy(base, slope, grid)
+    k = int(np.argmax(g - np.interp(grid, grid[[0, -1]], g[[0, -1]])))
+    result = capacity_bruteforce(params)
+    members = result.best_ensemble.members
+    # two members weigh +1 by 1/2 + theta_k / 2; one sits at an end
+    t = 2.0 * members[1][0] - 1.0 if len(members) == 2 else theta(members[0][1], params.phase_a)
+    assert round((t + 1.0) * (THETA_POINTS - 1) / 2.0) == k
+    entropy = lambda state: von_neumann_entropy(density_matrix_elements(apply(params, state)))
+    numpy_chi = (entropy(result.best_ensemble.average_state())
+                 - sum(p * entropy(s) for p, s in members))
+    assert abs(result.c_bruteforce - numpy_chi) <= 1e-14

@@ -24,7 +24,14 @@ from deltachannel.field import (
 )
 from deltachannel.selftest import OPTIMIZER_TOL
 
-from conftest import bloch_radius_oracle, density_matrix, draw_ball, draw_statistics, oracle_apply
+from conftest import (
+    bloch_radius_oracle,
+    density_matrix,
+    density_matrix_elements,
+    draw_ball,
+    draw_statistics,
+    oracle_apply,
+)
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 
@@ -47,7 +54,7 @@ def test_matrix_elements_match_operator_composition(rng):
     for _ in range(300):
         params = random_params(rng)
         alice = draw_ball(rng)
-        via_elements = apply(params, alice).density_matrix()
+        via_elements = density_matrix_elements(apply(params, alice))
         via_operators = oracle_apply(
             params.stats, params.phase_a, params.phase_b, params.bob_initial, alice
         )
@@ -85,7 +92,7 @@ def test_channel_invariant_component_passes_through(rng):
 
 def test_output_trace_one_and_positive(rng):
     for _ in range(300):
-        rho = apply(random_params(rng), draw_ball(rng)).density_matrix()
+        rho = density_matrix_elements(apply(random_params(rng), draw_ball(rng)))
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert min(np.linalg.eigvalsh(rho)) >= -1e-12
 
@@ -96,7 +103,7 @@ def test_analytic_eigenvalues_match_diagonalization(rng):
         alice = draw_ball(rng)
         out = apply(params, alice)
         p_plus, p_minus = out.eigenvalues
-        numeric = np.linalg.eigvalsh(out.density_matrix())
+        numeric = np.linalg.eigvalsh(density_matrix_elements(out))
         assert abs(p_plus - numeric[1]) <= 1e-12
         assert abs(p_minus - numeric[0]) <= 1e-12
         assert p_plus >= p_minus
@@ -130,7 +137,7 @@ def test_zero_bob_coupling_is_identity_bit_for_bit():
     bob = QubitState(0.3, -0.4, 0.5)
     params = ChannelParams(stats=stats, phase_a=0.7, phase_b=1.1, bob_initial=bob)
     out = apply(params, QubitState(0.2, 0.1, -0.3))
-    assert np.array_equal(out.density_matrix(), bob.density_matrix())
+    assert np.array_equal(density_matrix_elements(out), density_matrix_elements(bob))
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +157,24 @@ def test_choi_trace_positivity_ppt(rng):
         assert float(np.linalg.eigvalsh(_partial_transpose(choi))[0]) >= -1e-10
 
 
+def test_choi_spectrum_is_the_closed_form_selftest_reads(rng):
+    # (1 +- |base +- slope|) / 4 for the Choi matrix and its partial
+    # transpose alike, against LAPACK
+    for _ in range(1000):
+        params = random_params(rng)
+        base, slope = output_bloch_affine(params)
+        lengths = [float(np.linalg.norm(base + slope)), float(np.linalg.norm(base - slope))]
+        closed = sorted(0.25 * (1.0 + sign * r) for r in lengths for sign in (1.0, -1.0))
+        choi = choi_matrix(params)
+        for matrix in (choi, _partial_transpose(choi)):
+            assert np.allclose(np.linalg.eigvalsh(matrix), closed, rtol=0.0, atol=2e-15)
+
+
 def test_choi_zero_coupling_factorizes_exactly():
     stats = assemble_statistics(1.0, 0.0, PairGeometry(6.0, 6.0))
     bob = QubitState(0.3, -0.4, 0.5)
     params = ChannelParams(stats=stats, phase_a=0.7, phase_b=1.1, bob_initial=bob)
-    expected = np.kron(bob.density_matrix(), np.eye(2, dtype=complex) / 2.0)
+    expected = np.kron(density_matrix_elements(bob), np.eye(2, dtype=complex) / 2.0)
     assert np.array_equal(choi_matrix(params), expected)
 
 
@@ -176,7 +196,7 @@ def test_qubit_state_validation():
         QubitState(0.9, 0.9, 0.9)
     with pytest.raises(ValueError):
         QubitState(math.nan, 0.0, 0.0)
-    rho = QubitState(0.2, -0.3, 0.4).density_matrix()
+    rho = density_matrix_elements(QubitState(0.2, -0.3, 0.4))
     assert np.isclose(np.trace(rho).real, 1.0, rtol=0.0, atol=1e-15)
     assert np.allclose(rho, rho.conj().T)
 
@@ -184,7 +204,7 @@ def test_qubit_state_validation():
 def test_density_matrix_matches_pauli_expansion(rng):
     for _ in range(50):
         state = draw_ball(rng)
-        assert np.allclose(state.density_matrix(), density_matrix(state),
+        assert np.allclose(density_matrix_elements(state), density_matrix(state),
                            rtol=0.0, atol=1e-16)
 
 

@@ -713,6 +713,22 @@ def test_geometry_axis_inside_a_coupling_axis_integrates_each_geometry_once(monk
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])
+def test_an_oracle_row_takes_its_geometry_terms_once(monkeypatch, beta):
+    # the residual reads the row's own terms; it once took them again
+    calls = []
+    terms = field.geometry_terms
+
+    def counted(geom, state):
+        calls.append((geom.separation, geom.delay))
+        return terms(geom, state)
+
+    monkeypatch.setattr(field, "geometry_terms", counted)
+    monkeypatch.setattr(sweep, "geometry_terms", counted)
+    row = evaluate_point(10.0, 1.0, 6.0, 6.0, beta=beta, oracle=True)
+    assert row["status"] == "ok" and calls == [(6.0, 6.0)]
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
 @pytest.mark.parametrize(("L", "status"), [(6.0, "ok"), (3000.0, "quadrature_error")])
 def test_oracle_residual_is_taken_once_per_geometry(monkeypatch, beta, L, status):
     # the residual reads no coupling: a 4x4 coupling grid takes it once, and
@@ -720,9 +736,9 @@ def test_oracle_residual_is_taken_once_per_geometry(monkeypatch, beta, L, status
     calls = []
     residual = sweep.oracle_residual
 
-    def counted(geom, state):
+    def counted(geom, state, terms):
         calls.append((geom.separation, geom.delay, state.beta))
-        return residual(geom, state)
+        return residual(geom, state, terms)
 
     monkeypatch.setattr(sweep, "oracle_residual", counted)
     text = ORACLE_COUPLING_CONFIG.format(L=L, dtau=1.0) + (f"beta = {beta}\n" if beta else "")

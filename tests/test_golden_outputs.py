@@ -73,10 +73,10 @@ SWEEPS = {
 }
 
 STDOUTS = {
-    "point_vacuum": (POINT, "5a919ca32e9c645a62ee396fb490f6ba2afb5214de7104e1791ffa64b276a07e"),
+    "point_vacuum": (POINT, "6776ec2a5a4cda30c3adb604fce5ece699bb8514a06d78bfe8305bf65dc921c3"),
     "point_beta2": (POINT + ["--beta", "2"],
                     "349fdb93e5c878a92a77fece299094ba98c23e826dc9d62df8f5554e5e66058a"),
-    "selftest": (["selftest"], "25d03455249eaef8c1b5f7c0d6ee184924c4c260919603c7da6367bb853f342e"),
+    "selftest": (["selftest"], "5c6b9aca84779007a5e781f332d33a667b4fe66d079eee8c7c679c252e74cfa0"),
 }
 
 
@@ -129,20 +129,18 @@ CPU_VARIANTS = {
 
 @pytest.mark.parametrize("variant", CPU_VARIANTS.values(), ids=CPU_VARIANTS)
 def test_sweep_and_point_bytes_on_other_cpus(tmp_path, variant):
-    """Every sweep and point digest above, recomputed with numpy's AVX-512
-    kernels off, under OpenBLAS's Haswell or Prescott kernel, or both: a
-    call whose rounding follows the CPU fails here on any machine those
-    variables can select.  The selftest digest is left out: its Choi
-    eigenvalues come from LAPACK's eigvalsh, which rounds by the BLAS
-    kernel, so that digest still holds on this kind of CPU only."""
+    """Every sweep, point and selftest digest above, recomputed with numpy's
+    AVX-512 kernels off, under OpenBLAS's Haswell or Prescott kernel, or
+    both: a call whose rounding follows the CPU fails here on any machine
+    those variables can select."""
     jobs = {name: (config, flags) for name, (config, flags, _) in SWEEPS.items()}
-    jobs |= {name: (None, argv) for name, (argv, _) in STDOUTS.items() if name != "selftest"}
+    jobs |= {name: (None, argv) for name, (argv, _) in STDOUTS.items()}
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src), **variant}
     done = subprocess.run([sys.executable, "-c", DIGESTS, json.dumps(jobs), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    expected = {name: job[-1] for name, job in (SWEEPS | STDOUTS).items() if name != "selftest"}
+    expected = {name: job[-1] for name, job in (SWEEPS | STDOUTS).items()}
     assert json.loads(done.stdout) == expected
 
 

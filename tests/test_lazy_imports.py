@@ -1,11 +1,12 @@
-"""mpmath loads on the oracle's first Im J, not at import, and no sweep or
-point loads numpy, --oracle included: a sweep or point without --oracle
-loads nothing, in the vacuum or at any beta, on the Matsubara route
-(beta <= 2.745) or the image route, whose Faddeeva function is the
-library's own continued fraction, and --oracle adds mpmath alone, at
-dtau != 0.  The oracle's Re J is the library's own Gauss-Legendre rule in
-math, and a log axis is decimal arithmetic, so a Fig-1 sweep loads nothing
-either.  No process loads any scipy module, selftest included.
+"""mpmath loads on the oracle's first Im J, not at import, and no process
+loads numpy, --oracle, --optimize and selftest included: a sweep or point
+without --oracle loads nothing, in the vacuum or at any beta, on the
+Matsubara route (beta <= 2.745) or the image route, whose Faddeeva
+function is the library's own continued fraction, and --oracle adds
+mpmath alone, at dtau != 0.  The oracle's Re J is the library's own
+Gauss-Legendre rule in math, a log axis is decimal arithmetic, and the
+brute force is a search in math, so a Fig-1 sweep loads nothing either,
+with --optimize.  No process loads any scipy module, selftest included.
 
 conftest.py imports mpmath into the test process itself, so the check runs
 in a fresh interpreter with only src/ on the path.
@@ -50,9 +51,13 @@ vacuum, beta_2, beta_100, log = sys.argv[1:]
 seen = {"import": loaded()}
 run(["point"])
 seen["point"] = loaded()
+run(["point", "--optimize"])
+seen["--optimize point"] = loaded()
 for name, cfg in (("vacuum sweep", vacuum), ("beta = 2 sweep", beta_2), ("log-axis sweep", log)):
     run(["sweep", "--config", cfg])
     seen[name] = loaded()
+run(["sweep", "--config", log, "--optimize"])
+seen["--optimize log-axis sweep"] = loaded()
 # J(0, 0, beta) takes the Matsubara route up to beta = 2.7459
 run(["point", "--beta", "2.745", "--L", "0", "--dtau", "0"])
 seen["beta = 2.745 point"] = loaded()
@@ -65,6 +70,8 @@ for name, argv in ORACLE_POINTS:
     seen[name] = loaded()
 run(["sweep", "--config", beta_100])
 seen["beta = 100 sweep"] = loaded()
+run(["selftest"])
+seen["selftest"] = loaded()
 print(json.dumps({"seen": seen, "status": status}))
 """
 
@@ -90,9 +97,11 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
     assert seen == {
         "import": [],
         "point": [],
+        "--optimize point": [],
         "vacuum sweep": [],
         "beta = 2 sweep": [],
         "log-axis sweep": [],
+        "--optimize log-axis sweep": [],
         "beta = 2.745 point": [],
         "beta = 100 point": [],
         # the oracle adds mpmath, for Im J at dtau != 0, and nothing for Re J
@@ -101,6 +110,8 @@ def test_only_the_oracle_loads_the_integrators(tmp_path):
         "cancelling oracle point": ["mpmath"],
         # what the oracle points loaded, and nothing more
         "beta = 100 sweep": ["mpmath"],
+        # its oracle grid integrates with mpmath, as the oracle points do
+        "selftest": ["mpmath"],
     }
     assert result == {"status": dict.fromkeys(
         ("dtau = 0 oracle point", "oracle point", "cancelling oracle point"), "ok")}
